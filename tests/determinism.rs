@@ -314,6 +314,59 @@ const GOLDEN_BIPARTITE_CHECKSUM_SEED42: u64 = 0x19e0e6b6bb0038e7;
 const GOLDEN_BIPARTITE_PAIRS_SEED42: u64 = 3_081;
 const GOLDEN_BIPARTITE_QUERIES_SEED42: u64 = 502;
 
+fn run_intersect_once(spec: &str) -> RunStats {
+    let params = WorkloadParams {
+        num_points: 2_000,
+        ticks: MEASURED_TICKS,
+        space_side: 8_000.0,
+        seed: 42,
+        ..WorkloadParams::default()
+    };
+    let mut workload = RectsWorkload::new(params);
+    let mut tech = TechniqueSpec::parse(spec).unwrap().build(params.space_side);
+    tech.run_intersect(&mut workload, DriverConfig::new(params.ticks, 1))
+}
+
+#[test]
+fn intersect_golden_checksum_is_stable_across_prs() {
+    // The extent path runs its own shape of every step the point goldens
+    // pin: rectangle query regions, replication by extent, and the
+    // intersection's reference corner as the tile dedup rule. Pin one
+    // index technique and one batch technique under every exec mode to
+    // the same absolute numbers, so a drift in any of those steps is
+    // caught here rather than only in a snapshot's checksums.
+    for family in ["grid:inline", "twolayer"] {
+        for modifier in ["", "@par4", "@tiles4", "@tiles4@par2", "@tilesauto@par2"] {
+            let spec = format!("{family}{modifier}");
+            let stats = run_intersect_once(&spec);
+            assert_eq!(
+                stats.checksum, GOLDEN_INTERSECT_CHECKSUM_SEED42,
+                "{spec}: checksum"
+            );
+            assert_eq!(
+                stats.result_pairs, GOLDEN_INTERSECT_PAIRS_SEED42,
+                "{spec}: pairs"
+            );
+            assert_eq!(
+                stats.queries, GOLDEN_INTERSECT_QUERIES_SEED42,
+                "{spec}: queries"
+            );
+            assert_eq!(
+                stats.updates, GOLDEN_INTERSECT_UPDATES_SEED42,
+                "{spec}: updates"
+            );
+        }
+    }
+}
+
+/// Goldens of `run_intersect_once` (rects, seed 42, 2,000 rectangles,
+/// side 8,000, 5 measured ticks after 1 warmup). `scan` agrees with
+/// them. Same re-pinning policy as the goldens above.
+const GOLDEN_INTERSECT_CHECKSUM_SEED42: u64 = 0xeed0e0740567021e;
+const GOLDEN_INTERSECT_PAIRS_SEED42: u64 = 30_525;
+const GOLDEN_INTERSECT_QUERIES_SEED42: u64 = 5_041;
+const GOLDEN_INTERSECT_UPDATES_SEED42: u64 = 5_054;
+
 #[test]
 fn checksum_is_independent_of_result_order() {
     // The R-tree and the grid enumerate results in very different orders;
