@@ -22,7 +22,9 @@ pub trait BatchJoin {
     /// closed-rectangle semantics, exactly as the per-query driver
     /// produces them. Querier ids are opaque to the join — in a self-join
     /// they happen to index `table`, in a bipartite join they index the
-    /// query relation instead (see [`BatchJoin::join_two`]).
+    /// query relation instead (see [`BatchJoin::join_two`]), and under
+    /// tiling they are positions in a tile's query list (see
+    /// [`crate::par::tiled_batch_join`]).
     fn join(
         &mut self,
         table: &PointTable,

@@ -29,6 +29,14 @@
 //! case R = S, running through the identical code path with identical
 //! statistics (DESIGN.md §10). Entry points: [`run_bipartite_join`] /
 //! [`run_bipartite_batch_join`].
+//!
+//! ## Points and rectangles
+//!
+//! The tick loop and both executors are generic over the entry table
+//! ([`Shape`]), so the intersection self-join over moving rectangles
+//! ([`run_intersect_join`] / [`run_intersect_batch_join`]) runs the same
+//! code as the point joins; only the shape's query regions and
+//! index/join methods differ (DESIGN.md §15).
 
 use std::time::{Duration, Instant};
 
@@ -37,13 +45,14 @@ use crate::index::SpatialIndex;
 use crate::par::{self, ExecMode};
 use crate::rng::mix64;
 use crate::stats::Summary;
-use crate::table::{EntryId, ExtentTable, MovingExtentSet, MovingSet, PointTable};
+use crate::table::{EntryId, ExtentTable, MovingExtentSet, MovingSet, PointTable, Shape};
 
 /// What a workload wants to happen in one tick: who queries, which objects
 /// receive which new velocities, and — for workloads with population churn
-/// — which objects depart and which new ones arrive.
+/// — which objects depart and which new ones arrive. `G` is the geometry
+/// of an arrival: a [`Point`] here, a [`Rect`] in [`ExtentTickActions`].
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct TickActions {
+pub struct TickActions<G = Point> {
     pub queriers: Vec<EntryId>,
     /// `(object, new_vx, new_vy)` — applied to the base data at the end of
     /// the tick, i.e. after all queries ran.
@@ -53,28 +62,34 @@ pub struct TickActions {
     /// [`EntryId`]s never shift, so checksums stay comparable across
     /// techniques and runs (DESIGN.md §9).
     pub removals: Vec<EntryId>,
-    /// `(position, velocity)` of objects entering the population this
+    /// `(geometry, velocity)` of objects entering the population this
     /// tick. Applied in the timed update phase *after* movement, so an
-    /// arrival first becomes visible — at exactly its spawn position — to
+    /// arrival first becomes visible — at exactly its spawn geometry — to
     /// the next tick's build/query phases.
-    pub inserts: Vec<(Point, Vec2)>,
+    pub inserts: Vec<(G, Vec2)>,
 }
 
-impl TickActions {
+/// What an extent workload wants to happen in one tick: [`TickActions`]
+/// whose arrivals carry a full rectangle.
+pub type ExtentTickActions = TickActions<Rect>;
+
+impl<G> TickActions<G> {
     pub fn clear(&mut self) {
         self.queriers.clear();
         self.velocity_updates.clear();
         self.removals.clear();
         self.inserts.clear();
     }
+}
 
+impl TickActions {
     /// Apply this plan to `set` in the driver's canonical update-phase
     /// order: velocity updates, then departures (tombstones), then one
     /// step of movement via `workload`'s model, then arrivals (appended
     /// after movement so a new object first becomes visible at exactly
     /// its spawn position). The trace recorder and replay harnesses call
-    /// this too — the order is load-bearing for replayed checksums, so it
-    /// lives in exactly one place.
+    /// this too — the order is load-bearing for replayed checksums, so
+    /// the extent form below repeats it step for step.
     pub fn apply<W: Workload + ?Sized>(&self, set: &mut MovingSet, workload: &mut W) {
         for &(id, vx, vy) in &self.velocity_updates {
             set.set_velocity(id, Vec2::new(vx, vy));
@@ -85,6 +100,23 @@ impl TickActions {
         workload.advance(set);
         for &(p, v) in &self.inserts {
             set.push(p, v);
+        }
+    }
+}
+
+impl ExtentTickActions {
+    /// [`TickActions::apply`] for a moving-rectangle set, in the same
+    /// order.
+    pub fn apply<W: ExtentWorkload + ?Sized>(&self, set: &mut MovingExtentSet, workload: &mut W) {
+        for &(id, vx, vy) in &self.velocity_updates {
+            set.set_velocity(id, Vec2::new(vx, vy));
+        }
+        for &id in &self.removals {
+            set.remove(id);
+        }
+        workload.advance(set);
+        for &(r, v) in &self.inserts {
+            set.push(r, v);
         }
     }
 }
@@ -119,50 +151,6 @@ pub trait Workload {
     }
 }
 
-/// What an extent workload wants to happen in one tick — the `intersects`
-/// counterpart of [`TickActions`]. Same canonical update-phase order, same
-/// tombstone semantics; arrivals carry a full rectangle instead of a
-/// position.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExtentTickActions {
-    pub queriers: Vec<EntryId>,
-    /// `(object, new_vx, new_vy)` — applied at the end of the tick.
-    pub velocity_updates: Vec<(EntryId, f32, f32)>,
-    /// Objects leaving this tick, applied as tombstones
-    /// ([`MovingExtentSet::remove`]): handles never shift.
-    pub removals: Vec<EntryId>,
-    /// `(rectangle, velocity)` of objects entering this tick, appended
-    /// after movement so an arrival first becomes visible — at exactly its
-    /// spawn extent — to the next tick's build/query phases.
-    pub inserts: Vec<(Rect, Vec2)>,
-}
-
-impl ExtentTickActions {
-    pub fn clear(&mut self) {
-        self.queriers.clear();
-        self.velocity_updates.clear();
-        self.removals.clear();
-        self.inserts.clear();
-    }
-
-    /// Apply this plan to `set` in the driver's canonical update-phase
-    /// order — velocity updates, departures, one step of movement via
-    /// `workload`'s model, then arrivals — mirroring [`TickActions::apply`]
-    /// (the order is load-bearing for replayed checksums).
-    pub fn apply<W: ExtentWorkload + ?Sized>(&self, set: &mut MovingExtentSet, workload: &mut W) {
-        for &(id, vx, vy) in &self.velocity_updates {
-            set.set_velocity(id, Vec2::new(vx, vy));
-        }
-        for &id in &self.removals {
-            set.remove(id);
-        }
-        workload.advance(set);
-        for &(r, v) in &self.inserts {
-            set.push(r, v);
-        }
-    }
-}
-
 /// A moving-rectangle workload — the `intersects` counterpart of
 /// [`Workload`]. There is no `query_side`: in the intersection self-join a
 /// querier's query region *is* its own rectangle, so the geometry travels
@@ -185,6 +173,65 @@ pub trait ExtentWorkload {
     fn advance(&mut self, set: &mut MovingExtentSet) {
         let space = self.space();
         set.advance_bouncing(&space);
+    }
+}
+
+/// A workload as the tick loop drives it, over tables of shape `T`. The
+/// two public workload traits stay apart — an extent workload has no
+/// `query_side` and its sets carry rectangles — and meet the one loop
+/// through this view, implemented once for each of them.
+trait Relation<T: Shape> {
+    type Set;
+    fn space(&self) -> Rect;
+    fn query_side(&self) -> f32;
+    fn init(&mut self) -> Self::Set;
+    fn table(set: &Self::Set) -> &T;
+    fn plan_tick(&mut self, tick: u32, set: &Self::Set, actions: &mut TickActions<T::Row>);
+    fn apply(&mut self, actions: &TickActions<T::Row>, set: &mut Self::Set);
+}
+
+impl<W: Workload + ?Sized> Relation<PointTable> for W {
+    type Set = MovingSet;
+    fn space(&self) -> Rect {
+        Workload::space(self)
+    }
+    fn query_side(&self) -> f32 {
+        Workload::query_side(self)
+    }
+    fn init(&mut self) -> MovingSet {
+        Workload::init(self)
+    }
+    fn table(set: &MovingSet) -> &PointTable {
+        &set.positions
+    }
+    fn plan_tick(&mut self, tick: u32, set: &MovingSet, actions: &mut TickActions) {
+        Workload::plan_tick(self, tick, set, actions);
+    }
+    fn apply(&mut self, actions: &TickActions, set: &mut MovingSet) {
+        actions.apply(set, self);
+    }
+}
+
+impl<W: ExtentWorkload + ?Sized> Relation<ExtentTable> for W {
+    type Set = MovingExtentSet;
+    fn space(&self) -> Rect {
+        ExtentWorkload::space(self)
+    }
+    /// Unused: a rectangle's query region is its own extent.
+    fn query_side(&self) -> f32 {
+        0.0
+    }
+    fn init(&mut self) -> MovingExtentSet {
+        ExtentWorkload::init(self)
+    }
+    fn table(set: &MovingExtentSet) -> &ExtentTable {
+        &set.extents
+    }
+    fn plan_tick(&mut self, tick: u32, set: &MovingExtentSet, actions: &mut ExtentTickActions) {
+        ExtentWorkload::plan_tick(self, tick, set, actions);
+    }
+    fn apply(&mut self, actions: &ExtentTickActions, set: &mut MovingExtentSet) {
+        actions.apply(set, self);
     }
 }
 
@@ -343,14 +390,16 @@ impl DriverConfig {
 /// and the set-at-a-time executor behind [`run_batch_join`] — so the two
 /// join categories run the *identical* loop (warmup accounting, phase
 /// boundaries, update application) and differ only where the paper's
-/// taxonomy says they must.
-trait TickExecutor {
-    /// Timed build phase (no-op for index-free batch techniques). Under
-    /// [`ExecMode::Partitioned`] the per-query executor partitions the
-    /// table into tile replicas and builds one private index per tile
-    /// here — partitioning is this mode's build cost — which is why the
-    /// tick geometry (`space`, `query_side`) and the mode flow in.
-    fn build(&mut self, table: &PointTable, space: &Rect, query_side: f32, exec: ExecMode);
+/// taxonomy says they must. Both are generic over the entry table, so both
+/// entry shapes run them too.
+trait TickExecutor<T: Shape> {
+    /// Timed build phase (a no-op by default: index-free batch
+    /// techniques have none). Under [`ExecMode::Partitioned`] the
+    /// per-query executor partitions the table into tile replicas and
+    /// builds one private index per tile here — partitioning is this
+    /// mode's build cost — which is why the tick geometry (`space`,
+    /// `query_side`) and the mode flow in.
+    fn build(&mut self, _table: &T, _space: &Rect, _query_side: f32, _exec: ExecMode) {}
 
     /// Untimed per-tick bookkeeping before the query phase. Only the batch
     /// executor uses it, to assemble the tick's query set — set-at-a-time
@@ -359,16 +408,18 @@ trait TickExecutor {
     /// timed phase: issuing a query, region arithmetic included, is part of
     /// that category's per-query cost (unchanged from the pre-unification
     /// driver).
-    fn prepare(&mut self, tick: &TickCtx<'_>);
+    fn prepare(&mut self, _tick: &TickCtx<'_, T>) {}
 
-    /// Timed query phase: run every query of the tick, folding each
-    /// `(querier, result)` pair into `pairs`/`checksum` via
-    /// [`fold_pair`] — no per-query result materialization. Under
-    /// [`ExecMode::Parallel`] the executor shards the phase through
-    /// [`crate::par`]; both categories merge per-worker partials with a
-    /// commutative wrapping sum, so the folded totals are bit-identical to
-    /// the sequential mode.
-    fn query(&mut self, tick: &TickCtx<'_>, exec: ExecMode, pairs: &mut u64, checksum: &mut u64);
+    /// Timed query phase: run every query of the tick and return its
+    /// `(pairs, checksum)` delta, each pair folded via [`fold_pair`] from
+    /// 0 — no per-query result materialization. The loop adds the delta to
+    /// the running checksum with `wrapping_add`, which equals folding every
+    /// pair into it directly because the fold is a commutative wrapping
+    /// sum. Under [`ExecMode::Parallel`] the executor shards the phase
+    /// through [`crate::par`]; both categories merge per-worker partials
+    /// the same way, so the totals are bit-identical to the sequential
+    /// mode.
+    fn query(&mut self, tick: &TickCtx<'_, T>, exec: ExecMode) -> (u64, u64);
 
     /// Index memory after the final build (0 for batch techniques).
     fn index_bytes(&self) -> usize;
@@ -381,30 +432,37 @@ trait TickExecutor {
 /// One tick's query-phase inputs, as seen by a [`TickExecutor`]: the
 /// relation tables as of the previous tick, this tick's queriers, and the
 /// query geometry. `data` is the table indexes build over and joins probe
-/// (the data relation S); `centers` is the table query regions are centred
-/// on (the query relation R). In a self-join both reference the same
-/// table; the executors never assume that.
-struct TickCtx<'a> {
-    data: &'a PointTable,
-    centers: &'a PointTable,
+/// (the data relation S); `centers` is the table query regions come from
+/// (the query relation R). In a self-join both reference the same table;
+/// the executors never assume that.
+struct TickCtx<'a, T> {
+    data: &'a T,
+    centers: &'a T,
     queriers: &'a [EntryId],
     space: &'a Rect,
     query_side: f32,
 }
 
-/// The single tick loop both join categories — and both join shapes — run
-/// (see [`TickExecutor`]). `data_workload` drives the data relation S;
-/// `query_rel`, when present, drives an independent query relation R
-/// (bipartite mode). When `query_rel` is `None` the loop is exactly the
-/// self-join of the paper: S plans its own queriers and probes itself.
-fn drive<W: Workload + ?Sized, E: TickExecutor>(
+/// The single tick loop both join categories, both join shapes and both
+/// entry shapes run (see [`TickExecutor`]). `data_workload` drives the
+/// data relation S; `query_rel`, when present, drives an independent query
+/// relation R (bipartite mode). When `query_rel` is `None` the loop is
+/// exactly the self-join of the paper: S plans its own queriers and probes
+/// itself.
+fn drive<T, W, Q, E>(
     data_workload: &mut W,
-    mut query_rel: Option<&mut dyn Workload>,
+    mut query_rel: Option<&mut Q>,
     exec: &mut E,
     cfg: DriverConfig,
-) -> RunStats {
+) -> RunStats
+where
+    T: Shape,
+    W: Relation<T> + ?Sized,
+    Q: Relation<T, Set = W::Set> + ?Sized,
+    E: TickExecutor<T>,
+{
     let mut s = data_workload.init();
-    let mut r: Option<MovingSet> = query_rel.as_deref_mut().map(|w| w.init());
+    let mut r = query_rel.as_deref_mut().map(|w| w.init());
     let space = data_workload.space();
     // Queries are issued by the query relation, so its workload defines
     // their side length; both relations must share the data space (the
@@ -446,15 +504,15 @@ fn drive<W: Workload + ?Sized, E: TickExecutor>(
         // Phase 1: build the static index over the previous tick's state
         // of the data relation.
         let t0 = Instant::now();
-        exec.build(&s.positions, &space, query_side, cfg.exec);
+        exec.build(W::table(&s), &space, query_side, cfg.exec);
         let build = t0.elapsed();
 
-        let (queriers, centers): (&[EntryId], &PointTable) = match r.as_ref() {
-            Some(r_set) => (&r_actions.queriers, &r_set.positions),
-            None => (&actions.queriers, &s.positions),
+        let (queriers, centers): (&[EntryId], &T) = match r.as_ref() {
+            Some(r_set) => (&r_actions.queriers, Q::table(r_set)),
+            None => (&actions.queriers, W::table(&s)),
         };
         let ctx = TickCtx {
-            data: &s.positions,
+            data: W::table(&s),
             centers,
             queriers,
             space: &space,
@@ -462,27 +520,25 @@ fn drive<W: Workload + ?Sized, E: TickExecutor>(
         };
         exec.prepare(&ctx);
 
-        // Phase 2: queries, folded straight into the running checksum.
+        // Phase 2: queries, folded into the tick's checksum delta.
         let t0 = Instant::now();
-        let mut pairs = 0u64;
-        let mut checksum = stats.checksum;
-        exec.query(&ctx, cfg.exec, &mut pairs, &mut checksum);
+        let (pairs, checksum) = exec.query(&ctx, cfg.exec);
         let query = t0.elapsed();
         let queries = ctx.queriers.len() as u64;
 
         // Phase 3: updates are applied to the base data at the end of the
         // tick — velocity changes, then departures (tombstones), then
         // movement of the survivors, then arrivals (visible from the next
-        // tick at their spawn position; see [`TickActions::apply`]). All
+        // tick at their spawn geometry; see [`TickActions::apply`]). All
         // of it is timed: insert/remove cost is update-phase cost, exactly
         // where the update-time taxonomy of the original study puts it
         // (DESIGN.md §9). In bipartite mode both relations update — data
         // relation first, then the query relation, each through its own
         // workload's movement model.
         let t0 = Instant::now();
-        actions.apply(&mut s, data_workload);
+        data_workload.apply(&actions, &mut s);
         if let (Some(w), Some(r_set)) = (query_rel.as_deref_mut(), r.as_mut()) {
-            r_actions.apply(r_set, w);
+            w.apply(&r_actions, r_set);
         }
         let update = t0.elapsed();
 
@@ -493,7 +549,7 @@ fn drive<W: Workload + ?Sized, E: TickExecutor>(
                 update,
             });
             stats.result_pairs += pairs;
-            stats.checksum = checksum;
+            stats.checksum = stats.checksum.wrapping_add(checksum);
             stats.queries += queries;
             stats.updates +=
                 (actions.velocity_updates.len() + r_actions.velocity_updates.len()) as u64;
@@ -507,21 +563,21 @@ fn drive<W: Workload + ?Sized, E: TickExecutor>(
 }
 
 /// Executor for the index nested loop category: every querier issues one
-/// square range query centred on its own position, clipped to the data
-/// space, and the index emits matches directly into the checksum fold.
-/// `Sync` because the parallel mode probes the (immutable) index from
-/// several workers at once — every index in the workspace is plain data.
+/// query over its shape's region ([`Shape::query_region`]), and the index
+/// emits matches directly into the checksum fold. `Sync` because the
+/// parallel mode probes the (immutable) index from several workers at once
+/// — every index in the workspace is plain data.
 ///
 /// Under [`ExecMode::Partitioned`] the index itself is never built:
 /// it serves as the prototype each tile forks ([`SpatialIndex::fork`]),
 /// and `tiles` carries the per-tile forks, replicas, and querier
 /// assignments across ticks.
-struct IndexExecutor<'a, I: SpatialIndex + Sync + ?Sized> {
+struct IndexExecutor<'a, I: SpatialIndex + Sync + ?Sized, T> {
     index: &'a mut I,
-    tiles: par::TileIndexPool,
+    tiles: par::TileIndexPool<T>,
 }
 
-impl<'a, I: SpatialIndex + Sync + ?Sized> IndexExecutor<'a, I> {
+impl<'a, I: SpatialIndex + Sync + ?Sized, T: Shape> IndexExecutor<'a, I, T> {
     fn new(index: &'a mut I) -> Self {
         IndexExecutor {
             index,
@@ -530,8 +586,8 @@ impl<'a, I: SpatialIndex + Sync + ?Sized> IndexExecutor<'a, I> {
     }
 }
 
-impl<I: SpatialIndex + Sync + ?Sized> TickExecutor for IndexExecutor<'_, I> {
-    fn build(&mut self, table: &PointTable, space: &Rect, query_side: f32, exec: ExecMode) {
+impl<I: SpatialIndex + Sync + ?Sized, T: Shape> TickExecutor<T> for IndexExecutor<'_, I, T> {
+    fn build(&mut self, table: &T, space: &Rect, query_side: f32, exec: ExecMode) {
         match exec {
             ExecMode::Partitioned { tiles, workers } => {
                 par::tiled_index_build(
@@ -544,48 +600,40 @@ impl<I: SpatialIndex + Sync + ?Sized> TickExecutor for IndexExecutor<'_, I> {
                     &mut self.tiles,
                 );
             }
-            _ => self.index.build(table),
+            _ => table.build_index(&mut *self.index),
         }
     }
 
-    fn prepare(&mut self, _: &TickCtx<'_>) {}
-
-    fn query(&mut self, tick: &TickCtx<'_>, exec: ExecMode, pairs: &mut u64, checksum: &mut u64) {
+    fn query(&mut self, tick: &TickCtx<'_, T>, exec: ExecMode) -> (u64, u64) {
         match exec {
             ExecMode::Sequential => {
+                let mut pairs = 0u64;
+                let mut checksum = 0u64;
                 for &q in tick.queriers {
-                    let region = Rect::centered_square(tick.centers.point(q), tick.query_side)
-                        .clipped_to(tick.space);
-                    self.index.for_each_in(tick.data, &region, &mut |r| {
-                        *pairs += 1;
-                        *checksum = fold_pair(*checksum, q, r);
+                    let region = tick.centers.query_region(q, tick.query_side, tick.space);
+                    tick.data.probe(&*self.index, &region, &mut |r| {
+                        pairs += 1;
+                        checksum = fold_pair(checksum, q, r);
                     });
                 }
+                (pairs, checksum)
             }
-            ExecMode::Parallel { threads } => {
-                let (p, c) = par::shard_index_query(
-                    &*self.index,
-                    tick.data,
-                    tick.centers,
-                    tick.queriers,
-                    tick.space,
-                    tick.query_side,
-                    threads,
-                );
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
-            ExecMode::Partitioned { .. } => {
-                let (p, c) = par::tiled_index_query(
-                    &mut self.tiles,
-                    tick.centers,
-                    tick.queriers,
-                    tick.space,
-                    tick.query_side,
-                );
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
+            ExecMode::Parallel { threads } => par::shard_index_query(
+                &*self.index,
+                tick.data,
+                tick.centers,
+                tick.queriers,
+                tick.space,
+                tick.query_side,
+                threads,
+            ),
+            ExecMode::Partitioned { .. } => par::tiled_index_query(
+                &mut self.tiles,
+                tick.centers,
+                tick.queriers,
+                tick.space,
+                tick.query_side,
+            ),
         }
     }
 
@@ -610,7 +658,7 @@ impl<I: SpatialIndex + Sync + ?Sized> TickExecutor for IndexExecutor<'_, I> {
 /// call, and the returned pair set is folded into the checksum. The timed
 /// phase covers the join itself plus the fold, mirroring the per-query
 /// executor where emission and folding are likewise inseparable.
-struct BatchExecutor<'a, J: crate::batch::BatchJoin + ?Sized> {
+struct BatchExecutor<'a, J: crate::batch::BatchJoin + ?Sized, T> {
     join: &'a mut J,
     queries: Vec<(EntryId, Rect)>,
     pairs_buf: Vec<(EntryId, EntryId)>,
@@ -621,11 +669,11 @@ struct BatchExecutor<'a, J: crate::batch::BatchJoin + ?Sized> {
     /// persistent. Unlike the index category the batch category has no
     /// build phase, so partitioning happens inside the timed query phase
     /// (it is part of the set-at-a-time join's cost).
-    tiles: par::TileBatchPool,
+    tiles: par::TileBatchPool<T>,
 }
 
-impl<J: crate::batch::BatchJoin + ?Sized> BatchExecutor<'_, J> {
-    fn new(join: &mut J) -> BatchExecutor<'_, J> {
+impl<'a, J: crate::batch::BatchJoin + ?Sized, T: Shape> BatchExecutor<'a, J, T> {
+    fn new(join: &'a mut J) -> Self {
         BatchExecutor {
             join,
             queries: Vec::new(),
@@ -636,56 +684,50 @@ impl<J: crate::batch::BatchJoin + ?Sized> BatchExecutor<'_, J> {
     }
 }
 
-impl<J: crate::batch::BatchJoin + ?Sized> TickExecutor for BatchExecutor<'_, J> {
-    fn build(&mut self, _table: &PointTable, _space: &Rect, _query_side: f32, _exec: ExecMode) {}
-
-    fn prepare(&mut self, tick: &TickCtx<'_>) {
+impl<J: crate::batch::BatchJoin + ?Sized, T: Shape> TickExecutor<T> for BatchExecutor<'_, J, T> {
+    fn prepare(&mut self, tick: &TickCtx<'_, T>) {
         self.queries.clear();
         for &q in tick.queriers {
-            let region = Rect::centered_square(tick.centers.point(q), tick.query_side)
-                .clipped_to(tick.space);
+            let region = tick.centers.query_region(q, tick.query_side, tick.space);
             self.queries.push((q, region));
         }
     }
 
-    fn query(&mut self, tick: &TickCtx<'_>, exec: ExecMode, pairs: &mut u64, checksum: &mut u64) {
+    fn query(&mut self, tick: &TickCtx<'_, T>, exec: ExecMode) -> (u64, u64) {
         match exec {
             ExecMode::Sequential => {
                 self.pairs_buf.clear();
-                self.join
-                    .join_two(tick.centers, tick.data, &self.queries, &mut self.pairs_buf);
-                *pairs += self.pairs_buf.len() as u64;
+                tick.data.batch_join(
+                    &mut *self.join,
+                    tick.centers,
+                    &self.queries,
+                    &mut self.pairs_buf,
+                );
+                let mut checksum = 0u64;
                 for &(q, r) in &self.pairs_buf {
-                    *checksum = fold_pair(*checksum, q, r);
+                    checksum = fold_pair(checksum, q, r);
                 }
+                (self.pairs_buf.len() as u64, checksum)
             }
-            ExecMode::Parallel { threads } => {
-                let (p, c) = par::shard_batch_join(
-                    &*self.join,
-                    tick.centers,
-                    tick.data,
-                    &self.queries,
-                    threads,
-                    &mut self.workers,
-                );
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
-            ExecMode::Partitioned { tiles, workers } => {
-                let (p, c) = par::tiled_batch_join(
-                    &*self.join,
-                    tick.centers,
-                    tick.data,
-                    &self.queries,
-                    tick.space,
-                    tick.query_side,
-                    tiles,
-                    workers,
-                    &mut self.tiles,
-                );
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
+            ExecMode::Parallel { threads } => par::shard_batch_join(
+                &*self.join,
+                tick.centers,
+                tick.data,
+                &self.queries,
+                threads,
+                &mut self.workers,
+            ),
+            ExecMode::Partitioned { tiles, workers } => par::tiled_batch_join(
+                &*self.join,
+                tick.centers,
+                tick.data,
+                &self.queries,
+                tick.space,
+                tick.query_side,
+                tiles,
+                workers,
+                &mut self.tiles,
+            ),
         }
     }
 
@@ -709,7 +751,12 @@ pub fn run_join<W: Workload + ?Sized, I: SpatialIndex + Sync + ?Sized>(
     index: &mut I,
     cfg: DriverConfig,
 ) -> RunStats {
-    drive(workload, None, &mut IndexExecutor::new(index), cfg)
+    drive::<PointTable, _, _, _>(
+        workload,
+        None::<&mut W>,
+        &mut IndexExecutor::new(index),
+        cfg,
+    )
 }
 
 /// Drive a **bipartite** join R ⋈ S: `index` is rebuilt each tick over the
@@ -727,7 +774,7 @@ pub fn run_bipartite_join<I: SpatialIndex + Sync + ?Sized>(
     index: &mut I,
     cfg: DriverConfig,
 ) -> RunStats {
-    drive(
+    drive::<PointTable, _, _, _>(
         data_workload,
         Some(query_workload),
         &mut IndexExecutor::new(index),
@@ -747,7 +794,7 @@ pub fn run_batch_join<W: Workload + ?Sized, J: crate::batch::BatchJoin + ?Sized>
     join: &mut J,
     cfg: DriverConfig,
 ) -> RunStats {
-    drive(workload, None, &mut BatchExecutor::new(join), cfg)
+    drive::<PointTable, _, _, _>(workload, None::<&mut W>, &mut BatchExecutor::new(join), cfg)
 }
 
 /// The bipartite form of [`run_batch_join`]: the tick's whole query set —
@@ -761,293 +808,12 @@ pub fn run_bipartite_batch_join<J: crate::batch::BatchJoin + ?Sized>(
     join: &mut J,
     cfg: DriverConfig,
 ) -> RunStats {
-    drive(
+    drive::<PointTable, _, _, _>(
         data_workload,
         Some(query_workload),
         &mut BatchExecutor::new(join),
         cfg,
     )
-}
-
-/// The per-category hooks of the intersection-join tick loop
-/// ([`drive_extents`]) — the `intersects` counterpart of [`TickExecutor`],
-/// with the same two implementations (per-query index, set-at-a-time
-/// batch). The query geometry travels with the data (a querier's region is
-/// its own rectangle), so the context is just the table and the queriers.
-trait ExtentTickExecutor {
-    /// Timed build phase over the previous tick's extents.
-    fn build(&mut self, table: &ExtentTable, space: &Rect, exec: ExecMode);
-
-    /// Untimed pre-query bookkeeping (the batch executor materializes the
-    /// tick's query set here, exactly like the point loop).
-    fn prepare(&mut self, table: &ExtentTable, queriers: &[EntryId]);
-
-    /// Timed query phase: every querier's rectangle against the table,
-    /// folded via [`fold_pair`].
-    fn query(
-        &mut self,
-        table: &ExtentTable,
-        queriers: &[EntryId],
-        space: &Rect,
-        exec: ExecMode,
-        pairs: &mut u64,
-        checksum: &mut u64,
-    );
-
-    /// Index memory after the final build (0 for batch techniques).
-    fn index_bytes(&self) -> usize;
-
-    /// Accumulated scheduler load metrics (`None` unless partitioned).
-    fn tile_load(&self) -> Option<TileLoad>;
-}
-
-/// The intersection join's tick loop — [`drive`]'s shape (plan → timed
-/// build → timed query → timed update, warmup accounting identical) over
-/// an extent relation joining with itself. No bipartite form: the paper's
-/// setting and the two-layer literature both evaluate the self-join, and
-/// the point loop already covers the R ⋈ S machinery.
-fn drive_extents<W: ExtentWorkload + ?Sized, E: ExtentTickExecutor>(
-    workload: &mut W,
-    exec: &mut E,
-    cfg: DriverConfig,
-) -> RunStats {
-    let mut set = workload.init();
-    let space = workload.space();
-
-    let mut stats = RunStats::default();
-    let mut actions = ExtentTickActions::default();
-
-    let total_ticks = cfg.warmup + cfg.ticks;
-    for tick in 0..total_ticks {
-        let measured = tick >= cfg.warmup;
-        actions.clear();
-        workload.plan_tick(tick, &set, &mut actions);
-
-        // Phase 1: build over the previous tick's extents.
-        let t0 = Instant::now();
-        exec.build(&set.extents, &space, cfg.exec);
-        let build = t0.elapsed();
-
-        exec.prepare(&set.extents, &actions.queriers);
-
-        // Phase 2: queries, folded straight into the running checksum.
-        let t0 = Instant::now();
-        let mut pairs = 0u64;
-        let mut checksum = stats.checksum;
-        exec.query(
-            &set.extents,
-            &actions.queriers,
-            &space,
-            cfg.exec,
-            &mut pairs,
-            &mut checksum,
-        );
-        let query = t0.elapsed();
-        let queries = actions.queriers.len() as u64;
-
-        // Phase 3: updates in the canonical order (see
-        // [`ExtentTickActions::apply`]), all timed.
-        let t0 = Instant::now();
-        actions.apply(&mut set, workload);
-        let update = t0.elapsed();
-
-        if measured {
-            stats.ticks.push(TickTimes {
-                build,
-                query,
-                update,
-            });
-            stats.result_pairs += pairs;
-            stats.checksum = checksum;
-            stats.queries += queries;
-            stats.updates += actions.velocity_updates.len() as u64;
-            stats.removals += actions.removals.len() as u64;
-            stats.inserts += actions.inserts.len() as u64;
-        }
-    }
-    stats.index_bytes = exec.index_bytes();
-    stats.tile_load = exec.tile_load();
-    stats
-}
-
-/// Executor for the intersection join's per-query category. Mirrors
-/// [`IndexExecutor`]: sequential probes, sharded probes, or per-tile forks
-/// over extent replicas, all folding through [`fold_pair`].
-struct ExtentIndexExecutor<'a, I: SpatialIndex + Sync + ?Sized> {
-    index: &'a mut I,
-    tiles: par::TileExtentIndexPool,
-}
-
-impl<'a, I: SpatialIndex + Sync + ?Sized> ExtentIndexExecutor<'a, I> {
-    fn new(index: &'a mut I) -> Self {
-        assert!(
-            index.supports_intersect(),
-            "{}: no intersects-predicate support",
-            index.name()
-        );
-        ExtentIndexExecutor {
-            index,
-            tiles: par::TileExtentIndexPool::default(),
-        }
-    }
-}
-
-impl<I: SpatialIndex + Sync + ?Sized> ExtentTickExecutor for ExtentIndexExecutor<'_, I> {
-    fn build(&mut self, table: &ExtentTable, space: &Rect, exec: ExecMode) {
-        match exec {
-            ExecMode::Partitioned { tiles, workers } => {
-                par::tiled_extent_index_build(
-                    &*self.index,
-                    table,
-                    space,
-                    tiles,
-                    workers,
-                    &mut self.tiles,
-                );
-            }
-            _ => self.index.build_extents(table),
-        }
-    }
-
-    fn prepare(&mut self, _table: &ExtentTable, _queriers: &[EntryId]) {}
-
-    fn query(
-        &mut self,
-        table: &ExtentTable,
-        queriers: &[EntryId],
-        _space: &Rect,
-        exec: ExecMode,
-        pairs: &mut u64,
-        checksum: &mut u64,
-    ) {
-        match exec {
-            ExecMode::Sequential => {
-                for &q in queriers {
-                    let region = table.rect(q);
-                    self.index.for_each_intersecting(table, &region, &mut |r| {
-                        *pairs += 1;
-                        *checksum = fold_pair(*checksum, q, r);
-                    });
-                }
-            }
-            ExecMode::Parallel { threads } => {
-                let (p, c) = par::shard_extent_index_query(&*self.index, table, queriers, threads);
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
-            ExecMode::Partitioned { .. } => {
-                let (p, c) = par::tiled_extent_index_query(&mut self.tiles, table, queriers);
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
-        }
-    }
-
-    fn index_bytes(&self) -> usize {
-        match self.tiles.index_bytes() {
-            Some(bytes) => bytes,
-            None => self.index.memory_bytes(),
-        }
-    }
-
-    fn tile_load(&self) -> Option<TileLoad> {
-        self.tiles.tile_load()
-    }
-}
-
-/// Executor for the intersection join's set-at-a-time category. Mirrors
-/// [`BatchExecutor`]: the tick's query set — one `(querier, rect)` per
-/// planned querier — is assembled untimed and handed to
-/// [`crate::batch::BatchJoin::join_extents`] in one call (or sharded /
-/// tiled through [`crate::par`]).
-struct ExtentBatchExecutor<'a, J: crate::batch::BatchJoin + ?Sized> {
-    join: &'a mut J,
-    queries: Vec<(EntryId, Rect)>,
-    pairs_buf: Vec<(EntryId, EntryId)>,
-    workers: Vec<par::BatchWorker>,
-    tiles: par::TileExtentBatchPool,
-}
-
-impl<J: crate::batch::BatchJoin + ?Sized> ExtentBatchExecutor<'_, J> {
-    fn new(join: &mut J) -> ExtentBatchExecutor<'_, J> {
-        assert!(
-            join.supports_intersect(),
-            "{}: no intersects-predicate support",
-            join.name()
-        );
-        ExtentBatchExecutor {
-            join,
-            queries: Vec::new(),
-            pairs_buf: Vec::new(),
-            workers: Vec::new(),
-            tiles: par::TileExtentBatchPool::default(),
-        }
-    }
-}
-
-impl<J: crate::batch::BatchJoin + ?Sized> ExtentTickExecutor for ExtentBatchExecutor<'_, J> {
-    fn build(&mut self, _table: &ExtentTable, _space: &Rect, _exec: ExecMode) {}
-
-    fn prepare(&mut self, table: &ExtentTable, queriers: &[EntryId]) {
-        self.queries.clear();
-        for &q in queriers {
-            self.queries.push((q, table.rect(q)));
-        }
-    }
-
-    fn query(
-        &mut self,
-        table: &ExtentTable,
-        _queriers: &[EntryId],
-        space: &Rect,
-        exec: ExecMode,
-        pairs: &mut u64,
-        checksum: &mut u64,
-    ) {
-        match exec {
-            ExecMode::Sequential => {
-                self.pairs_buf.clear();
-                self.join
-                    .join_extents(table, &self.queries, &mut self.pairs_buf);
-                *pairs += self.pairs_buf.len() as u64;
-                for &(q, r) in &self.pairs_buf {
-                    *checksum = fold_pair(*checksum, q, r);
-                }
-            }
-            ExecMode::Parallel { threads } => {
-                let (p, c) = par::shard_extent_batch_join(
-                    &*self.join,
-                    table,
-                    &self.queries,
-                    threads,
-                    &mut self.workers,
-                );
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
-            ExecMode::Partitioned { tiles, workers } => {
-                let (p, c) = par::tiled_extent_batch_join(
-                    &*self.join,
-                    table,
-                    &self.queries,
-                    space,
-                    tiles,
-                    workers,
-                    &mut self.tiles,
-                );
-                *pairs += p;
-                *checksum = checksum.wrapping_add(c);
-            }
-        }
-    }
-
-    fn index_bytes(&self) -> usize {
-        0
-    }
-
-    fn tile_load(&self) -> Option<TileLoad> {
-        self.tiles.tile_load()
-    }
 }
 
 /// Drive `index` through an intersection self-join over `workload`'s
@@ -1057,13 +823,25 @@ impl<J: crate::batch::BatchJoin + ?Sized> ExtentTickExecutor for ExtentBatchExec
 /// ([`SpatialIndex::for_each_intersecting`], closed semantics — a querier
 /// always finds itself). Panics up front if the index does not implement
 /// the predicate ([`SpatialIndex::supports_intersect`]). All [`ExecMode`]s
-/// are bit-identical, exactly as in [`run_join`].
+/// are bit-identical, exactly as in [`run_join`]. No bipartite form: the
+/// paper's setting and the two-layer literature both evaluate the
+/// self-join.
 pub fn run_intersect_join<W: ExtentWorkload + ?Sized, I: SpatialIndex + Sync + ?Sized>(
     workload: &mut W,
     index: &mut I,
     cfg: DriverConfig,
 ) -> RunStats {
-    drive_extents(workload, &mut ExtentIndexExecutor::new(index), cfg)
+    assert!(
+        index.supports_intersect(),
+        "{}: no intersects-predicate support",
+        index.name()
+    );
+    drive::<ExtentTable, _, _, _>(
+        workload,
+        None::<&mut W>,
+        &mut IndexExecutor::new(index),
+        cfg,
+    )
 }
 
 /// Drive a set-at-a-time technique through the intersection self-join of
@@ -1075,7 +853,12 @@ pub fn run_intersect_batch_join<W: ExtentWorkload + ?Sized, J: crate::batch::Bat
     join: &mut J,
     cfg: DriverConfig,
 ) -> RunStats {
-    drive_extents(workload, &mut ExtentBatchExecutor::new(join), cfg)
+    assert!(
+        join.supports_intersect(),
+        "{}: no intersects-predicate support",
+        join.name()
+    );
+    drive::<ExtentTable, _, _, _>(workload, None::<&mut W>, &mut BatchExecutor::new(join), cfg)
 }
 
 #[cfg(test)]

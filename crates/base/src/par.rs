@@ -23,12 +23,16 @@
 //! A third mode partitions **space** instead of the query list
 //! ([`ExecMode::Partitioned`], DESIGN.md §13–14): the data space is tiled
 //! ([`crate::tile::TileGrid`]), both relations are replicated into every
-//! tile their query extent overlaps, and each tile builds its own private
+//! tile their query region overlaps, and each tile builds its own private
 //! index ([`tiled_index_build`]/[`tiled_index_query`]) or runs its own
 //! batch join ([`tiled_batch_join`]) — no shared structure at all, the
-//! design of Tsitsigkos & Mamoulis. The reference-point rule (emit `(a, b)`
-//! only in `b`'s canonical tile) makes each pair surface exactly once
-//! despite the replication.
+//! design of Tsitsigkos & Mamoulis. The reference-point rule (emit a pair
+//! only in the tile of its intersection's lower-left corner) makes each
+//! pair surface exactly once despite the replication.
+//!
+//! Every phase here is generic over the entry table ([`Shape`]): points
+//! and rectangles run the same scheduler, and the shape supplies only its
+//! query regions, its reference point and its index/join methods.
 //!
 //! Tiled execution is scheduled in two levels (the rest of the Tsitsigkos &
 //! Mamoulis design): each tile's work list is decomposed into fixed-size
@@ -39,8 +43,8 @@
 //! whole pool instead of bounding the tick on one thread. `@tiles<N>`
 //! alone runs one worker per tile over the same queue; `@tiles<N>@par<T>`
 //! decouples the grid from the pool ([`Tiling`], [`ExecMode::pooled`]);
-//! `@tilesauto` sizes the grid from sampled point density every build
-//! ([`crate::tile::auto_tile_count`]), re-deciding per tick under churn.
+//! `@tilesauto` sizes the grid from the live data every build
+//! ([`Shape::auto_tile_count`]), re-deciding per tick under churn.
 //!
 //! All modes merge per-worker `(pairs, checksum)` partials with `+` /
 //! `wrapping_add`. The checksum fold ([`crate::driver::fold_pair`]) mixes
@@ -67,46 +71,34 @@ use std::time::{Duration, Instant};
 
 use crate::batch::BatchJoin;
 use crate::driver::{fold_pair, TileLoad};
-use crate::geom::Rect;
+use crate::geom::{Point, Rect};
 use crate::index::SpatialIndex;
-use crate::table::{entry_id, EntryId, ExtentTable, PointTable};
+use crate::table::{entry_id, EntryId, PointTable, Shape};
 use crate::tile::{
-    chunk_mini_joins, replicate_by_extent, replicate_extents, ExtentReplica, MiniJoin, TileGrid,
-    TileReplica, MINI_JOIN_CHUNK,
+    chunk_mini_joins, replicate_by_extent, MiniJoin, TileGrid, TileReplica, MINI_JOIN_CHUNK,
 };
 
 /// The tile-count policy of [`ExecMode::Partitioned`]: a fixed grid, or a
-/// grid re-derived from observed point density at every build.
+/// grid re-derived from the live data at every build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Tiling {
     /// Exactly this many tiles, as `@tiles<N>` / `--tiles N` request.
     Fixed(NonZeroUsize),
-    /// Derive the tile count from sampled point density at build time
-    /// ([`crate::tile::auto_tile_count`]), re-deciding every tick so the
-    /// grid tracks churn. Join results are tile-count-invariant (the
+    /// Derive the tile count from the live data at build time
+    /// ([`Shape::auto_tile_count`]), re-deciding every tick so the grid
+    /// tracks churn. Join results are tile-count-invariant (the
     /// reference-point rule), so whatever count the policy picks, the run
     /// stays bit-identical to sequential.
     Auto,
 }
 
 impl Tiling {
-    /// The tile count for `table`: the fixed count, or the density-derived
-    /// one.
-    pub fn resolve(self, table: &PointTable, space: &Rect, query_side: f32) -> NonZeroUsize {
+    /// The tile count for `table`: the fixed count, or the one its shape's
+    /// adaptive policy derives.
+    pub fn resolve<T: Shape>(self, table: &T, space: &Rect, query_side: f32) -> NonZeroUsize {
         match self {
             Tiling::Fixed(n) => n,
-            Tiling::Auto => crate::tile::auto_tile_count(table, space, query_side),
-        }
-    }
-
-    /// The tile count for an extent relation: the fixed count, or the
-    /// population-derived one ([`crate::tile::auto_tile_count_extents`] —
-    /// extents need no `query_side`, their rectangles are the query
-    /// regions).
-    pub fn resolve_extents(self, table: &ExtentTable) -> NonZeroUsize {
-        match self {
-            Tiling::Fixed(n) => n,
-            Tiling::Auto => crate::tile::auto_tile_count_extents(table),
+            Tiling::Auto => table.auto_tile_count(space, query_side),
         }
     }
 }
@@ -308,9 +300,10 @@ impl PoolMetrics {
         self.tile_busy[tile].fetch_add(dt.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Close out one scheduled call: fold the per-tile tallies plus the
-    /// pool's busy/capacity seconds into the running sums.
-    fn finish(&mut self, busy: Duration, cap: usize, wall: Duration) {
+    /// Close out one scheduled call: fold the per-tile tallies (their sum
+    /// is the pool's busy time) plus the pool's capacity, `workers` ×
+    /// `wall`, into the running sums.
+    fn finish(&mut self, workers: usize, wall: Duration) {
         let mut max = 0u64;
         let mut sum = 0u64;
         let mut populated = 0u64;
@@ -326,8 +319,8 @@ impl PoolMetrics {
             self.sum_max_tile += max as f64 * 1e-9;
             self.sum_mean_tile += sum as f64 / populated as f64 * 1e-9;
         }
-        self.sum_busy += busy.as_secs_f64();
-        self.sum_cap_wall += cap as f64 * wall.as_secs_f64();
+        self.sum_busy += sum as f64 * 1e-9;
+        self.sum_cap_wall += workers as f64 * wall.as_secs_f64();
     }
 
     /// The run's accumulated load metrics, or `None` before any populated
@@ -344,6 +337,56 @@ impl PoolMetrics {
     }
 }
 
+/// Run `work` on every item on its own scoped thread and merge the
+/// `(pairs, checksum)` partials with `+` / `wrapping_add` (see the module
+/// docs for why that merge is exact).
+fn fork_join<S: Send>(
+    items: impl Iterator<Item = S>,
+    work: impl Fn(S) -> (u64, u64) + Sync,
+) -> (u64, u64) {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        handles
+            .into_iter()
+            .fold((0u64, 0u64), |(pairs, checksum), h| {
+                let (p, c) = h.join().expect("query worker panicked");
+                (pairs + p, checksum.wrapping_add(c))
+            })
+    })
+}
+
+/// Drain the mini-join queue `chunks` with one scoped worker per element
+/// of `states`: each worker steals the next chunk through an atomic
+/// cursor and runs `work` on it with its own state. Per-tile busy time
+/// and the pool's capacity go to `metrics`. Both tiled categories run
+/// this one scheduler.
+fn drain_mini_joins<S: Send>(
+    states: impl ExactSizeIterator<Item = S>,
+    chunks: &[MiniJoin],
+    metrics: &mut PoolMetrics,
+    work: impl Fn(&mut S, MiniJoin) -> (u64, u64) + Sync,
+) -> (u64, u64) {
+    let workers = states.len();
+    let cursor = AtomicUsize::new(0);
+    let tallies: &PoolMetrics = metrics;
+    let wall = Instant::now();
+    let delta = fork_join(states, |mut state| {
+        let mut pairs = 0u64;
+        let mut checksum = 0u64;
+        while let Some(&chunk) = chunks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let t0 = Instant::now();
+            let (p, c) = work(&mut state, chunk);
+            tallies.record(chunk.tile, t0.elapsed());
+            pairs += p;
+            checksum = checksum.wrapping_add(c);
+        }
+        (pairs, checksum)
+    });
+    metrics.finish(workers, wall.elapsed());
+    delta
+}
+
 /// The per-query category's parallel query phase: shard `queriers` into
 /// contiguous chunks, probe the shared `index` from each worker, and merge
 /// the per-worker partials. Returns `(pairs, checksum)` — the checksum is
@@ -352,50 +395,37 @@ impl PoolMetrics {
 /// fold is a commutative wrapping sum).
 ///
 /// `data` is the table the index was built over; `centers` is the table
-/// query regions are centred on. For a self-join they are the same table;
+/// query regions come from. For a self-join they are the same table;
 /// for a bipartite R ⋈ S join (`run_bipartite_join`), `centers` is the
 /// query relation R and `data` the indexed data relation S.
 ///
 /// Each worker computes its own query regions, exactly like the sequential
 /// per-query executor: issuing a query, region arithmetic included, is part
 /// of that category's per-query cost.
-pub fn shard_index_query<I: SpatialIndex + Sync + ?Sized>(
+pub fn shard_index_query<I: SpatialIndex + Sync + ?Sized, T: Shape>(
     index: &I,
-    data: &PointTable,
-    centers: &PointTable,
+    data: &T,
+    centers: &T,
     queriers: &[EntryId],
     space: &Rect,
     query_side: f32,
     threads: NonZeroUsize,
 ) -> (u64, u64) {
     let chunk = chunk_size(queriers.len(), threads);
-    let shards: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queriers
-            .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut pairs = 0u64;
-                    let mut checksum = 0u64;
-                    for &q in shard {
-                        let region =
-                            Rect::centered_square(centers.point(q), query_side).clipped_to(space);
-                        // Sink fold, like the sequential executor: no
-                        // per-query result materialization in any shard.
-                        index.for_each_in(data, &region, &mut |r| {
-                            pairs += 1;
-                            checksum = fold_pair(checksum, q, r);
-                        });
-                    }
-                    (pairs, checksum)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("query shard panicked"))
-            .collect()
-    });
-    merge(shards)
+    fork_join(queriers.chunks(chunk), |shard| {
+        let mut pairs = 0u64;
+        let mut checksum = 0u64;
+        for &q in shard {
+            let region = centers.query_region(q, query_side, space);
+            // Sink fold, like the sequential executor: no per-query
+            // result materialization in any shard.
+            data.probe(index, &region, &mut |r| {
+                pairs += 1;
+                checksum = fold_pair(checksum, q, r);
+            });
+        }
+        (pairs, checksum)
+    })
 }
 
 /// Reusable per-worker state for [`shard_batch_join`]: a private fork of
@@ -414,16 +444,16 @@ pub struct BatchWorker {
 /// [`BatchWorker`] (private scratch, shared read-only base table; `workers`
 /// grows on demand and is reused across calls). Returns `(pairs, checksum)`
 /// with the same delta semantics as [`shard_index_query`]. `queriers` and
-/// `data` are the two relation tables of [`BatchJoin::join_two`] — the
+/// `data` are the two relation tables of [`Shape::batch_join`] — the
 /// same table twice for a self-join.
 ///
 /// Strips partition the query set, so the union of the strip joins is
 /// exactly the full join and the commutative checksum merge reproduces the
 /// sequential result bit for bit.
-pub fn shard_batch_join<J: BatchJoin + ?Sized>(
+pub fn shard_batch_join<J: BatchJoin + ?Sized, T: Shape>(
     join: &J,
-    queriers: &PointTable,
-    data: &PointTable,
+    queriers: &T,
+    data: &T,
     queries: &[(EntryId, Rect)],
     threads: NonZeroUsize,
     workers: &mut Vec<BatchWorker>,
@@ -438,27 +468,15 @@ pub fn shard_batch_join<J: BatchJoin + ?Sized>(
             out: Vec::new(),
         });
     }
-    let shards: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = strips
-            .zip(workers.iter_mut())
-            .map(|(strip, worker)| {
-                scope.spawn(move || {
-                    worker.out.clear();
-                    worker.join.join_two(queriers, data, strip, &mut worker.out);
-                    let mut checksum = 0u64;
-                    for &(q, r) in &worker.out {
-                        checksum = fold_pair(checksum, q, r);
-                    }
-                    (worker.out.len() as u64, checksum)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch strip panicked"))
-            .collect()
-    });
-    merge(shards)
+    fork_join(strips.zip(workers.iter_mut()), |(strip, worker)| {
+        worker.out.clear();
+        data.batch_join(&mut *worker.join, queriers, strip, &mut worker.out);
+        let mut checksum = 0u64;
+        for &(q, r) in &worker.out {
+            checksum = fold_pair(checksum, q, r);
+        }
+        (worker.out.len() as u64, checksum)
+    })
 }
 
 /// One tile's state for the space-partitioned per-query category: a
@@ -478,9 +496,9 @@ struct TileIndexWorker {
 /// execution forks nothing and reuses every buffer — mirroring
 /// [`BatchWorker`] reuse in the sharded mode.
 #[derive(Default)]
-pub struct TileIndexPool {
+pub struct TileIndexPool<T = PointTable> {
     grid: Option<TileGrid>,
-    replicas: Vec<TileReplica>,
+    replicas: Vec<TileReplica<T>>,
     workers: Vec<TileIndexWorker>,
     /// The configured pool size (`@par<T>` of the spec), set at build;
     /// `None` sizes the pool to the tile count.
@@ -490,7 +508,7 @@ pub struct TileIndexPool {
     metrics: PoolMetrics,
 }
 
-impl TileIndexPool {
+impl<T> TileIndexPool<T> {
     /// Summed [`SpatialIndex::memory_bytes`] of the per-tile indexes, or
     /// `None` if no tiled build ever ran (the run was not partitioned).
     /// Replication makes this mode-structural: it cannot equal the
@@ -510,7 +528,7 @@ impl TileIndexPool {
 
 /// The space-partitioned build phase of the per-query category: tile the
 /// space (resolving an adaptive [`Tiling`] from the live data), replicate
-/// the table's live rows into the tiles their query extent overlaps
+/// the table's live rows into the tiles their query region overlaps
 /// ([`replicate_by_extent`]), and (re)build every tile's private fork of
 /// `proto` over its replica. Builds are stolen tile-at-a-time by a pool of
 /// `min(workers, tiles)` scoped threads — a tile build needs `&mut` access
@@ -518,14 +536,14 @@ impl TileIndexPool {
 /// the same atomic-cursor discipline as the query phase. Runs inside the
 /// timed build phase: partitioning and tile builds are this mode's build
 /// cost.
-pub fn tiled_index_build<I: SpatialIndex + ?Sized>(
+pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
     proto: &I,
-    table: &PointTable,
+    table: &T,
     space: &Rect,
     query_side: f32,
     tiles: Tiling,
     workers: Option<NonZeroUsize>,
-    pool: &mut TileIndexPool,
+    pool: &mut TileIndexPool<T>,
 ) {
     let grid = TileGrid::new(space, tiles.resolve(table, space, query_side));
     pool.grid = Some(grid);
@@ -544,7 +562,7 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized>(
     // state behind per-tile mutexes: the cursor hands every index to
     // exactly one worker, making each lock uncontended — the mutex proves
     // exclusivity to the borrow checker rather than serializing anything.
-    let items: Vec<Mutex<(&mut TileIndexWorker, &TileReplica)>> = pool
+    let items: Vec<Mutex<(&mut TileIndexWorker, &TileReplica<T>)>> = pool
         .workers
         .iter_mut()
         .zip(pool.replicas.iter())
@@ -560,25 +578,26 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized>(
                     .lock()
                     .expect("each tile is taken by exactly one worker, so no lock is poisoned");
                 let (worker, replica) = &mut *guard;
-                worker.index.build(&replica.table);
+                replica.table.build_index(&mut *worker.index);
             });
         }
     });
 }
 
 /// The space-partitioned query phase of the per-query category: assign
-/// each querier to every tile its clipped region overlaps, decompose the
+/// each querier to every tile its query region overlaps, decompose the
 /// per-tile lists into mini-joins ([`chunk_mini_joins`]), and drain the
 /// shared queue with a pool of scoped workers — each steals the next chunk
 /// via an atomic cursor, probes that tile's private index, and keeps a
-/// `(querier, row)` hit only if the row's canonical tile is the chunk's
-/// tile (the reference-point rule — see [`crate::tile`] for the exactness
-/// proof). Emitted rows are translated back to global handles through the
-/// replica map, so the folded `(pairs, checksum)` delta is bit-identical
-/// to the sequential fold regardless of which worker ran which chunk.
-pub fn tiled_index_query(
-    pool: &mut TileIndexPool,
-    centers: &PointTable,
+/// `(querier, row)` hit only if the candidate's reference point lies in
+/// the chunk's tile (the reference-point rule — see [`crate::tile`] for
+/// the exactness proof). Emitted rows are translated back to global
+/// handles through the replica map, so the folded `(pairs, checksum)`
+/// delta is bit-identical to the sequential fold regardless of which
+/// worker ran which chunk.
+pub fn tiled_index_query<T: Shape>(
+    pool: &mut TileIndexPool<T>,
+    centers: &T,
     queriers: &[EntryId],
     space: &Rect,
     query_side: f32,
@@ -590,8 +609,7 @@ pub fn tiled_index_query(
         w.queriers.clear();
     }
     for &q in queriers {
-        let region = Rect::centered_square(centers.point(q), query_side).clipped_to(space);
-        for t in grid.cover(&region) {
+        for t in grid.cover(&centers.query_region(q, query_side, space)) {
             pool.workers[t].queriers.push(q);
         }
     }
@@ -604,59 +622,33 @@ pub fn tiled_index_query(
     pool.metrics.begin(grid.tiles());
     let cap = pool_cap(pool.pool_workers, grid.tiles(), pool.chunks.len());
     let workers: &[TileIndexWorker] = &pool.workers;
-    let replicas: &[TileReplica] = &pool.replicas;
-    let chunks: &[MiniJoin] = &pool.chunks;
-    let metrics: &PoolMetrics = &pool.metrics;
-    let cursor = AtomicUsize::new(0);
-    let wall = Instant::now();
-    let shards: Vec<(u64, u64, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cap)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut pairs = 0u64;
-                    let mut checksum = 0u64;
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&MiniJoin { tile, start, end }) = chunks.get(i) else {
-                            break;
-                        };
-                        let t0 = Instant::now();
-                        let worker = &workers[tile];
-                        let replica = &replicas[tile];
-                        let xs = replica.table.xs();
-                        let ys = replica.table.ys();
-                        for &q in &worker.queriers[start..end] {
-                            let region = Rect::centered_square(centers.point(q), query_side)
-                                .clipped_to(space);
-                            worker
-                                .index
-                                .for_each_in(&replica.table, &region, &mut |local| {
-                                    let l = local as usize;
-                                    // Reference-point rule: only the canonical
-                                    // tile of the matched row reports the pair.
-                                    if grid.tile_of(xs[l], ys[l]) == tile {
-                                        pairs += 1;
-                                        checksum = fold_pair(checksum, q, replica.to_global[l]);
-                                    }
-                                });
-                        }
-                        let dt = t0.elapsed();
-                        metrics.record(tile, dt);
-                        busy += dt;
+    let replicas: &[TileReplica<T>] = &pool.replicas;
+    drain_mini_joins(
+        std::iter::repeat_n((), cap),
+        &pool.chunks,
+        &mut pool.metrics,
+        |_, MiniJoin { tile, start, end }| {
+            let worker = &workers[tile];
+            let replica = &replicas[tile];
+            let (cx, cy) = replica.table.corners();
+            let mut pairs = 0u64;
+            let mut checksum = 0u64;
+            for &q in &worker.queriers[start..end] {
+                let region = centers.query_region(q, query_side, space);
+                replica.table.probe(&*worker.index, &region, &mut |local| {
+                    let l = local as usize;
+                    // Reference-point rule: only the tile holding the
+                    // candidate's reference point reports it.
+                    let p = T::reference_point(&region, Point::new(cx[l], cy[l]));
+                    if grid.tile_of(p.x, p.y) == tile {
+                        pairs += 1;
+                        checksum = fold_pair(checksum, q, replica.to_global[l]);
                     }
-                    (pairs, checksum, busy)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("mini-join worker panicked"))
-            .collect()
-    });
-    let busy: Duration = shards.iter().map(|s| s.2).sum();
-    pool.metrics.finish(busy, cap, wall.elapsed());
-    merge(shards.into_iter().map(|(p, c, _)| (p, c)).collect())
+                });
+            }
+            (pairs, checksum)
+        },
+    )
 }
 
 /// One pool worker's state for the space-partitioned batch category: a
@@ -673,18 +665,24 @@ struct TileBatchWorker {
 /// [`TileIndexPool`] for the reuse rationale): per-tile replicas and query
 /// assignments, the per-worker forks, the mini-join queue buffer, and the
 /// scheduler's load accounting.
+///
+/// Query assignments are stored per tile as `(local index, region)` with
+/// the matching global querier id in `tile_qids`: querier ids are opaque
+/// to every [`BatchJoin`], so handing it the *local* index lets an emitted
+/// `(qi, row)` pair recover its query region (which the reference-point
+/// filter needs) with one slice lookup before translating `qi` back to the
+/// global id.
 #[derive(Default)]
-pub struct TileBatchPool {
-    replicas: Vec<TileReplica>,
-    /// Per-tile query assignments, kept apart from the workers: under a
-    /// pooled schedule any worker may serve any tile.
+pub struct TileBatchPool<T = PointTable> {
+    replicas: Vec<TileReplica<T>>,
     tile_queries: Vec<Vec<(EntryId, Rect)>>,
+    tile_qids: Vec<Vec<EntryId>>,
     workers: Vec<TileBatchWorker>,
     chunks: Vec<MiniJoin>,
     metrics: PoolMetrics,
 }
 
-impl TileBatchPool {
+impl<T> TileBatchPool<T> {
     /// Accumulated scheduler load metrics (`None` if no tiled join with
     /// populated tiles ran).
     pub fn tile_load(&self) -> Option<TileLoad> {
@@ -695,422 +693,31 @@ impl TileBatchPool {
 /// The space-partitioned query phase of the set-at-a-time category: tile
 /// the space (resolving an adaptive [`Tiling`] from the live data — per
 /// call, i.e. per tick), replicate the data relation's live rows by query
-/// extent, assign each pre-built query to every tile its region overlaps,
+/// region, assign each pre-built query to every tile its region overlaps,
 /// decompose the assignments into tile-granular mini-joins (one per
 /// populated tile; see the chunking comment in the body for why this
 /// category must not split below the tile), and drain the queue with a
 /// pool of scoped workers running each chunk's batch join on a private
 /// fork ([`BatchJoin::fork`]) over that tile's replica — then keep only
-/// the pairs whose matched row is canonical to the tile (the
-/// reference-point rule) and fold them under global handles. Everything —
-/// partitioning included — runs inside the timed query phase, consistent
-/// with the category's set-at-a-time cost model (per-tick sorting and
-/// partitioning are the technique's own cost).
+/// the pairs whose reference point lies in the tile (the reference-point
+/// rule) and fold them under global handles. Everything — partitioning
+/// included — runs inside the timed query phase, consistent with the
+/// category's set-at-a-time cost model (per-tick sorting and partitioning
+/// are the technique's own cost).
 #[allow(clippy::too_many_arguments)] // mirrors shard_batch_join plus the tile geometry
-pub fn tiled_batch_join<J: BatchJoin + ?Sized>(
+pub fn tiled_batch_join<J: BatchJoin + ?Sized, T: Shape>(
     join: &J,
-    queriers: &PointTable,
-    data: &PointTable,
+    queriers: &T,
+    data: &T,
     queries: &[(EntryId, Rect)],
     space: &Rect,
     query_side: f32,
     tiles: Tiling,
     workers: Option<NonZeroUsize>,
-    pool: &mut TileBatchPool,
+    pool: &mut TileBatchPool<T>,
 ) -> (u64, u64) {
     let grid = TileGrid::new(space, tiles.resolve(data, space, query_side));
     replicate_by_extent(data, &grid, query_side, &mut pool.replicas);
-    pool.tile_queries.resize_with(grid.tiles(), Vec::new);
-    pool.tile_queries.truncate(grid.tiles());
-    for qs in &mut pool.tile_queries {
-        qs.clear();
-    }
-    for &(q, region) in queries {
-        for t in grid.cover(&region) {
-            pool.tile_queries[t].push((q, region));
-        }
-    }
-    pool.chunks.clear();
-    // One mini-join per populated tile — NOT [`MINI_JOIN_CHUNK`]-sized
-    // query chunks like the per-query path. `join_two` pays a per-call
-    // partition/sort of the data side, so sub-tile chunks would re-pay
-    // that dominant cost once per chunk (measured 6× on `sweep@tiles1`);
-    // this category's load balance comes from oversharding tiles
-    // (`@tiles16@par4` gives 16 stealable units to 4 workers) instead.
-    chunk_mini_joins(
-        pool.tile_queries.iter().map(Vec::len),
-        usize::MAX,
-        &mut pool.chunks,
-    );
-    let cap = pool_cap(workers, grid.tiles(), pool.chunks.len());
-    while pool.workers.len() < cap {
-        pool.workers.push(TileBatchWorker {
-            join: join.fork(),
-            out: Vec::new(),
-        });
-    }
-    pool.metrics.begin(grid.tiles());
-    let replicas: &[TileReplica] = &pool.replicas;
-    let tile_queries: &[Vec<(EntryId, Rect)>] = &pool.tile_queries;
-    let chunks: &[MiniJoin] = &pool.chunks;
-    let metrics: &PoolMetrics = &pool.metrics;
-    let cursor = AtomicUsize::new(0);
-    let wall = Instant::now();
-    let shards: Vec<(u64, u64, Duration)> = std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let handles: Vec<_> = pool
-            .workers
-            .iter_mut()
-            .take(cap)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut pairs = 0u64;
-                    let mut checksum = 0u64;
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&MiniJoin { tile, start, end }) = chunks.get(i) else {
-                            break;
-                        };
-                        let t0 = Instant::now();
-                        let replica = &replicas[tile];
-                        worker.out.clear();
-                        worker.join.join_two(
-                            queriers,
-                            &replica.table,
-                            &tile_queries[tile][start..end],
-                            &mut worker.out,
-                        );
-                        let xs = replica.table.xs();
-                        let ys = replica.table.ys();
-                        for &(q, local) in &worker.out {
-                            let l = local as usize;
-                            if grid.tile_of(xs[l], ys[l]) == tile {
-                                pairs += 1;
-                                checksum = fold_pair(checksum, q, replica.to_global[l]);
-                            }
-                        }
-                        let dt = t0.elapsed();
-                        metrics.record(tile, dt);
-                        busy += dt;
-                    }
-                    (pairs, checksum, busy)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch mini-join worker panicked"))
-            .collect()
-    });
-    let busy: Duration = shards.iter().map(|s| s.2).sum();
-    pool.metrics.finish(busy, cap, wall.elapsed());
-    merge(shards.into_iter().map(|(p, c, _)| (p, c)).collect())
-}
-
-/// The intersection join's sharded per-query phase — the `intersects`
-/// counterpart of [`shard_index_query`]. The tick's querier list is split
-/// into contiguous chunks; each worker probes the shared index for the
-/// rectangles intersecting each querier's **own extent** (the rect
-/// self-join's query region, no clipping needed: the workload keeps every
-/// rect inside the space). Same `(pairs, checksum)` delta semantics.
-pub fn shard_extent_index_query<I: SpatialIndex + Sync + ?Sized>(
-    index: &I,
-    table: &ExtentTable,
-    queriers: &[EntryId],
-    threads: NonZeroUsize,
-) -> (u64, u64) {
-    let chunk = chunk_size(queriers.len(), threads);
-    let shards: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queriers
-            .chunks(chunk)
-            .map(|shard| {
-                scope.spawn(move || {
-                    let mut pairs = 0u64;
-                    let mut checksum = 0u64;
-                    for &q in shard {
-                        let region = table.rect(q);
-                        index.for_each_intersecting(table, &region, &mut |r| {
-                            pairs += 1;
-                            checksum = fold_pair(checksum, q, r);
-                        });
-                    }
-                    (pairs, checksum)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("extent query shard panicked"))
-            .collect()
-    });
-    merge(shards)
-}
-
-/// The intersection join's sharded batch phase — the `intersects`
-/// counterpart of [`shard_batch_join`]: the query set is split into
-/// strips, each joined via [`BatchJoin::join_extents`] on a private fork.
-/// Same worker reuse and delta semantics.
-pub fn shard_extent_batch_join<J: BatchJoin + ?Sized>(
-    join: &J,
-    data: &ExtentTable,
-    queries: &[(EntryId, Rect)],
-    threads: NonZeroUsize,
-    workers: &mut Vec<BatchWorker>,
-) -> (u64, u64) {
-    let chunk = chunk_size(queries.len(), threads);
-    let strips = queries.chunks(chunk);
-    while workers.len() < strips.len() {
-        workers.push(BatchWorker {
-            join: join.fork(),
-            out: Vec::new(),
-        });
-    }
-    let shards: Vec<(u64, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = strips
-            .zip(workers.iter_mut())
-            .map(|(strip, worker)| {
-                scope.spawn(move || {
-                    worker.out.clear();
-                    worker.join.join_extents(data, strip, &mut worker.out);
-                    let mut checksum = 0u64;
-                    for &(q, r) in &worker.out {
-                        checksum = fold_pair(checksum, q, r);
-                    }
-                    (worker.out.len() as u64, checksum)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("extent batch strip panicked"))
-            .collect()
-    });
-    merge(shards)
-}
-
-/// One tile's state for the space-partitioned intersection join, per-query
-/// category: a private index fork plus the tick's querier assignment.
-struct TileExtentIndexWorker {
-    index: Box<dyn SpatialIndex + Send + Sync>,
-    queriers: Vec<EntryId>,
-}
-
-/// Reusable state of the space-partitioned intersection executor, per-query
-/// category — the `intersects` counterpart of [`TileIndexPool`], holding
-/// [`ExtentReplica`]s instead of point replicas.
-#[derive(Default)]
-pub struct TileExtentIndexPool {
-    grid: Option<TileGrid>,
-    replicas: Vec<ExtentReplica>,
-    workers: Vec<TileExtentIndexWorker>,
-    pool_workers: Option<NonZeroUsize>,
-    chunks: Vec<MiniJoin>,
-    metrics: PoolMetrics,
-}
-
-impl TileExtentIndexPool {
-    /// Summed [`SpatialIndex::memory_bytes`] of the per-tile indexes, or
-    /// `None` if no tiled build ever ran (see [`TileIndexPool::index_bytes`]).
-    pub fn index_bytes(&self) -> Option<usize> {
-        self.grid
-            .map(|_| self.workers.iter().map(|w| w.index.memory_bytes()).sum())
-    }
-
-    /// Accumulated scheduler load metrics (`None` if no tiled query with
-    /// populated tiles ran).
-    pub fn tile_load(&self) -> Option<TileLoad> {
-        self.metrics.tile_load()
-    }
-}
-
-/// The space-partitioned build phase of the intersection join's per-query
-/// category: tile the space, replicate each live rectangle into every tile
-/// it overlaps ([`replicate_extents`]), and (re)build every tile's private
-/// fork over its replica via [`SpatialIndex::build_extents`]. Mirrors
-/// [`tiled_index_build`] (same tile-at-a-time stealing, same reuse).
-pub fn tiled_extent_index_build<I: SpatialIndex + ?Sized>(
-    proto: &I,
-    table: &ExtentTable,
-    space: &Rect,
-    tiles: Tiling,
-    workers: Option<NonZeroUsize>,
-    pool: &mut TileExtentIndexPool,
-) {
-    let grid = TileGrid::new(space, tiles.resolve_extents(table));
-    pool.grid = Some(grid);
-    pool.pool_workers = workers;
-    while pool.workers.len() < grid.tiles() {
-        pool.workers.push(TileExtentIndexWorker {
-            index: proto.fork(),
-            queriers: Vec::new(),
-        });
-    }
-    pool.workers.truncate(grid.tiles());
-    replicate_extents(table, &grid, &mut pool.replicas);
-    let cap = pool_cap(workers, grid.tiles(), grid.tiles());
-    let items: Vec<Mutex<(&mut TileExtentIndexWorker, &ExtentReplica)>> = pool
-        .workers
-        .iter_mut()
-        .zip(pool.replicas.iter())
-        .map(Mutex::new)
-        .collect();
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..cap {
-            scope.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(t) else { break };
-                let mut guard = item
-                    .lock()
-                    .expect("each tile is taken by exactly one worker, so no lock is poisoned");
-                let (worker, replica) = &mut *guard;
-                worker.index.build_extents(&replica.table);
-            });
-        }
-    });
-}
-
-/// The space-partitioned query phase of the intersection join's per-query
-/// category. Each querier visits every tile its rectangle overlaps and
-/// probes that tile's private index; a `(q, r)` hit survives only in the
-/// tile holding the **intersection's reference point** — the lower-left
-/// corner `(max(q.x1, r.x1), max(q.y1, r.y1))` of `q ∩ r`, the rect
-/// generalization of the point rule (see [`crate::tile::ExtentReplica`]
-/// for the coverage/uniqueness argument). Same mini-join scheduling,
-/// load accounting, and bit-identical `(pairs, checksum)` contract as
-/// [`tiled_index_query`].
-pub fn tiled_extent_index_query(
-    pool: &mut TileExtentIndexPool,
-    table: &ExtentTable,
-    queriers: &[EntryId],
-) -> (u64, u64) {
-    let grid = pool
-        .grid
-        .expect("tiled_extent_index_query before tiled_extent_index_build");
-    for w in &mut pool.workers {
-        w.queriers.clear();
-    }
-    for &q in queriers {
-        let region = table.rect(q);
-        for t in grid.cover(&region) {
-            pool.workers[t].queriers.push(q);
-        }
-    }
-    pool.chunks.clear();
-    chunk_mini_joins(
-        pool.workers.iter().map(|w| w.queriers.len()),
-        MINI_JOIN_CHUNK,
-        &mut pool.chunks,
-    );
-    pool.metrics.begin(grid.tiles());
-    let cap = pool_cap(pool.pool_workers, grid.tiles(), pool.chunks.len());
-    let workers: &[TileExtentIndexWorker] = &pool.workers;
-    let replicas: &[ExtentReplica] = &pool.replicas;
-    let chunks: &[MiniJoin] = &pool.chunks;
-    let metrics: &PoolMetrics = &pool.metrics;
-    let cursor = AtomicUsize::new(0);
-    let wall = Instant::now();
-    let shards: Vec<(u64, u64, Duration)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cap)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut pairs = 0u64;
-                    let mut checksum = 0u64;
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&MiniJoin { tile, start, end }) = chunks.get(i) else {
-                            break;
-                        };
-                        let t0 = Instant::now();
-                        let worker = &workers[tile];
-                        let replica = &replicas[tile];
-                        let x1s = replica.table.x1s();
-                        let y1s = replica.table.y1s();
-                        for &q in &worker.queriers[start..end] {
-                            let region = table.rect(q);
-                            worker.index.for_each_intersecting(
-                                &replica.table,
-                                &region,
-                                &mut |local| {
-                                    let l = local as usize;
-                                    // Reference-point rule for extents:
-                                    // only the tile holding the pairwise
-                                    // intersection's lower-left corner
-                                    // reports the pair.
-                                    let px = region.x1.max(x1s[l]);
-                                    let py = region.y1.max(y1s[l]);
-                                    if grid.tile_of(px, py) == tile {
-                                        pairs += 1;
-                                        checksum = fold_pair(checksum, q, replica.to_global[l]);
-                                    }
-                                },
-                            );
-                        }
-                        let dt = t0.elapsed();
-                        metrics.record(tile, dt);
-                        busy += dt;
-                    }
-                    (pairs, checksum, busy)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("extent mini-join worker panicked"))
-            .collect()
-    });
-    let busy: Duration = shards.iter().map(|s| s.2).sum();
-    pool.metrics.finish(busy, cap, wall.elapsed());
-    merge(shards.into_iter().map(|(p, c, _)| (p, c)).collect())
-}
-
-/// Reusable state of the space-partitioned intersection executor, batch
-/// category — the `intersects` counterpart of [`TileBatchPool`].
-///
-/// Query assignments are stored per tile as `(local index, rect)` with the
-/// matching global querier id in `tile_qids`: [`BatchJoin::join_extents`]
-/// passes querier ids through opaquely, so handing it the *local* index
-/// lets the emitted `(qi, row)` pair recover the query rectangle (needed
-/// by the reference-point filter) with one slice lookup before translating
-/// `qi` back to the global id.
-#[derive(Default)]
-pub struct TileExtentBatchPool {
-    replicas: Vec<ExtentReplica>,
-    tile_queries: Vec<Vec<(EntryId, Rect)>>,
-    tile_qids: Vec<Vec<EntryId>>,
-    workers: Vec<TileBatchWorker>,
-    chunks: Vec<MiniJoin>,
-    metrics: PoolMetrics,
-}
-
-impl TileExtentBatchPool {
-    /// Accumulated scheduler load metrics (`None` if no tiled join with
-    /// populated tiles ran).
-    pub fn tile_load(&self) -> Option<TileLoad> {
-        self.metrics.tile_load()
-    }
-}
-
-/// The space-partitioned query phase of the intersection join's batch
-/// category: replicate the data rectangles by their own extents, assign
-/// each query to every tile its rectangle overlaps, run each populated
-/// tile's [`BatchJoin::join_extents`] on a pooled private fork, and keep
-/// only the pairs whose intersection reference point is canonical to the
-/// tile. Tile-granular chunks for the same per-call-partition-cost reason
-/// as [`tiled_batch_join`]; everything runs inside the timed query phase.
-pub fn tiled_extent_batch_join<J: BatchJoin + ?Sized>(
-    join: &J,
-    data: &ExtentTable,
-    queries: &[(EntryId, Rect)],
-    space: &Rect,
-    tiles: Tiling,
-    workers: Option<NonZeroUsize>,
-    pool: &mut TileExtentBatchPool,
-) -> (u64, u64) {
-    let grid = TileGrid::new(space, tiles.resolve_extents(data));
-    replicate_extents(data, &grid, &mut pool.replicas);
     pool.tile_queries.resize_with(grid.tiles(), Vec::new);
     pool.tile_queries.truncate(grid.tiles());
     pool.tile_qids.resize_with(grid.tiles(), Vec::new);
@@ -1127,9 +734,14 @@ pub fn tiled_extent_batch_join<J: BatchJoin + ?Sized>(
         }
     }
     pool.chunks.clear();
-    // Tile-granular chunks, as in `tiled_batch_join` — and a correctness
-    // requirement here: the local query indices above are positions in the
-    // tile's *full* list, so every chunk must start at 0.
+    // One mini-join per populated tile — NOT [`MINI_JOIN_CHUNK`]-sized
+    // query chunks like the per-query path. A batch join pays a per-call
+    // partition/sort of the data side, so sub-tile chunks would re-pay
+    // that dominant cost once per chunk (measured 6× on `sweep@tiles1`);
+    // this category's load balance comes from oversharding tiles
+    // (`@tiles16@par4` gives 16 stealable units to 4 workers) instead.
+    // It is also a correctness requirement: the local query indices above
+    // are positions in the tile's *full* list, so every chunk starts at 0.
     chunk_mini_joins(
         pool.tile_queries.iter().map(Vec::len),
         usize::MAX,
@@ -1143,79 +755,37 @@ pub fn tiled_extent_batch_join<J: BatchJoin + ?Sized>(
         });
     }
     pool.metrics.begin(grid.tiles());
-    let replicas: &[ExtentReplica] = &pool.replicas;
+    let replicas: &[TileReplica<T>] = &pool.replicas;
     let tile_queries: &[Vec<(EntryId, Rect)>] = &pool.tile_queries;
     let tile_qids: &[Vec<EntryId>] = &pool.tile_qids;
-    let chunks: &[MiniJoin] = &pool.chunks;
-    let metrics: &PoolMetrics = &pool.metrics;
-    let cursor = AtomicUsize::new(0);
-    let wall = Instant::now();
-    let shards: Vec<(u64, u64, Duration)> = std::thread::scope(|scope| {
-        let cursor = &cursor;
-        let handles: Vec<_> = pool
-            .workers
-            .iter_mut()
-            .take(cap)
-            .map(|worker| {
-                scope.spawn(move || {
-                    let mut pairs = 0u64;
-                    let mut checksum = 0u64;
-                    let mut busy = Duration::ZERO;
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&MiniJoin { tile, start, end }) = chunks.get(i) else {
-                            break;
-                        };
-                        let t0 = Instant::now();
-                        let replica = &replicas[tile];
-                        worker.out.clear();
-                        worker.join.join_extents(
-                            &replica.table,
-                            &tile_queries[tile][start..end],
-                            &mut worker.out,
-                        );
-                        let x1s = replica.table.x1s();
-                        let y1s = replica.table.y1s();
-                        for &(qi, local) in &worker.out {
-                            let l = local as usize;
-                            let qrect = tile_queries[tile][qi as usize].1;
-                            let px = qrect.x1.max(x1s[l]);
-                            let py = qrect.y1.max(y1s[l]);
-                            if grid.tile_of(px, py) == tile {
-                                pairs += 1;
-                                checksum = fold_pair(
-                                    checksum,
-                                    tile_qids[tile][qi as usize],
-                                    replica.to_global[l],
-                                );
-                            }
-                        }
-                        let dt = t0.elapsed();
-                        metrics.record(tile, dt);
-                        busy += dt;
-                    }
-                    (pairs, checksum, busy)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("extent batch mini-join worker panicked"))
-            .collect()
-    });
-    let busy: Duration = shards.iter().map(|s| s.2).sum();
-    pool.metrics.finish(busy, cap, wall.elapsed());
-    merge(shards.into_iter().map(|(p, c, _)| (p, c)).collect())
-}
-
-fn merge(shards: Vec<(u64, u64)>) -> (u64, u64) {
-    let mut pairs = 0u64;
-    let mut checksum = 0u64;
-    for (p, c) in shards {
-        pairs += p;
-        checksum = checksum.wrapping_add(c);
-    }
-    (pairs, checksum)
+    drain_mini_joins(
+        pool.workers.iter_mut().take(cap),
+        &pool.chunks,
+        &mut pool.metrics,
+        |worker, MiniJoin { tile, start, end }| {
+            let replica = &replicas[tile];
+            let queries = &tile_queries[tile];
+            worker.out.clear();
+            replica.table.batch_join(
+                &mut *worker.join,
+                queriers,
+                &queries[start..end],
+                &mut worker.out,
+            );
+            let (cx, cy) = replica.table.corners();
+            let mut pairs = 0u64;
+            let mut checksum = 0u64;
+            for &(qi, local) in &worker.out {
+                let (qi, l) = (qi as usize, local as usize);
+                let p = T::reference_point(&queries[qi].1, Point::new(cx[l], cy[l]));
+                if grid.tile_of(p.x, p.y) == tile {
+                    pairs += 1;
+                    checksum = fold_pair(checksum, tile_qids[tile][qi], replica.to_global[l]);
+                }
+            }
+            (pairs, checksum)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -1224,6 +794,7 @@ mod tests {
     use crate::batch::NaiveBatchJoin;
     use crate::index::ScanIndex;
     use crate::rng::Xoshiro256;
+    use crate::table::ExtentTable;
 
     const SIDE: f32 = 1_000.0;
 
@@ -1595,9 +1166,10 @@ mod tests {
             .collect();
         let expect = sequential_extent_reference(&table, &queriers);
         assert!(expect.0 > 0, "the fixture must produce intersections");
+        let space = Rect::space(SIDE);
         let idx = ScanIndex::new();
         for n in [1, 2, 3, 7, 64] {
-            let got = shard_extent_index_query(&idx, &table, &queriers, threads(n));
+            let got = shard_index_query(&idx, &table, &table, &queriers, &space, 0.0, threads(n));
             assert_eq!(got, expect, "threads = {n}");
         }
     }
@@ -1615,8 +1187,9 @@ mod tests {
         let expect_checksum = out.iter().fold(0u64, |c, &(q, r)| fold_pair(c, q, r));
         let mut workers = Vec::new();
         for n in [1, 2, 3, 7, 64] {
-            let got = shard_extent_batch_join(
+            let got = shard_batch_join(
                 &NaiveBatchJoin,
+                &table,
                 &table,
                 &queries,
                 threads(n),
@@ -1638,46 +1211,49 @@ mod tests {
         let expect = sequential_extent_reference(&table, &queriers);
         let space = Rect::space(SIDE);
         for n in [1usize, 2, 3, 5, 7, 16, 64] {
-            let mut pool = TileExtentIndexPool::default();
+            let mut pool = TileIndexPool::default();
             // Two ticks over one pool: buffer reuse must not leak state.
             for tick in 0..2 {
-                tiled_extent_index_build(
+                tiled_index_build(
                     &ScanIndex::new(),
                     &table,
                     &space,
+                    0.0,
                     fixed(n),
                     None,
                     &mut pool,
                 );
-                let got = tiled_extent_index_query(&mut pool, &table, &queriers);
+                let got = tiled_index_query(&mut pool, &table, &queriers, &space, 0.0);
                 assert_eq!(got, expect, "tiles = {n}, tick = {tick}");
             }
             assert_eq!(pool.index_bytes(), Some(0), "scan forks own nothing");
         }
         // Decoupled pools and the adaptive policy over one reused pool.
-        let mut pool = TileExtentIndexPool::default();
+        let mut pool = TileIndexPool::default();
         for (tiles, workers) in [(4usize, 2usize), (16, 8), (64, 3)] {
-            tiled_extent_index_build(
+            tiled_index_build(
                 &ScanIndex::new(),
                 &table,
                 &space,
+                0.0,
                 fixed(tiles),
                 Some(threads(workers)),
                 &mut pool,
             );
-            let got = tiled_extent_index_query(&mut pool, &table, &queriers);
+            let got = tiled_index_query(&mut pool, &table, &queriers, &space, 0.0);
             assert_eq!(got, expect, "tiles = {tiles}, workers = {workers}");
         }
-        tiled_extent_index_build(
+        tiled_index_build(
             &ScanIndex::new(),
             &table,
             &space,
+            0.0,
             Tiling::Auto,
             None,
             &mut pool,
         );
         assert_eq!(
-            tiled_extent_index_query(&mut pool, &table, &queriers),
+            tiled_index_query(&mut pool, &table, &queriers, &space, 0.0),
             expect,
             "adaptive tiling"
         );
@@ -1701,13 +1277,15 @@ mod tests {
         let expect_pairs = out.len() as u64;
         let expect_checksum = out.iter().fold(0u64, |c, &(q, r)| fold_pair(c, q, r));
         let space = Rect::space(SIDE);
-        let mut pool = TileExtentBatchPool::default();
+        let mut pool = TileBatchPool::default();
         for n in [1usize, 2, 3, 6, 25, 64] {
-            let got = tiled_extent_batch_join(
+            let got = tiled_batch_join(
                 &NaiveBatchJoin,
+                &table,
                 &table,
                 &queries,
                 &space,
+                0.0,
                 fixed(n),
                 None,
                 &mut pool,
@@ -1715,11 +1293,13 @@ mod tests {
             assert_eq!(got, (expect_pairs, expect_checksum), "tiles = {n}");
         }
         for (tiles, workers) in [(4usize, 2usize), (16, 8), (64, 2)] {
-            let got = tiled_extent_batch_join(
+            let got = tiled_batch_join(
                 &NaiveBatchJoin,
+                &table,
                 &table,
                 &queries,
                 &space,
+                0.0,
                 fixed(tiles),
                 Some(threads(workers)),
                 &mut pool,
@@ -1730,11 +1310,13 @@ mod tests {
                 "tiles = {tiles}, workers = {workers}"
             );
         }
-        let got = tiled_extent_batch_join(
+        let got = tiled_batch_join(
             &NaiveBatchJoin,
+            &table,
             &table,
             &queries,
             &space,
+            0.0,
             Tiling::Auto,
             Some(threads(3)),
             &mut pool,
@@ -1750,34 +1332,57 @@ mod tests {
         let space = Rect::space(SIDE);
         let idx = ScanIndex::new();
         assert_eq!(
-            shard_extent_index_query(&idx, &table, &[], threads(4)),
+            shard_index_query(&idx, &table, &table, &[], &space, 0.0, threads(4)),
             (0, 0)
         );
         assert_eq!(
-            shard_extent_batch_join(&NaiveBatchJoin, &table, &[], threads(4), &mut Vec::new()),
+            shard_batch_join(
+                &NaiveBatchJoin,
+                &table,
+                &table,
+                &[],
+                threads(4),
+                &mut Vec::new()
+            ),
             (0, 0)
         );
-        let mut pool = TileExtentIndexPool::default();
-        tiled_extent_index_build(&idx, &table, &space, fixed(4), None, &mut pool);
-        assert_eq!(tiled_extent_index_query(&mut pool, &table, &[]), (0, 0));
+        let mut pool = TileIndexPool::default();
+        tiled_index_build(&idx, &table, &space, 0.0, fixed(4), None, &mut pool);
+        assert_eq!(
+            tiled_index_query(&mut pool, &table, &[], &space, 0.0),
+            (0, 0)
+        );
         assert_eq!(pool.tile_load(), None, "no populated tile, no load");
         assert_eq!(
-            tiled_extent_batch_join(
+            tiled_batch_join(
                 &NaiveBatchJoin,
+                &table,
                 &table,
                 &[],
                 &space,
+                0.0,
                 fixed(4),
                 Some(threads(2)),
-                &mut TileExtentBatchPool::default()
+                &mut TileBatchPool::default()
             ),
             (0, 0)
         );
         // And an empty extent table under oversharding.
         let empty = ExtentTable::default();
-        let mut pool = TileExtentIndexPool::default();
-        tiled_extent_index_build(&idx, &empty, &space, fixed(16), Some(threads(8)), &mut pool);
-        assert_eq!(tiled_extent_index_query(&mut pool, &empty, &[]), (0, 0));
+        let mut pool = TileIndexPool::default();
+        tiled_index_build(
+            &idx,
+            &empty,
+            &space,
+            0.0,
+            fixed(16),
+            Some(threads(8)),
+            &mut pool,
+        );
+        assert_eq!(
+            tiled_index_query(&mut pool, &empty, &[], &space, 0.0),
+            (0, 0)
+        );
     }
 
     #[test]

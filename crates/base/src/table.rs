@@ -19,7 +19,11 @@
 //! must skip dead rows when they (re)build, and scan-style techniques must
 //! skip them at query time; [`PointTable::iter`] yields live rows only.
 
+use std::num::NonZeroUsize;
+
+use crate::batch::BatchJoin;
 use crate::geom::{Point, Rect, Vec2};
+use crate::index::SpatialIndex;
 
 /// Handle of an object in the base table (the Rust analogue of the C++
 /// framework's `Point*`).
@@ -453,6 +457,201 @@ impl Table for ExtentTable {
     }
     fn bounds(&self) -> Option<Rect> {
         ExtentTable::bounds(self)
+    }
+}
+
+/// What the join pipeline decides differently for the two entry shapes,
+/// and nothing else. The tick loop, both executors, the sharded and tiled
+/// query phases and tile replication are generic over it, so points and
+/// rectangles run one implementation; [`PointTable`] and [`ExtentTable`]
+/// are its only implementations (DESIGN.md §15). It decides:
+///
+/// - the **query region** of a row, which is also the extent a row is
+///   replicated by under tiling ([`Shape::query_region`]);
+/// - the **reference point** of an emitted candidate, whose canonical tile
+///   alone reports it ([`Shape::corners`], [`Shape::reference_point`]);
+/// - the `@tilesauto` tile count ([`Shape::auto_tile_count`]);
+/// - which [`SpatialIndex`] and [`BatchJoin`] methods serve the shape.
+///
+/// Every method is generic or inlined, so the timed paths stay
+/// monomorphised per table type: choosing the shape costs no `dyn` call.
+pub trait Shape: Table + Default + Sync {
+    /// One row's geometry: a [`Point`] or a [`Rect`].
+    type Row: Copy + Default;
+
+    /// Row `id`'s geometry.
+    fn row(&self, id: EntryId) -> Self::Row;
+
+    /// Append a live row and return its handle.
+    fn push_row(&mut self, row: Self::Row) -> EntryId;
+
+    /// The region row `q` queries with. `space` bounds the data and
+    /// `query_side` is the workload's query size; a shape ignores what it
+    /// does not need.
+    fn query_region(&self, q: EntryId, query_side: f32, space: &Rect) -> Rect;
+
+    /// Each row's lower-left corner, as an x column and a y column. The
+    /// tiled paths read a candidate's corner from here, with the columns
+    /// taken once per mini-join rather than once per candidate.
+    fn corners(&self) -> (&[f32], &[f32]);
+
+    /// The point that decides which tile reports the candidate of a query
+    /// over `region` and a row with lower-left corner `corner`: the corner
+    /// `(max(region.x1, corner.x), max(region.y1, corner.y))` of the
+    /// pair's intersection. Both sides of the pair are resident in that
+    /// point's tile, and no other tile holds it, so each pair is reported
+    /// once (see [`crate::tile`]).
+    fn reference_point(region: &Rect, corner: Point) -> Point;
+
+    /// The `@tilesauto` tile count for this table.
+    fn auto_tile_count(&self, space: &Rect, query_side: f32) -> NonZeroUsize;
+
+    /// Rebuild `index` over this table.
+    fn build_index<I: SpatialIndex + ?Sized>(&self, index: &mut I);
+
+    /// Call `emit` for every row of this table that matches `region`;
+    /// `index` was last built over this table.
+    fn probe<I: SpatialIndex + ?Sized>(
+        &self,
+        index: &I,
+        region: &Rect,
+        emit: &mut dyn FnMut(EntryId),
+    );
+
+    /// Join `queries` against this table in one call. `queriers` is the
+    /// query relation the regions came from; querier ids are opaque.
+    fn batch_join<J: BatchJoin + ?Sized>(
+        &self,
+        join: &mut J,
+        queriers: &Self,
+        queries: &[(EntryId, Rect)],
+        out: &mut Vec<(EntryId, EntryId)>,
+    );
+}
+
+/// Points: a querier's region is the centred square of side `query_side`
+/// clipped to the space, and the within-range predicate serves the join.
+impl Shape for PointTable {
+    type Row = Point;
+
+    #[inline]
+    fn row(&self, id: EntryId) -> Point {
+        self.point(id)
+    }
+
+    #[inline]
+    fn push_row(&mut self, p: Point) -> EntryId {
+        self.push(p.x, p.y)
+    }
+
+    #[inline]
+    fn query_region(&self, q: EntryId, query_side: f32, space: &Rect) -> Rect {
+        Rect::centered_square(self.point(q), query_side).clipped_to(space)
+    }
+
+    #[inline]
+    fn corners(&self) -> (&[f32], &[f32]) {
+        (self.xs(), self.ys())
+    }
+
+    /// The point itself. An emitted point lies inside the region, where
+    /// the corner maximum equals it; skipping the two `max`es matters
+    /// because this runs once per candidate of every tile fork
+    /// (DESIGN.md §15).
+    #[inline]
+    fn reference_point(_region: &Rect, corner: Point) -> Point {
+        corner
+    }
+
+    fn auto_tile_count(&self, space: &Rect, query_side: f32) -> NonZeroUsize {
+        crate::tile::auto_tile_count(self, space, query_side)
+    }
+
+    #[inline]
+    fn build_index<I: SpatialIndex + ?Sized>(&self, index: &mut I) {
+        index.build(self);
+    }
+
+    #[inline]
+    fn probe<I: SpatialIndex + ?Sized>(
+        &self,
+        index: &I,
+        region: &Rect,
+        emit: &mut dyn FnMut(EntryId),
+    ) {
+        index.for_each_in(self, region, emit);
+    }
+
+    #[inline]
+    fn batch_join<J: BatchJoin + ?Sized>(
+        &self,
+        join: &mut J,
+        queriers: &PointTable,
+        queries: &[(EntryId, Rect)],
+        out: &mut Vec<(EntryId, EntryId)>,
+    ) {
+        join.join_two(queriers, self, queries, out);
+    }
+}
+
+/// Rectangles: a querier's region is its own extent (`query_side` is
+/// unused), and the intersects predicate serves the join.
+impl Shape for ExtentTable {
+    type Row = Rect;
+
+    #[inline]
+    fn row(&self, id: EntryId) -> Rect {
+        self.rect(id)
+    }
+
+    #[inline]
+    fn push_row(&mut self, r: Rect) -> EntryId {
+        self.push(r)
+    }
+
+    #[inline]
+    fn query_region(&self, q: EntryId, _query_side: f32, _space: &Rect) -> Rect {
+        self.rect(q)
+    }
+
+    #[inline]
+    fn corners(&self) -> (&[f32], &[f32]) {
+        (self.x1s(), self.y1s())
+    }
+
+    #[inline]
+    fn reference_point(region: &Rect, corner: Point) -> Point {
+        Point::new(region.x1.max(corner.x), region.y1.max(corner.y))
+    }
+
+    fn auto_tile_count(&self, _space: &Rect, _query_side: f32) -> NonZeroUsize {
+        crate::tile::auto_tile_count_extents(self)
+    }
+
+    #[inline]
+    fn build_index<I: SpatialIndex + ?Sized>(&self, index: &mut I) {
+        index.build_extents(self);
+    }
+
+    #[inline]
+    fn probe<I: SpatialIndex + ?Sized>(
+        &self,
+        index: &I,
+        region: &Rect,
+        emit: &mut dyn FnMut(EntryId),
+    ) {
+        index.for_each_intersecting(self, region, emit);
+    }
+
+    #[inline]
+    fn batch_join<J: BatchJoin + ?Sized>(
+        &self,
+        join: &mut J,
+        _queriers: &ExtentTable,
+        queries: &[(EntryId, Rect)],
+        out: &mut Vec<(EntryId, EntryId)>,
+    ) {
+        join.join_extents(self, queries, out);
     }
 }
 

@@ -8,23 +8,25 @@
 //! ## The scheme (DESIGN.md §13)
 //!
 //! The data space is split into an `nx × ny` grid of `N` tiles
-//! ([`TileGrid`]). Every point owns one **canonical tile** — the tile its
-//! coordinates fall in ([`TileGrid::tile_of`]) — but is **replicated** into
-//! every tile its query region (the centred square of side `query_side`,
-//! clipped to the space) overlaps ([`replicate_by_extent`]); queriers are
-//! assigned to tiles by the same extent rule. Each tile then joins its
-//! local replicas independently, which double-reports any pair whose two
-//! sides straddle a boundary. The **reference-point rule** restores
-//! exactness: tile `T` emits a pair `(a, b)` only if `b`'s canonical tile
-//! is `T`. Coverage and uniqueness both follow from one fact — the
-//! per-axis tile index is a monotone function of the coordinate — so the
-//! covered index range of a region contains the canonical tile of every
-//! point inside it:
+//! ([`TileGrid`]). Every row is **replicated** into every tile its query
+//! region overlaps ([`replicate_by_extent`]; the region is the shape's
+//! [`Shape::query_region`] — a point's clipped centred square, a
+//! rectangle's own extent), and queriers are assigned to tiles by the same
+//! rule. Each tile then joins its local replicas independently, which
+//! double-reports any pair whose two sides straddle a boundary. The
+//! **reference-point rule** restores exactness: tile `T` emits a candidate
+//! `(q, r)` only if the corner `(max(q.x1, r.x1), max(q.y1, r.y1))` of the
+//! pair's intersection lies in `T` ([`Shape::reference_point`]). A point
+//! is the zero-area rectangle at its coordinates, so for a point `r`
+//! inside `q`'s region that corner is `r` itself. Coverage and uniqueness
+//! both follow from one fact — the per-axis tile index is a monotone
+//! function of the coordinate, so `axis_index(max(a, b)) =
+//! max(axis_index(a), axis_index(b))`:
 //!
-//! - *coverage*: `b ∈ region(a)` puts `tile_of(b)` inside
-//!   `cover(region(a))`, so querier `a` visits `tile_of(b)`, where `b` is
-//!   resident (its own region contains it); the pair is found there;
-//! - *uniqueness*: the filter accepts it in `tile_of(b)` and nowhere else.
+//! - *coverage*: the corner lies inside both `q`'s region and `r`'s own
+//!   replication region, so its tile is in both covers: querier `q`
+//!   visits it and `r` is resident there; the pair is found there;
+//! - *uniqueness*: the filter accepts it in that tile and nowhere else.
 //!
 //! Checksums are unperturbed because each pair is emitted exactly once with
 //! its *global* ids ([`TileReplica::to_global`]) and the driver's checksum
@@ -34,7 +36,7 @@
 use std::num::NonZeroUsize;
 
 use crate::geom::Rect;
-use crate::table::{entry_id, EntryId, ExtentTable, PointTable};
+use crate::table::{entry_id, EntryId, ExtentTable, PointTable, Shape};
 
 /// Factor `tiles` into the most nearly square `nx × ny` grid: `ny` is the
 /// largest divisor not exceeding `√tiles`, so `nx ≥ ny` and `nx·ny ==
@@ -188,26 +190,26 @@ impl Iterator for TileCover {
 }
 
 /// One tile's local view of a relation: the replicated live rows as a
-/// fresh [`PointTable`] (so indexes and batch joins run on it unchanged)
-/// plus the local-row → global-handle map that translates emitted pairs
-/// back into driver ids. Tombstoned rows are never replicated — a row
-/// that dies simply vanishes from every replica set at the next
-/// partition, exactly as it vanishes from a sequential rebuild.
+/// fresh table of the same shape (so indexes and batch joins run on it
+/// unchanged) plus the local-row → global-handle map that translates
+/// emitted pairs back into driver ids. Tombstoned rows are never
+/// replicated — a row that dies simply vanishes from every replica set at
+/// the next partition, exactly as it vanishes from a sequential rebuild.
 #[derive(Debug, Default)]
-pub struct TileReplica {
-    pub table: PointTable,
+pub struct TileReplica<T = PointTable> {
+    pub table: T,
     pub to_global: Vec<EntryId>,
 }
 
-impl TileReplica {
+impl<T: Shape> TileReplica<T> {
     /// Drop all rows, keeping allocated capacity for the next tick.
     pub fn clear(&mut self) {
         self.table.clear();
         self.to_global.clear();
     }
 
-    fn push(&mut self, x: f32, y: f32, global: EntryId) {
-        self.table.push(x, y);
+    fn push(&mut self, row: T::Row, global: EntryId) {
+        self.table.push_row(row);
         self.to_global.push(global);
     }
 
@@ -219,90 +221,26 @@ impl TileReplica {
 }
 
 /// Partition `table`'s **live** rows into per-tile replicas: each row goes
-/// to every tile its clipped query region (centred square of side
-/// `query_side`) overlaps. `replicas` is resized to the grid and reused
-/// across ticks — steady-state partitioning allocates nothing.
-pub fn replicate_by_extent(
-    table: &PointTable,
+/// to every tile its query region ([`Shape::query_region`], clipped to the
+/// grid's space for points) overlaps. `replicas` is resized to the grid
+/// and reused across ticks — steady-state partitioning allocates nothing.
+pub fn replicate_by_extent<T: Shape>(
+    table: &T,
     grid: &TileGrid,
     query_side: f32,
-    replicas: &mut Vec<TileReplica>,
+    replicas: &mut Vec<TileReplica<T>>,
 ) {
     replicas.resize_with(grid.tiles(), TileReplica::default);
     for r in replicas.iter_mut() {
         r.clear();
     }
-    let xs = table.xs();
-    let ys = table.ys();
     let live = table.live_mask();
     let all_live = table.all_live();
-    for i in 0..xs.len() {
-        if !all_live && !live[i] {
-            continue;
-        }
-        let region = Rect::centered_square(crate::geom::Point::new(xs[i], ys[i]), query_side)
-            .clipped_to(grid.bounds());
-        for t in grid.cover(&region) {
-            replicas[t].push(xs[i], ys[i], entry_id(i));
-        }
-    }
-}
-
-/// One tile's local view of an **extent** relation — the `intersects`
-/// counterpart of [`TileReplica`]. A rectangle is replicated into every
-/// tile of [`TileGrid::cover`] of the rectangle itself (its extent *is*
-/// its query region in the rect self-join), and the reference-point rule
-/// generalizes: a pair `(q, r)` is emitted only by the tile containing
-/// the lower-left corner of the pairwise intersection,
-/// `(max(q.x1, r.x1), max(q.y1, r.y1))`. Because `axis_index` is
-/// monotone, `axis_index(max(a, b)) = max(axis_index(a), axis_index(b))`,
-/// so that corner's tile lies in both rectangles' covers — both replicas
-/// are resident there (coverage), and no other tile passes the filter
-/// (uniqueness).
-#[derive(Debug, Default)]
-pub struct ExtentReplica {
-    pub table: ExtentTable,
-    pub to_global: Vec<EntryId>,
-}
-
-impl ExtentReplica {
-    /// Drop all rows, keeping allocated capacity for the next tick.
-    pub fn clear(&mut self) {
-        self.table.clear();
-        self.to_global.clear();
-    }
-
-    fn push(&mut self, rect: Rect, global: EntryId) {
-        self.table.push(rect);
-        self.to_global.push(global);
-    }
-
-    /// Global handle of local row `local`.
-    #[inline]
-    pub fn global(&self, local: EntryId) -> EntryId {
-        self.to_global[local as usize]
-    }
-}
-
-/// Partition `table`'s **live** rectangles into per-tile replicas: each
-/// rect goes to every tile it overlaps. `replicas` is resized to the grid
-/// and reused across ticks, mirroring [`replicate_by_extent`].
-pub fn replicate_extents(table: &ExtentTable, grid: &TileGrid, replicas: &mut Vec<ExtentReplica>) {
-    replicas.resize_with(grid.tiles(), ExtentReplica::default);
-    for r in replicas.iter_mut() {
-        r.clear();
-    }
-    let (x1s, y1s) = (table.x1s(), table.y1s());
-    let (x2s, y2s) = (table.x2s(), table.y2s());
-    let live = table.live_mask();
-    let all_live = table.all_live();
-    for i in 0..x1s.len() {
-        if !all_live && !live[i] {
-            continue;
-        }
-        let rect = Rect::new(x1s[i], y1s[i], x2s[i], y2s[i]);
-        for t in grid.cover(&rect) {
-            replicas[t].push(rect, entry_id(i));
+    for i in (0..table.len()).filter(|&i| all_live || live[i]) {
+        let id = entry_id(i);
+        let row = table.row(id);
+        for t in grid.cover(&table.query_region(id, query_side, grid.bounds())) {
+            replicas[t].push(row, id);
         }
     }
 }
@@ -735,7 +673,7 @@ mod tests {
         t.remove(dead);
 
         let mut replicas = Vec::new();
-        replicate_extents(&t, &g, &mut replicas);
+        replicate_by_extent(&t, &g, 0.0, &mut replicas);
         assert_eq!(replicas.len(), 4);
 
         let holding = |id: EntryId| {

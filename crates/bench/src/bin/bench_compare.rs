@@ -4,9 +4,10 @@
 //! and a current run, match cells by id, and exit nonzero when a
 //! comparable cell's per-tick time grew beyond the noise threshold, its
 //! join checksum drifted, or the matrix shrank. Incomparable cells (quick
-//! vs full scale) are skipped with a note; `--schema-only` restricts the
-//! run to structural checks (what CI's bench-smoke job uses, since
-//! wall-clock does not transfer across machines).
+//! vs full scale) are skipped with a note; `--schema-only` skips only the
+//! wall-clock diff (what CI's bench-smoke job uses, since wall-clock does
+//! not transfer across machines) — a checksum drift between comparable
+//! cells still fails the run.
 //!
 //! Exit codes: 0 clean, 1 regression/drift/missing cells, 2 usage or
 //! parse error (including the `null` a writer emits for a non-finite

@@ -6,8 +6,10 @@
 //! reported and turns the comparator's exit nonzero. Cells whose pinned
 //! parameters differ (a `--quick` run against a full baseline) are
 //! *incomparable* — their timings are skipped rather than mis-diffed —
-//! and `schema_only` restricts the run to structural checks entirely
-//! (what CI does: machines vary, wall-clock across them does not).
+//! and `schema_only` skips the wall-clock diff alone (what CI does:
+//! machines vary, wall-clock across them does not transfer). A checksum
+//! drift between comparable cells stays fatal in both modes: the join is
+//! deterministic on any machine.
 //!
 //! Non-finite measurements are rejected while loading: the JSON layer
 //! refuses bare `NaN`/`inf` tokens, and this layer refuses the `null`s
@@ -245,8 +247,9 @@ impl Report {
 }
 
 /// Diff `current` against `baseline`. `threshold` is the fatal per-tick
-/// growth ratio; `schema_only` skips timing and checksum diffs (CI mode:
-/// assert the documents are valid and the matrix intact, not wall-clock).
+/// growth ratio; `schema_only` skips the timing diff (CI mode: assert the
+/// documents are valid, the matrix intact and every comparable cell's
+/// join unchanged, but not wall-clock).
 pub fn compare(
     baseline: &SuiteDoc,
     current: &SuiteDoc,
@@ -267,15 +270,15 @@ pub fn compare(
             });
             continue;
         }
-        if schema_only {
-            continue;
-        }
         // Identical pinned parameters ⇒ the join is deterministic ⇒ the
         // checksum and pair count must match bit for bit.
         if base.checksum != cur.checksum || base.pairs != cur.pairs {
             report.findings.push(Finding::ChecksumDrift {
                 id: base.id.clone(),
             });
+            continue;
+        }
+        if schema_only {
             continue;
         }
         if base.avg_tick_s < MIN_COMPARABLE_SECONDS && cur.avg_tick_s < MIN_COMPARABLE_SECONDS {
@@ -428,13 +431,26 @@ mod tests {
     #[test]
     fn schema_only_ignores_timings_but_not_the_matrix() {
         let base = load(&synthetic_doc(1.0, 0)).unwrap();
-        let slow = load(&synthetic_doc(10.0, 3)).unwrap();
+        let slow = load(&synthetic_doc(10.0, 0)).unwrap();
         let report = compare(&base, &slow, DEFAULT_THRESHOLD, true);
         assert!(report.passed(), "{:?}", report.findings);
         let mut shrunk = slow.clone();
         shrunk.cells.clear();
         let report = compare(&base, &shrunk, DEFAULT_THRESHOLD, true);
         assert!(!report.passed());
+    }
+
+    #[test]
+    fn schema_only_still_fails_on_checksum_drift() {
+        let base = load(&synthetic_doc(1.0, 0)).unwrap();
+        let drifted = load(&synthetic_doc(10.0, 3)).unwrap();
+        let report = compare(&base, &drifted, DEFAULT_THRESHOLD, true);
+        assert!(!report.passed());
+        assert_eq!(report.failures().len(), base.cells.len());
+        assert!(report
+            .failures()
+            .iter()
+            .all(|f| matches!(f, Finding::ChecksumDrift { .. })));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! holding the query relation R's initial state and per-tick plan
 //! ([`Trace::query_rel`], recorded by [`record_bipartite`]). A
 //! self-join trace serializes exactly as v2 — v3 bytes only appear when a
-//! query relation is present — and v1/v2 files still load.
+//! query relation is present.
 //!
 //! Format v4 is a **separate trace type** for extent workloads
 //! ([`ExtentTrace`], magic `SJTRACE4`): rectangles instead of points, the
@@ -29,6 +29,10 @@
 //! validated with [`Rect::try_new`] on load, so a corrupted or
 //! hand-edited trace with an inverted rectangle is rejected as
 //! `InvalidData` instead of tripping a debug-only assert downstream.
+//!
+//! Every length prefix is untrusted: readers reserve at most 65,536
+//! elements up front and grow as elements arrive, so a truncated or
+//! hostile file ends in `UnexpectedEof` rather than one huge allocation.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -44,13 +48,21 @@ const MAGIC_V3: &[u8; 8] = b"SJTRACE3";
 /// v2 adds per-tick churn sections (removals + inserts); still the format
 /// written for self-join traces, so v2 consumers keep working.
 const MAGIC_V2: &[u8; 8] = b"SJTRACE2";
-/// Legacy format without churn sections; still readable (a v1 trace is a
-/// v2 trace whose every tick has empty churn).
-const MAGIC_V1: &[u8; 8] = b"SJTRACE1";
 /// Extent (rectangle) traces — a distinct trace type, never mixed with
 /// the point formats: an `SJTRACE4` file deserializes only to
 /// [`ExtentTrace`] and vice versa.
 const MAGIC_V4: &[u8; 8] = b"SJTRACE4";
+
+/// The most elements a reader reserves for a length prefix before any of
+/// them has been read.
+const MAX_PREALLOC: usize = 1 << 16;
+
+/// Read a length prefix: the element count, and a `Vec` with capacity for
+/// at most [`MAX_PREALLOC`] of them.
+fn read_len<R: Read, T>(r: &mut R) -> io::Result<(usize, Vec<T>)> {
+    let n = read_u32(r)? as usize;
+    Ok((n, Vec::with_capacity(n.min(MAX_PREALLOC))))
+}
 
 /// A fully materialized workload: initial state plus every tick's actions.
 ///
@@ -157,7 +169,7 @@ impl Trace {
         write_u64(w, self.final_positions_checksum)
     }
 
-    /// Deserialize from a reader (any of the v1/v2/v3 formats).
+    /// Deserialize from a reader (the v2 or v3 format).
     ///
     /// # Errors
     /// I/O errors, a bad magic header, or truncated data.
@@ -165,10 +177,9 @@ impl Trace {
         let mut r = BufReader::new(r);
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
-        let (churn_sections, query_rel_section) = match &magic {
-            m if m == MAGIC_V3 => (true, true),
-            m if m == MAGIC_V2 => (true, false),
-            m if m == MAGIC_V1 => (false, false),
+        let query_rel_section = match &magic {
+            m if m == MAGIC_V3 => true,
+            m if m == MAGIC_V2 => false,
             _ => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -176,62 +187,57 @@ impl Trace {
                 ))
             }
         };
-        let mut trace = Self::read_body(&mut r, churn_sections)?;
+        let mut trace = Self::read_body(&mut r)?;
         if query_rel_section {
-            trace.query_rel = Some(Box::new(Self::read_body(&mut r, churn_sections)?));
+            trace.query_rel = Some(Box::new(Self::read_body(&mut r)?));
         }
         Ok(trace)
     }
 
     /// One relation section in the v2 layout (`query_rel` left `None`).
-    fn read_body<R: Read>(r: &mut R, churn_sections: bool) -> io::Result<Trace> {
+    fn read_body<R: Read>(r: &mut R) -> io::Result<Trace> {
         let space_side = read_f32(r)?;
         let query_side = read_f32(r)?;
         let n = read_u32(r)? as usize;
         let mut cols: [Vec<f32>; 4] = Default::default();
         for col in cols.iter_mut() {
-            col.reserve(n);
+            col.reserve(n.min(MAX_PREALLOC));
             for _ in 0..n {
                 col.push(read_f32(r)?);
             }
         }
         let [init_x, init_y, init_vx, init_vy] = cols;
-        let tick_count = read_u32(r)? as usize;
-        let mut ticks = Vec::with_capacity(tick_count);
+        let (tick_count, mut ticks) = read_len(r)?;
         for _ in 0..tick_count {
-            let nq = read_u32(r)? as usize;
-            let mut actions = TickActions::default();
-            actions.queriers.reserve(nq);
+            let (nq, mut queriers) = read_len(r)?;
             for _ in 0..nq {
-                actions.queriers.push(read_u32(r)?);
+                queriers.push(read_u32(r)?);
             }
-            let nu = read_u32(r)? as usize;
-            actions.velocity_updates.reserve(nu);
+            let (nu, mut velocity_updates) = read_len(r)?;
             for _ in 0..nu {
                 let id = read_u32(r)?;
                 let vx = read_f32(r)?;
                 let vy = read_f32(r)?;
-                actions.velocity_updates.push((id, vx, vy));
+                velocity_updates.push((id, vx, vy));
             }
-            if churn_sections {
-                let nr = read_u32(r)? as usize;
-                actions.removals.reserve(nr);
-                for _ in 0..nr {
-                    actions.removals.push(read_u32(r)?);
-                }
-                let ni = read_u32(r)? as usize;
-                actions.inserts.reserve(ni);
-                for _ in 0..ni {
-                    let px = read_f32(r)?;
-                    let py = read_f32(r)?;
-                    let vx = read_f32(r)?;
-                    let vy = read_f32(r)?;
-                    actions
-                        .inserts
-                        .push((Point::new(px, py), Vec2::new(vx, vy)));
-                }
+            let (nr, mut removals) = read_len(r)?;
+            for _ in 0..nr {
+                removals.push(read_u32(r)?);
             }
-            ticks.push(actions);
+            let (ni, mut inserts) = read_len(r)?;
+            for _ in 0..ni {
+                let px = read_f32(r)?;
+                let py = read_f32(r)?;
+                let vx = read_f32(r)?;
+                let vy = read_f32(r)?;
+                inserts.push((Point::new(px, py), Vec2::new(vx, vy)));
+            }
+            ticks.push(TickActions {
+                queriers,
+                velocity_updates,
+                removals,
+                inserts,
+            });
         }
         let final_positions_checksum = read_u64(r)?;
         Ok(Trace {
@@ -541,7 +547,7 @@ impl ExtentTrace {
         let n = read_u32(&mut r)? as usize;
         let mut cols: [Vec<f32>; 6] = Default::default();
         for col in cols.iter_mut() {
-            col.reserve(n);
+            col.reserve(n.min(MAX_PREALLOC));
             for _ in 0..n {
                 col.push(read_f32(&mut r)?);
             }
@@ -555,37 +561,36 @@ impl ExtentTrace {
                 ));
             }
         }
-        let tick_count = read_u32(&mut r)? as usize;
-        let mut ticks = Vec::with_capacity(tick_count);
+        let (tick_count, mut ticks) = read_len(&mut r)?;
         for _ in 0..tick_count {
-            let mut actions = ExtentTickActions::default();
-            let nq = read_u32(&mut r)? as usize;
-            actions.queriers.reserve(nq);
+            let (nq, mut queriers) = read_len(&mut r)?;
             for _ in 0..nq {
-                actions.queriers.push(read_u32(&mut r)?);
+                queriers.push(read_u32(&mut r)?);
             }
-            let nu = read_u32(&mut r)? as usize;
-            actions.velocity_updates.reserve(nu);
+            let (nu, mut velocity_updates) = read_len(&mut r)?;
             for _ in 0..nu {
                 let id = read_u32(&mut r)?;
                 let vx = read_f32(&mut r)?;
                 let vy = read_f32(&mut r)?;
-                actions.velocity_updates.push((id, vx, vy));
+                velocity_updates.push((id, vx, vy));
             }
-            let nr = read_u32(&mut r)? as usize;
-            actions.removals.reserve(nr);
+            let (nr, mut removals) = read_len(&mut r)?;
             for _ in 0..nr {
-                actions.removals.push(read_u32(&mut r)?);
+                removals.push(read_u32(&mut r)?);
             }
-            let ni = read_u32(&mut r)? as usize;
-            actions.inserts.reserve(ni);
+            let (ni, mut inserts) = read_len(&mut r)?;
             for _ in 0..ni {
                 let rect = read_rect(&mut r)?;
                 let vx = read_f32(&mut r)?;
                 let vy = read_f32(&mut r)?;
-                actions.inserts.push((rect, Vec2::new(vx, vy)));
+                inserts.push((rect, Vec2::new(vx, vy)));
             }
-            ticks.push(actions);
+            ticks.push(ExtentTickActions {
+                queriers,
+                velocity_updates,
+                removals,
+                inserts,
+            });
         }
         let final_extents_checksum = read_u64(&mut r)?;
         Ok(ExtentTrace {
@@ -929,34 +934,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_traces_still_load() {
-        // A churn-free v2 trace rewritten under the v1 magic, with the
-        // churn sections stripped, must parse to the identical trace.
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 2);
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        // Rewrite: v1 magic; walk the tick records and drop the two empty
-        // churn section counts (4 bytes each) per tick.
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(MAGIC_V1);
-        let body = &buf[8..];
-        let n = trace.num_points();
-        let header = 4 + 4 + 4 + 16 * n + 4; // sides, count, 4 cols, tick count
-        v1.extend_from_slice(&body[..header]);
-        let mut off = header;
-        for t in &trace.ticks {
-            let queriers = 4 + 4 * t.queriers.len();
-            let updates = 4 + 12 * t.velocity_updates.len();
-            v1.extend_from_slice(&body[off..off + queriers + updates]);
-            off += queriers + updates + 4 + 4; // skip the empty churn counts
-        }
-        v1.extend_from_slice(&body[off..]); // final checksum
-        let back = Trace::read_from(v1.as_slice()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
     fn bad_magic_is_rejected() {
         let err = Trace::read_from(&b"NOTATRACEFILE..."[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -1095,5 +1072,78 @@ mod tests {
         let back = Trace::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back, trace);
+    }
+
+    /// A trace prefix: `magic`, the header floats, then `u32` fields.
+    fn prefix(magic: &[u8; 8], floats: &[f32], counts: &[u32]) -> Vec<u8> {
+        let mut out = magic.to_vec();
+        for f in floats {
+            out.extend_from_slice(&f.to_le_bytes());
+        }
+        for c in counts {
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        out
+    }
+
+    fn assert_eof<T: std::fmt::Debug>(read: io::Result<T>, what: &str) {
+        let err = read.expect_err(what);
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{what}: {err}");
+    }
+
+    const HOSTILE: u32 = u32::MAX;
+
+    #[test]
+    fn a_hostile_row_count_ends_in_eof_not_an_abort() {
+        // 20 bytes: the magic, two sides, then u32::MAX rows. Reserving
+        // for the claimed rows used to abort the process.
+        let file = prefix(MAGIC_V2, &[100.0, 10.0], &[HOSTILE]);
+        assert_eq!(file.len(), 20);
+        assert_eof(Trace::read_from(file.as_slice()), "rows");
+    }
+
+    #[test]
+    fn a_hostile_tick_count_ends_in_eof_not_an_abort() {
+        let file = prefix(MAGIC_V2, &[100.0, 10.0], &[0, HOSTILE]);
+        assert_eof(Trace::read_from(file.as_slice()), "ticks");
+    }
+
+    #[test]
+    fn hostile_per_tick_section_counts_end_in_eof_not_an_abort() {
+        // No rows, one tick, and the earlier sections of that tick empty.
+        let sections = ["queriers", "velocity updates", "removals", "inserts"];
+        for (i, what) in sections.into_iter().enumerate() {
+            let mut counts = vec![0, 1];
+            counts.extend(std::iter::repeat_n(0, i));
+            counts.push(HOSTILE);
+            let file = prefix(MAGIC_V2, &[100.0, 10.0], &counts);
+            assert_eof(Trace::read_from(file.as_slice()), what);
+        }
+    }
+
+    #[test]
+    fn a_hostile_count_in_the_nested_relation_ends_in_eof_not_an_abort() {
+        // A complete, empty data relation, then the query relation's
+        // header with u32::MAX rows.
+        let mut file = prefix(MAGIC_V3, &[100.0, 10.0], &[0, 0]);
+        file.extend_from_slice(&0u64.to_le_bytes());
+        file.extend_from_slice(&prefix(&[0; 8], &[100.0, 10.0], &[HOSTILE])[8..]);
+        assert_eof(Trace::read_from(file.as_slice()), "nested rows");
+    }
+
+    #[test]
+    fn hostile_counts_in_extent_traces_end_in_eof_not_an_abort() {
+        let cases: [(&str, &[u32]); 6] = [
+            ("rows", &[HOSTILE]),
+            ("ticks", &[0, HOSTILE]),
+            ("queriers", &[0, 1, HOSTILE]),
+            ("velocity updates", &[0, 1, 0, HOSTILE]),
+            ("removals", &[0, 1, 0, 0, HOSTILE]),
+            ("inserts", &[0, 1, 0, 0, 0, HOSTILE]),
+        ];
+        for (what, counts) in cases {
+            let file = prefix(MAGIC_V4, &[100.0], counts);
+            assert_eof(ExtentTrace::read_from(file.as_slice()), what);
+        }
     }
 }
