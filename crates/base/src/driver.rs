@@ -32,11 +32,15 @@
 //!
 //! ## Points and rectangles
 //!
-//! The tick loop and both executors are generic over the entry table
-//! ([`Shape`]), so the intersection self-join over moving rectangles
-//! ([`run_intersect_join`] / [`run_intersect_batch_join`]) runs the same
-//! code as the point joins; only the shape's query regions and
-//! index/join methods differ (DESIGN.md §15).
+//! Both sides of the tick loop are generic over the entry table
+//! ([`Shape`]): the workload ([`Workload<T>`], moving one [`Moving<T>`]
+//! and planning [`TickActions`] applied by one [`TickActions::apply`]),
+//! and the executors. So the intersection self-join over moving
+//! rectangles ([`run_intersect_join`] / [`run_intersect_batch_join`])
+//! runs the same code as the point joins; only the shape's query regions
+//! and index/join methods differ (DESIGN.md §15). [`ExtentWorkload`] is a
+//! rectangle workload spelled without a `query_side`; a blanket impl makes
+//! each one a `Workload<ExtentTable>`.
 
 use std::time::{Duration, Instant};
 
@@ -45,7 +49,7 @@ use crate::index::SpatialIndex;
 use crate::par::{self, ExecMode};
 use crate::rng::mix64;
 use crate::stats::Summary;
-use crate::table::{EntryId, ExtentTable, MovingExtentSet, MovingSet, PointTable, Shape};
+use crate::table::{EntryId, ExtentTable, Moving, MovingExtentSet, PointTable, Shape};
 
 /// What a workload wants to happen in one tick: who queries, which objects
 /// receive which new velocities, and — for workloads with population churn
@@ -58,7 +62,7 @@ pub struct TickActions<G = Point> {
     /// the tick, i.e. after all queries ran.
     pub velocity_updates: Vec<(EntryId, f32, f32)>,
     /// Objects leaving the population this tick. Applied in the timed
-    /// update phase as a tombstone ([`MovingSet::remove`]): surviving
+    /// update phase as a tombstone ([`Moving::remove`]): surviving
     /// [`EntryId`]s never shift, so checksums stay comparable across
     /// techniques and runs (DESIGN.md §9).
     pub removals: Vec<EntryId>,
@@ -73,24 +77,25 @@ pub struct TickActions<G = Point> {
 /// whose arrivals carry a full rectangle.
 pub type ExtentTickActions = TickActions<Rect>;
 
-impl<G> TickActions<G> {
+impl<G: Copy> TickActions<G> {
     pub fn clear(&mut self) {
         self.queriers.clear();
         self.velocity_updates.clear();
         self.removals.clear();
         self.inserts.clear();
     }
-}
 
-impl TickActions {
     /// Apply this plan to `set` in the driver's canonical update-phase
     /// order: velocity updates, then departures (tombstones), then one
     /// step of movement via `workload`'s model, then arrivals (appended
     /// after movement so a new object first becomes visible at exactly
-    /// its spawn position). The trace recorder and replay harnesses call
-    /// this too — the order is load-bearing for replayed checksums, so
-    /// the extent form below repeats it step for step.
-    pub fn apply<W: Workload + ?Sized>(&self, set: &mut MovingSet, workload: &mut W) {
+    /// its spawn geometry). The trace recorder and replay harnesses call
+    /// this too — the order is load-bearing for replayed checksums.
+    pub fn apply<T, W>(&self, set: &mut Moving<T>, workload: &mut W)
+    where
+        T: Shape<Row = G>,
+        W: Workload<T> + ?Sized,
+    {
         for &(id, vx, vy) in &self.velocity_updates {
             set.set_velocity(id, Vec2::new(vx, vy));
         }
@@ -98,63 +103,49 @@ impl TickActions {
             set.remove(id);
         }
         workload.advance(set);
-        for &(p, v) in &self.inserts {
-            set.push(p, v);
+        for &(row, v) in &self.inserts {
+            set.push(row, v);
         }
     }
 }
 
-impl ExtentTickActions {
-    /// [`TickActions::apply`] for a moving-rectangle set, in the same
-    /// order.
-    pub fn apply<W: ExtentWorkload + ?Sized>(&self, set: &mut MovingExtentSet, workload: &mut W) {
-        for &(id, vx, vy) in &self.velocity_updates {
-            set.set_velocity(id, Vec2::new(vx, vy));
-        }
-        for &id in &self.removals {
-            set.remove(id);
-        }
-        workload.advance(set);
-        for &(r, v) in &self.inserts {
-            set.push(r, v);
-        }
-    }
-}
-
-/// A moving-object workload: initial population plus the per-tick action
-/// plan and movement model. Implementations live in `sj-workload`; they are
-/// deterministic functions of their seed so every technique observes the
-/// identical object trajectories and query sets.
-pub trait Workload {
+/// A moving-object workload over a relation of shape `T` (points by
+/// default): initial population plus the per-tick action plan and movement
+/// model. Implementations live in `sj-workload`; they are deterministic
+/// functions of their seed so every technique observes the identical
+/// object trajectories and query sets.
+pub trait Workload<T: Shape = PointTable> {
     /// The data space `[0, side]²` every object stays inside.
     fn space(&self) -> Rect;
 
     /// Side length of the square range queries (Table 1 "Query Size").
+    /// Unused by rectangles, whose query region is their own extent.
     fn query_side(&self) -> f32;
 
     /// Create the initial object population.
-    fn init(&mut self) -> MovingSet;
+    fn init(&mut self) -> Moving<T>;
 
     /// Decide this tick's queriers, velocity updates, and (for churn
     /// workloads) departures/arrivals. Must not mutate `set`; the driver
     /// applies the plan itself so the application cost is measured in the
     /// update phase, not hidden in the workload. Planned queriers must be
     /// live rows — a tombstone cannot issue a query.
-    fn plan_tick(&mut self, tick: u32, set: &MovingSet, actions: &mut TickActions);
+    fn plan_tick(&mut self, tick: u32, set: &Moving<T>, actions: &mut TickActions<T::Row>);
 
     /// Advance all objects one tick of movement (after updates applied).
-    /// The default is linear motion bouncing off the space boundary; the
-    /// Gaussian workload overrides it with hotspot-attracted motion.
-    fn advance(&mut self, set: &mut MovingSet) {
+    /// The default is linear motion bouncing off the space boundary
+    /// ([`Moving::advance_bouncing`]); the road-grid workload overrides it
+    /// with motion along its roads.
+    fn advance(&mut self, set: &mut Moving<T>) {
         let space = self.space();
         set.advance_bouncing(&space);
     }
 }
 
-/// A moving-rectangle workload — the `intersects` counterpart of
-/// [`Workload`]. There is no `query_side`: in the intersection self-join a
-/// querier's query region *is* its own rectangle, so the geometry travels
-/// with the data.
+/// A moving-rectangle workload without a `query_side`: in the
+/// intersection self-join a querier's query region *is* its own
+/// rectangle, so the geometry travels with the data. Every implementation
+/// is a [`Workload<ExtentTable>`] through the blanket impl below.
 pub trait ExtentWorkload {
     /// The data space every rectangle stays inside.
     fn space(&self) -> Rect;
@@ -176,62 +167,26 @@ pub trait ExtentWorkload {
     }
 }
 
-/// A workload as the tick loop drives it, over tables of shape `T`. The
-/// two public workload traits stay apart — an extent workload has no
-/// `query_side` and its sets carry rectangles — and meet the one loop
-/// through this view, implemented once for each of them.
-trait Relation<T: Shape> {
-    type Set;
-    fn space(&self) -> Rect;
-    fn query_side(&self) -> f32;
-    fn init(&mut self) -> Self::Set;
-    fn table(set: &Self::Set) -> &T;
-    fn plan_tick(&mut self, tick: u32, set: &Self::Set, actions: &mut TickActions<T::Row>);
-    fn apply(&mut self, actions: &TickActions<T::Row>, set: &mut Self::Set);
-}
-
-impl<W: Workload + ?Sized> Relation<PointTable> for W {
-    type Set = MovingSet;
-    fn space(&self) -> Rect {
-        Workload::space(self)
-    }
-    fn query_side(&self) -> f32 {
-        Workload::query_side(self)
-    }
-    fn init(&mut self) -> MovingSet {
-        Workload::init(self)
-    }
-    fn table(set: &MovingSet) -> &PointTable {
-        &set.positions
-    }
-    fn plan_tick(&mut self, tick: u32, set: &MovingSet, actions: &mut TickActions) {
-        Workload::plan_tick(self, tick, set, actions);
-    }
-    fn apply(&mut self, actions: &TickActions, set: &mut MovingSet) {
-        actions.apply(set, self);
-    }
-}
-
-impl<W: ExtentWorkload + ?Sized> Relation<ExtentTable> for W {
-    type Set = MovingExtentSet;
+impl<W: ExtentWorkload + ?Sized> Workload<ExtentTable> for W {
     fn space(&self) -> Rect {
         ExtentWorkload::space(self)
     }
+
     /// Unused: a rectangle's query region is its own extent.
     fn query_side(&self) -> f32 {
         0.0
     }
+
     fn init(&mut self) -> MovingExtentSet {
         ExtentWorkload::init(self)
     }
-    fn table(set: &MovingExtentSet) -> &ExtentTable {
-        &set.extents
-    }
+
     fn plan_tick(&mut self, tick: u32, set: &MovingExtentSet, actions: &mut ExtentTickActions) {
         ExtentWorkload::plan_tick(self, tick, set, actions);
     }
-    fn apply(&mut self, actions: &ExtentTickActions, set: &mut MovingExtentSet) {
-        actions.apply(set, self);
+
+    fn advance(&mut self, set: &mut MovingExtentSet) {
+        ExtentWorkload::advance(self, set);
     }
 }
 
@@ -457,8 +412,8 @@ fn drive<T, W, Q, E>(
 ) -> RunStats
 where
     T: Shape,
-    W: Relation<T> + ?Sized,
-    Q: Relation<T, Set = W::Set> + ?Sized,
+    W: Workload<T> + ?Sized,
+    Q: Workload<T> + ?Sized,
     E: TickExecutor<T>,
 {
     let mut s = data_workload.init();
@@ -504,15 +459,15 @@ where
         // Phase 1: build the static index over the previous tick's state
         // of the data relation.
         let t0 = Instant::now();
-        exec.build(W::table(&s), &space, query_side, cfg.exec);
+        exec.build(&s.table, &space, query_side, cfg.exec);
         let build = t0.elapsed();
 
         let (queriers, centers): (&[EntryId], &T) = match r.as_ref() {
-            Some(r_set) => (&r_actions.queriers, Q::table(r_set)),
-            None => (&actions.queriers, W::table(&s)),
+            Some(r_set) => (&r_actions.queriers, &r_set.table),
+            None => (&actions.queriers, &s.table),
         };
         let ctx = TickCtx {
-            data: W::table(&s),
+            data: &s.table,
             centers,
             queriers,
             space: &space,
@@ -536,9 +491,9 @@ where
         // relation first, then the query relation, each through its own
         // workload's movement model.
         let t0 = Instant::now();
-        data_workload.apply(&actions, &mut s);
+        actions.apply(&mut s, data_workload);
         if let (Some(w), Some(r_set)) = (query_rel.as_deref_mut(), r.as_mut()) {
-            w.apply(&r_actions, r_set);
+            r_actions.apply(r_set, w);
         }
         let update = t0.elapsed();
 
@@ -826,7 +781,7 @@ pub fn run_bipartite_batch_join<J: crate::batch::BatchJoin + ?Sized>(
 /// are bit-identical, exactly as in [`run_join`]. No bipartite form: the
 /// paper's setting and the two-layer literature both evaluate the
 /// self-join.
-pub fn run_intersect_join<W: ExtentWorkload + ?Sized, I: SpatialIndex + Sync + ?Sized>(
+pub fn run_intersect_join<W: Workload<ExtentTable> + ?Sized, I: SpatialIndex + Sync + ?Sized>(
     workload: &mut W,
     index: &mut I,
     cfg: DriverConfig,
@@ -848,7 +803,10 @@ pub fn run_intersect_join<W: ExtentWorkload + ?Sized, I: SpatialIndex + Sync + ?
 /// [`run_intersect_join`]: the tick's whole query set goes to
 /// [`crate::batch::BatchJoin::join_extents`] in one call. Panics up front
 /// if the technique does not implement the predicate.
-pub fn run_intersect_batch_join<W: ExtentWorkload + ?Sized, J: crate::batch::BatchJoin + ?Sized>(
+pub fn run_intersect_batch_join<
+    W: Workload<ExtentTable> + ?Sized,
+    J: crate::batch::BatchJoin + ?Sized,
+>(
     workload: &mut W,
     join: &mut J,
     cfg: DriverConfig,
@@ -866,7 +824,7 @@ mod tests {
     use super::*;
     use crate::geom::{Point, Vec2};
     use crate::index::ScanIndex;
-    use crate::table::PointTable;
+    use crate::table::{MovingSet, PointTable};
 
     /// A deterministic toy workload: k fixed points, everybody queries
     /// every tick, nobody updates.
@@ -1297,7 +1255,7 @@ mod tests {
         ) {
             actions
                 .queriers
-                .extend((0..set.extents.len() as EntryId).filter(|&q| set.is_live(q)));
+                .extend((0..set.len() as EntryId).filter(|&q| set.is_live(q)));
         }
     }
 
@@ -1385,7 +1343,7 @@ mod tests {
             }
             fn plan_tick(&mut self, tick: u32, set: &MovingExtentSet, a: &mut ExtentTickActions) {
                 a.queriers
-                    .extend((0..set.extents.len() as EntryId).filter(|&q| set.is_live(q)));
+                    .extend((0..set.len() as EntryId).filter(|&q| set.is_live(q)));
                 if tick == 0 {
                     a.removals.push(1);
                     a.inserts

@@ -22,13 +22,14 @@
 //!
 //! A third mode partitions **space** instead of the query list
 //! ([`ExecMode::Partitioned`], DESIGN.md §13–14): the data space is tiled
-//! ([`crate::tile::TileGrid`]), both relations are replicated into every
-//! tile their query region overlaps, and each tile builds its own private
-//! index ([`tiled_index_build`]/[`tiled_index_query`]) or runs its own
-//! batch join ([`tiled_batch_join`]) — no shared structure at all, the
+//! ([`crate::tile::TileGrid`]), each data row is replicated into the tiles
+//! its own extent overlaps (a point into its home tile only), each query
+//! is sent to every tile its region overlaps, and each tile builds its own
+//! private index ([`tiled_index_build`]/[`tiled_index_query`]) or runs its
+//! own batch join ([`tiled_batch_join`]) — no shared structure at all, the
 //! design of Tsitsigkos & Mamoulis. The reference-point rule (emit a pair
 //! only in the tile of its intersection's lower-left corner) makes each
-//! pair surface exactly once despite the replication.
+//! pair surface exactly once despite a rectangle's replicas.
 //!
 //! Every phase here is generic over the entry table ([`Shape`]): points
 //! and rectangles run the same scheduler, and the shape supplies only its
@@ -528,7 +529,7 @@ impl<T> TileIndexPool<T> {
 
 /// The space-partitioned build phase of the per-query category: tile the
 /// space (resolving an adaptive [`Tiling`] from the live data), replicate
-/// the table's live rows into the tiles their query region overlaps
+/// the table's live rows into the tiles their own extent overlaps
 /// ([`replicate_by_extent`]), and (re)build every tile's private fork of
 /// `proto` over its replica. Builds are stolen tile-at-a-time by a pool of
 /// `min(workers, tiles)` scoped threads — a tile build needs `&mut` access
@@ -556,7 +557,7 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
         });
     }
     pool.workers.truncate(grid.tiles());
-    replicate_by_extent(table, &grid, query_side, &mut pool.replicas);
+    replicate_by_extent(table, &grid, &mut pool.replicas);
     let cap = pool_cap(workers, grid.tiles(), grid.tiles());
     // Each build mutates its tile's fork, so the work items carry `&mut`
     // state behind per-tile mutexes: the cursor hands every index to
@@ -692,8 +693,8 @@ impl<T> TileBatchPool<T> {
 
 /// The space-partitioned query phase of the set-at-a-time category: tile
 /// the space (resolving an adaptive [`Tiling`] from the live data — per
-/// call, i.e. per tick), replicate the data relation's live rows by query
-/// region, assign each pre-built query to every tile its region overlaps,
+/// call, i.e. per tick), replicate the data relation's live rows by their
+/// own extent, assign each pre-built query to every tile its region overlaps,
 /// decompose the assignments into tile-granular mini-joins (one per
 /// populated tile; see the chunking comment in the body for why this
 /// category must not split below the tile), and drain the queue with a
@@ -717,7 +718,7 @@ pub fn tiled_batch_join<J: BatchJoin + ?Sized, T: Shape>(
     pool: &mut TileBatchPool<T>,
 ) -> (u64, u64) {
     let grid = TileGrid::new(space, tiles.resolve(data, space, query_side));
-    replicate_by_extent(data, &grid, query_side, &mut pool.replicas);
+    replicate_by_extent(data, &grid, &mut pool.replicas);
     pool.tile_queries.resize_with(grid.tiles(), Vec::new);
     pool.tile_queries.truncate(grid.tiles());
     pool.tile_qids.resize_with(grid.tiles(), Vec::new);

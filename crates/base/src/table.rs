@@ -18,6 +18,14 @@
 //! across runs regardless of when removals happen (DESIGN.md §9). Indexes
 //! must skip dead rows when they (re)build, and scan-style techniques must
 //! skip them at query time; [`PointTable::iter`] yields live rows only.
+//!
+//! ## Two shapes, one moving set
+//!
+//! Points ([`PointTable`]) and rectangles ([`ExtentTable`]) share that
+//! contract ([`Table`]) and differ only in what [`Shape`] decides. A
+//! relation in motion is one [`Moving`] of either shape: the table plus
+//! per-row velocities and one bouncing movement model, under which a point
+//! moves exactly like a zero-size rectangle.
 
 use std::num::NonZeroUsize;
 
@@ -111,7 +119,7 @@ pub trait Table {
 }
 
 /// Structure-of-arrays base table of object positions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PointTable {
     xs: Vec<f32>,
     ys: Vec<f32>,
@@ -292,7 +300,7 @@ impl Table for PointTable {
 /// `x1/x2/y1/y2` as contiguous lanes exactly like the point filter reads
 /// `x/y` (the SIMD overlap kernel in [`crate::simd`] depends on this
 /// layout).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExtentTable {
     x1s: Vec<f32>,
     y1s: Vec<f32>,
@@ -460,14 +468,17 @@ impl Table for ExtentTable {
     }
 }
 
-/// What the join pipeline decides differently for the two entry shapes,
-/// and nothing else. The tick loop, both executors, the sharded and tiled
-/// query phases and tile replication are generic over it, so points and
-/// rectangles run one implementation; [`PointTable`] and [`ExtentTable`]
-/// are its only implementations (DESIGN.md §15). It decides:
+/// What the join pipeline and the moving set decide differently for the
+/// two entry shapes, and nothing else. The tick loop, both executors, the
+/// sharded and tiled query phases, tile replication and the movement
+/// model ([`Moving`]) are generic over it, so points and rectangles run
+/// one implementation; [`PointTable`] and [`ExtentTable`] are its only
+/// implementations (DESIGN.md §15). It decides:
 ///
-/// - the **query region** of a row, which is also the extent a row is
-///   replicated by under tiling ([`Shape::query_region`]);
+/// - the **query region** of a row ([`Shape::query_region`]);
+/// - the row's **own extent**, which tiling replicates it by and movement
+///   keeps the size of ([`Shape::extent`], [`Shape::size`],
+///   [`Shape::move_to`]);
 /// - the **reference point** of an emitted candidate, whose canonical tile
 ///   alone reports it ([`Shape::corners`], [`Shape::reference_point`]);
 /// - the `@tilesauto` tile count ([`Shape::auto_tile_count`]);
@@ -475,15 +486,30 @@ impl Table for ExtentTable {
 ///
 /// Every method is generic or inlined, so the timed paths stay
 /// monomorphised per table type: choosing the shape costs no `dyn` call.
-pub trait Shape: Table + Default + Sync {
+pub trait Shape: Table + Clone + std::fmt::Debug + Default + PartialEq + Sync {
     /// One row's geometry: a [`Point`] or a [`Rect`].
-    type Row: Copy + Default;
+    type Row: Copy + std::fmt::Debug + Default + PartialEq;
+
+    /// An empty table with room for `n` rows.
+    fn with_capacity(n: usize) -> Self;
 
     /// Row `id`'s geometry.
     fn row(&self, id: EntryId) -> Self::Row;
 
     /// Append a live row and return its handle.
     fn push_row(&mut self, row: Self::Row) -> EntryId;
+
+    /// Row `id`'s own geometry as a rectangle: a point is the zero-area
+    /// rectangle at its coordinates.
+    fn extent(&self, id: EntryId) -> Rect;
+
+    /// Row `id`'s width and height. A point's are the constant zero, so
+    /// the bounce's size-reduced interval folds to the space itself.
+    fn size(&self, id: EntryId) -> (f32, f32);
+
+    /// Move row `id` so its lower-left corner is `corner`, keeping its
+    /// size.
+    fn move_to(&mut self, id: EntryId, corner: Point);
 
     /// The region row `q` queries with. `space` bounds the data and
     /// `query_side` is the workload's query size; a shape ignores what it
@@ -534,6 +560,10 @@ pub trait Shape: Table + Default + Sync {
 impl Shape for PointTable {
     type Row = Point;
 
+    fn with_capacity(n: usize) -> Self {
+        PointTable::with_capacity(n)
+    }
+
     #[inline]
     fn row(&self, id: EntryId) -> Point {
         self.point(id)
@@ -542,6 +572,21 @@ impl Shape for PointTable {
     #[inline]
     fn push_row(&mut self, p: Point) -> EntryId {
         self.push(p.x, p.y)
+    }
+
+    #[inline]
+    fn extent(&self, id: EntryId) -> Rect {
+        Rect::at_point(self.x(id), self.y(id))
+    }
+
+    #[inline]
+    fn size(&self, _id: EntryId) -> (f32, f32) {
+        (0.0, 0.0)
+    }
+
+    #[inline]
+    fn move_to(&mut self, id: EntryId, corner: Point) {
+        self.set_position(id, corner.x, corner.y);
     }
 
     #[inline]
@@ -599,6 +644,10 @@ impl Shape for PointTable {
 impl Shape for ExtentTable {
     type Row = Rect;
 
+    fn with_capacity(n: usize) -> Self {
+        ExtentTable::with_capacity(n)
+    }
+
     #[inline]
     fn row(&self, id: EntryId) -> Rect {
         self.rect(id)
@@ -607,6 +656,26 @@ impl Shape for ExtentTable {
     #[inline]
     fn push_row(&mut self, r: Rect) -> EntryId {
         self.push(r)
+    }
+
+    #[inline]
+    fn extent(&self, id: EntryId) -> Rect {
+        self.rect(id)
+    }
+
+    #[inline]
+    fn size(&self, id: EntryId) -> (f32, f32) {
+        let r = self.rect(id);
+        (r.width(), r.height())
+    }
+
+    #[inline]
+    fn move_to(&mut self, id: EntryId, corner: Point) {
+        let (w, h) = self.size(id);
+        self.set_rect(
+            id,
+            Rect::new(corner.x, corner.y, corner.x + w, corner.y + h),
+        );
     }
 
     #[inline]
@@ -655,60 +724,67 @@ impl Shape for ExtentTable {
     }
 }
 
-/// The full moving-object state: positions plus per-object velocities.
-/// Velocities live outside [`PointTable`] because no index ever reads them —
-/// only the workload's movement model does.
+/// The moving-object state of one relation: a table of either shape plus
+/// per-row velocities. Velocities live outside the table because no index
+/// ever reads them — only the workload's movement model does. A velocity
+/// translates the whole row; a rectangle's size never changes after
+/// insertion.
 #[derive(Clone, Debug, Default)]
-pub struct MovingSet {
-    pub positions: PointTable,
+pub struct Moving<T> {
+    pub table: T,
     pub vx: Vec<f32>,
     pub vy: Vec<f32>,
 }
 
-impl MovingSet {
+/// Moving points, the paper's relation.
+pub type MovingSet = Moving<PointTable>;
+
+/// Moving rectangles, the relation of the intersection join.
+pub type MovingExtentSet = Moving<ExtentTable>;
+
+impl<T: Shape> Moving<T> {
     pub fn with_capacity(n: usize) -> Self {
-        MovingSet {
-            positions: PointTable::with_capacity(n),
+        Moving {
+            table: T::with_capacity(n),
             vx: Vec::with_capacity(n),
             vy: Vec::with_capacity(n),
         }
     }
 
-    pub fn push(&mut self, p: Point, v: Vec2) -> EntryId {
-        let id = self.positions.push(p.x, p.y);
+    pub fn push(&mut self, row: T::Row, v: Vec2) -> EntryId {
+        let id = self.table.push_row(row);
         self.vx.push(v.x);
         self.vy.push(v.y);
         id
     }
 
-    /// Total number of row slots, dead rows included (see
-    /// [`PointTable::len`]).
+    /// Total number of row slots, dead rows included (see [`Table::len`]).
     #[inline]
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.table.len()
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.table.is_empty()
     }
 
-    /// Tombstone object `id` (see [`PointTable::remove`]): its position and
+    /// Tombstone object `id` (see [`Table::remove`]): its geometry and
     /// velocity freeze, its handle is never reused, and the movement model
     /// skips it from now on. Returns whether it was live.
     pub fn remove(&mut self, id: EntryId) -> bool {
-        self.positions.remove(id)
+        self.table.remove(id)
     }
 
     #[inline]
     pub fn is_live(&self, id: EntryId) -> bool {
-        self.positions.is_live(id)
+        self.table.is_live(id)
     }
 
     /// Number of live objects.
     #[inline]
     pub fn live_len(&self) -> usize {
-        self.positions.live_len()
+        self.table.live_len()
     }
 
     #[inline]
@@ -722,122 +798,20 @@ impl MovingSet {
         self.vy[id as usize] = v.y;
     }
 
-    /// Advance every object by one tick of linear motion, reflecting off
-    /// the boundary of `space` ("bounce") so the population stays inside
-    /// the data space with its distribution intact.
+    /// Advance every live row one tick of linear motion, reflecting its
+    /// lower-left corner off the size-reduced interval `[space.x1,
+    /// space.x2 - width]` (ditto for y) so the **whole** row bounces inside
+    /// `space` with its size intact ("bounce"). A point has zero size, so
+    /// its interval is the space itself. A row wider or taller than the
+    /// space pins to the low corner (it cannot fit).
     pub fn advance_bouncing(&mut self, space: &Rect) {
-        let n = self.len();
-        for i in 0..n {
-            if !self.positions.is_live(entry_id(i)) {
-                continue;
-            }
-            let mut x = self.positions.xs()[i] + self.vx[i];
-            let mut y = self.positions.ys()[i] + self.vy[i];
-            if x < space.x1 {
-                x = space.x1 + (space.x1 - x);
-                self.vx[i] = -self.vx[i];
-            } else if x > space.x2 {
-                x = space.x2 - (x - space.x2);
-                self.vx[i] = -self.vx[i];
-            }
-            if y < space.y1 {
-                y = space.y1 + (space.y1 - y);
-                self.vy[i] = -self.vy[i];
-            } else if y > space.y2 {
-                y = space.y2 - (y - space.y2);
-                self.vy[i] = -self.vy[i];
-            }
-            // A reflection can only leave the space if speed exceeds the
-            // space side; clamp defensively so the invariant always holds.
-            x = x.clamp(space.x1, space.x2);
-            y = y.clamp(space.y1, space.y2);
-            self.positions.set_position(entry_id(i), x, y);
-        }
-    }
-}
-
-/// The moving-rectangle state: extents plus per-object velocities — the
-/// extent analogue of [`MovingSet`]. A velocity translates the whole
-/// rectangle; sizes never change after insertion.
-#[derive(Clone, Debug, Default)]
-pub struct MovingExtentSet {
-    pub extents: ExtentTable,
-    pub vx: Vec<f32>,
-    pub vy: Vec<f32>,
-}
-
-impl MovingExtentSet {
-    pub fn with_capacity(n: usize) -> Self {
-        MovingExtentSet {
-            extents: ExtentTable::with_capacity(n),
-            vx: Vec::with_capacity(n),
-            vy: Vec::with_capacity(n),
-        }
-    }
-
-    pub fn push(&mut self, r: Rect, v: Vec2) -> EntryId {
-        let id = self.extents.push(r);
-        self.vx.push(v.x);
-        self.vy.push(v.y);
-        id
-    }
-
-    /// Total number of row slots, dead rows included (see
-    /// [`ExtentTable::len`]).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.extents.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
-    }
-
-    /// Tombstone object `id` (see [`ExtentTable::remove`]); its rectangle
-    /// and velocity freeze, its handle is never reused. Returns whether
-    /// it was live.
-    pub fn remove(&mut self, id: EntryId) -> bool {
-        self.extents.remove(id)
-    }
-
-    #[inline]
-    pub fn is_live(&self, id: EntryId) -> bool {
-        self.extents.is_live(id)
-    }
-
-    /// Number of live objects.
-    #[inline]
-    pub fn live_len(&self) -> usize {
-        self.extents.live_len()
-    }
-
-    #[inline]
-    pub fn velocity(&self, id: EntryId) -> Vec2 {
-        Vec2::new(self.vx[id as usize], self.vy[id as usize])
-    }
-
-    #[inline]
-    pub fn set_velocity(&mut self, id: EntryId, v: Vec2) {
-        self.vx[id as usize] = v.x;
-        self.vy[id as usize] = v.y;
-    }
-
-    /// Advance every rectangle one tick of linear motion, reflecting the
-    /// lower-left corner off the size-reduced interval
-    /// `[space.x1, space.x2 - width]` (ditto for y) so the **whole**
-    /// rectangle bounces inside `space` with its size intact — the extent
-    /// analogue of [`MovingSet::advance_bouncing`]. A rectangle wider or
-    /// taller than the space pins to the low corner (it cannot fit).
-    pub fn advance_bouncing(&mut self, space: &Rect) {
-        let n = self.len();
-        for i in 0..n {
+        for i in 0..self.len() {
             let id = entry_id(i);
-            if !self.extents.is_live(id) {
+            if !self.table.is_live(id) {
                 continue;
             }
-            let r = self.extents.rect(id);
-            let (w, h) = (r.width(), r.height());
+            let r = self.table.extent(id);
+            let (w, h) = self.table.size(id);
             let hix = (space.x2 - w).max(space.x1);
             let hiy = (space.y2 - h).max(space.y1);
             let mut x = r.x1 + self.vx[i];
@@ -856,11 +830,11 @@ impl MovingExtentSet {
                 y = hiy - (y - hiy);
                 self.vy[i] = -self.vy[i];
             }
-            // A reflection can only escape the reduced interval if speed
-            // exceeds its length; clamp defensively, as the point set does.
+            // A reflection can only escape the interval if speed exceeds
+            // its length; clamp defensively so the invariant always holds.
             x = x.clamp(space.x1, hix);
             y = y.clamp(space.y1, hiy);
-            self.extents.set_rect(id, Rect::new(x, y, x + w, y + h));
+            self.table.move_to(id, Point::new(x, y));
         }
     }
 }
@@ -903,7 +877,7 @@ mod tests {
         let mut s = MovingSet::default();
         s.push(Point::new(10.0, 10.0), Vec2::new(1.0, -2.0));
         s.advance_bouncing(&Rect::space(100.0));
-        assert_eq!(s.positions.point(0), Point::new(11.0, 8.0));
+        assert_eq!(s.table.point(0), Point::new(11.0, 8.0));
     }
 
     #[test]
@@ -912,7 +886,7 @@ mod tests {
         s.push(Point::new(1.0, 99.0), Vec2::new(-3.0, 3.0));
         s.advance_bouncing(&Rect::space(100.0));
         // x: 1 - 3 = -2 -> reflect to 2; y: 99 + 3 = 102 -> reflect to 98.
-        assert_eq!(s.positions.point(0), Point::new(2.0, 98.0));
+        assert_eq!(s.table.point(0), Point::new(2.0, 98.0));
         assert_eq!(s.velocity(0), Vec2::new(3.0, -3.0));
     }
 
@@ -959,8 +933,8 @@ mod tests {
         assert!(s.remove(a));
         assert_eq!(s.live_len(), 1);
         s.advance_bouncing(&Rect::space(100.0));
-        assert_eq!(s.positions.point(a), Point::new(10.0, 10.0), "frozen");
-        assert_eq!(s.positions.point(b), Point::new(21.0, 21.0));
+        assert_eq!(s.table.point(a), Point::new(10.0, 10.0), "frozen");
+        assert_eq!(s.table.point(b), Point::new(21.0, 21.0));
     }
 
     #[test]
@@ -970,7 +944,7 @@ mod tests {
         s.push(Point::new(25.0, 25.0), Vec2::new(13.0, -17.0));
         for _ in 0..1000 {
             s.advance_bouncing(&space);
-            let p = s.positions.point(0);
+            let p = s.table.point(0);
             assert!(space.contains_point(p.x, p.y), "escaped at {p:?}");
         }
     }
@@ -1046,8 +1020,38 @@ mod tests {
         // [0, 100 - 4] = [0, 96]: 95 + 3 = 98 -> reflect to 94.
         s.push(Rect::new(1.0, 95.0, 3.0, 99.0), Vec2::new(-3.0, 3.0));
         s.advance_bouncing(&space);
-        assert_eq!(s.extents.rect(0), Rect::new(2.0, 94.0, 4.0, 98.0));
+        assert_eq!(s.table.rect(0), Rect::new(2.0, 94.0, 4.0, 98.0));
         assert_eq!(s.velocity(0), Vec2::new(3.0, -3.0));
+    }
+
+    #[test]
+    fn a_zero_size_rectangle_bounces_exactly_like_a_point() {
+        let space = Rect::space(50.0);
+        let mut points = MovingSet::default();
+        let mut rects = MovingExtentSet::default();
+        for (p, v) in [
+            (Point::new(25.0, 25.0), Vec2::new(13.0, -17.0)),
+            (Point::new(0.5, 49.5), Vec2::new(-3.3, 2.9)),
+        ] {
+            points.push(p, v);
+            rects.push(Rect::at_point(p.x, p.y), v);
+        }
+        for _ in 0..500 {
+            points.advance_bouncing(&space);
+            rects.advance_bouncing(&space);
+            for id in 0..2 {
+                let (p, r) = (points.table.point(id), rects.table.rect(id));
+                assert_eq!(
+                    (p.x.to_bits(), p.y.to_bits()),
+                    (r.x1.to_bits(), r.y1.to_bits())
+                );
+                assert_eq!(
+                    (r.x2.to_bits(), r.y2.to_bits()),
+                    (r.x1.to_bits(), r.y1.to_bits())
+                );
+                assert_eq!(points.velocity(id), rects.velocity(id));
+            }
+        }
     }
 
     #[test]
@@ -1059,14 +1063,10 @@ mod tests {
         s.remove(a);
         for _ in 0..500 {
             s.advance_bouncing(&space);
-            let r = s.extents.rect(b);
+            let r = s.table.rect(b);
             assert!(space.contains_rect(&r), "escaped at {r:?}");
             assert_eq!((r.width(), r.height()), (1.0, 1.0), "size drifted");
         }
-        assert_eq!(
-            s.extents.rect(a),
-            Rect::new(10.0, 10.0, 14.0, 12.0),
-            "frozen"
-        );
+        assert_eq!(s.table.rect(a), Rect::new(10.0, 10.0, 14.0, 12.0), "frozen");
     }
 }

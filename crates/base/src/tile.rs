@@ -1,5 +1,6 @@
 //! Space partitioning for [`crate::par::ExecMode::Partitioned`]: tile
-//! geometry, extent replication, and the reference-point rule.
+//! geometry, replication by a row's own extent, and the reference-point
+//! rule.
 //!
 //! This module is pure geometry and bookkeeping — no threads. The
 //! thread-spawning tiled executors live in [`crate::par`] (the only module
@@ -8,25 +9,29 @@
 //! ## The scheme (DESIGN.md §13)
 //!
 //! The data space is split into an `nx × ny` grid of `N` tiles
-//! ([`TileGrid`]). Every row is **replicated** into every tile its query
-//! region overlaps ([`replicate_by_extent`]; the region is the shape's
-//! [`Shape::query_region`] — a point's clipped centred square, a
-//! rectangle's own extent), and queriers are assigned to tiles by the same
-//! rule. Each tile then joins its local replicas independently, which
-//! double-reports any pair whose two sides straddle a boundary. The
-//! **reference-point rule** restores exactness: tile `T` emits a candidate
-//! `(q, r)` only if the corner `(max(q.x1, r.x1), max(q.y1, r.y1))` of the
-//! pair's intersection lies in `T` ([`Shape::reference_point`]). A point
-//! is the zero-area rectangle at its coordinates, so for a point `r`
-//! inside `q`'s region that corner is `r` itself. Coverage and uniqueness
-//! both follow from one fact — the per-axis tile index is a monotone
-//! function of the coordinate, so `axis_index(max(a, b)) =
-//! max(axis_index(a), axis_index(b))`:
+//! ([`TileGrid`]). Every data row is **replicated** into every tile its
+//! own extent overlaps ([`replicate_by_extent`], [`Shape::extent`]): a
+//! point lives in its home tile only, a rectangle in every tile it
+//! straddles. Queriers fan out instead: each is assigned to every tile its
+//! query region ([`Shape::query_region`]) overlaps. Each tile then joins
+//! its queriers against its local replicas independently. The
+//! **reference-point rule** makes the union exact: tile `T` emits a
+//! candidate `(q, r)` only if the corner `(max(q.x1, r.x1), max(q.y1,
+//! r.y1))` of the pair's intersection lies in `T`
+//! ([`Shape::reference_point`]). Coverage and uniqueness both follow from
+//! one fact — the per-axis tile index is a monotone function of the
+//! coordinate, so `axis_index(max(a, b)) = max(axis_index(a),
+//! axis_index(b))`:
 //!
 //! - *coverage*: the corner lies inside both `q`'s region and `r`'s own
-//!   replication region, so its tile is in both covers: querier `q`
-//!   visits it and `r` is resident there; the pair is found there;
+//!   extent, so its tile is in both covers: querier `q` visits it and `r`
+//!   is resident there; the pair is found there;
 //! - *uniqueness*: the filter accepts it in that tile and nowhere else.
+//!
+//! A point is the zero-area rectangle at its coordinates, so for a point
+//! `r` inside `q`'s region the corner is `r` itself, whose tile is the
+//! only one holding `r`: the filter always passes for points and matters
+//! only for rectangles, whose replicas would otherwise double-report.
 //!
 //! Checksums are unperturbed because each pair is emitted exactly once with
 //! its *global* ids ([`TileReplica::to_global`]) and the driver's checksum
@@ -126,6 +131,7 @@ impl TileGrid {
     /// range contains [`TileGrid::tile_of`] of every point in `region` —
     /// the containment [`replicate_by_extent`] and querier assignment
     /// rely on.
+    #[inline]
     pub fn cover(&self, region: &Rect) -> TileCover {
         let ix0 = axis_index(region.x1 - self.bounds.x1, self.tile_w, self.nx);
         let ix1 = axis_index(region.x2 - self.bounds.x1, self.tile_w, self.nx);
@@ -221,13 +227,13 @@ impl<T: Shape> TileReplica<T> {
 }
 
 /// Partition `table`'s **live** rows into per-tile replicas: each row goes
-/// to every tile its query region ([`Shape::query_region`], clipped to the
-/// grid's space for points) overlaps. `replicas` is resized to the grid
-/// and reused across ticks — steady-state partitioning allocates nothing.
+/// to every tile its own extent ([`Shape::extent`]) overlaps — a point to
+/// its canonical tile only, a rectangle to every tile it straddles.
+/// `replicas` is resized to the grid and reused across ticks —
+/// steady-state partitioning allocates nothing.
 pub fn replicate_by_extent<T: Shape>(
     table: &T,
     grid: &TileGrid,
-    query_side: f32,
     replicas: &mut Vec<TileReplica<T>>,
 ) {
     replicas.resize_with(grid.tiles(), TileReplica::default);
@@ -239,7 +245,7 @@ pub fn replicate_by_extent<T: Shape>(
     for i in (0..table.len()).filter(|&i| all_live || live[i]) {
         let id = entry_id(i);
         let row = table.row(id);
-        for t in grid.cover(&table.query_region(id, query_side, grid.bounds())) {
+        for t in grid.cover(&table.extent(id)) {
             replicas[t].push(row, id);
         }
     }
@@ -303,8 +309,8 @@ const AUTO_SKEW_THRESHOLD: f64 = 4.0;
 /// Pick a tile count from the observed data: `live / 2048` as the base
 /// (clamped to `1..=64`), doubled when a strided-sample density histogram
 /// shows a hotspot, and capped so no tile axis is narrower than the query
-/// extent (tiles thinner than a query replicate nearly every row into
-/// several tiles, which costs more than the parallelism returns).
+/// extent (tiles thinner than a query send nearly every query to several
+/// tiles, which costs more than the parallelism returns).
 ///
 /// The policy is deterministic — strided sampling, no RNG — and the result
 /// only sizes the grid: the reference-point rule makes join results
@@ -503,33 +509,28 @@ mod tests {
         let space = Rect::space(100.0);
         let g = TileGrid::new(&space, tiles(4));
         let mut t = PointTable::default();
-        let a = t.push(20.0, 20.0); // interior to tile 0
-        let b = t.push(50.0, 50.0); // center: replicated everywhere
+        t.push(20.0, 20.0); // interior to tile 0
+        t.push(50.0, 50.0); // on the four-tile corner: tile 3 by the tie rule
+        t.push(49.0, 51.0); // a query around it would straddle all four tiles
         let dead = t.push(80.0, 80.0);
         t.remove(dead);
 
         let mut replicas = Vec::new();
-        replicate_by_extent(&t, &g, 10.0, &mut replicas);
+        replicate_by_extent(&t, &g, &mut replicas);
         assert_eq!(replicas.len(), 4);
 
-        // Every live row is resident in its canonical tile.
+        // Every live point is resident in its canonical tile and nowhere
+        // else, however close to an edge it sits.
         for (id, p) in t.iter() {
-            let home = g.tile_of(p.x, p.y);
-            assert!(
-                replicas[home].to_global.contains(&id),
-                "row {id} missing from home tile {home}"
-            );
+            let holding: Vec<usize> = (0..4)
+                .filter(|&tile| replicas[tile].to_global.contains(&id))
+                .collect();
+            assert_eq!(holding, vec![g.tile_of(p.x, p.y)], "row {id}");
         }
-        // The straddler is in all four replica sets; the corner point in one.
         for r in &replicas {
-            assert!(r.to_global.contains(&b));
             assert_eq!(r.table.len(), r.to_global.len());
             assert!(r.table.all_live(), "replicas hold live rows only");
         }
-        assert_eq!(
-            replicas.iter().filter(|r| r.to_global.contains(&a)).count(),
-            1
-        );
         // The tombstone is nowhere — including the tile it used to live in.
         for r in &replicas {
             assert!(!r.to_global.contains(&dead));
@@ -545,11 +546,11 @@ mod tests {
             t.push(i as f32 * 10.0, 50.0);
         }
         let mut replicas = Vec::new();
-        replicate_by_extent(&t, &g, 8.0, &mut replicas);
+        replicate_by_extent(&t, &g, &mut replicas);
         let first: Vec<usize> = replicas.iter().map(|r| r.table.len()).collect();
         // Repartitioning the same table must reproduce the same replica
         // sets (no stale rows from the previous tick).
-        replicate_by_extent(&t, &g, 8.0, &mut replicas);
+        replicate_by_extent(&t, &g, &mut replicas);
         let second: Vec<usize> = replicas.iter().map(|r| r.table.len()).collect();
         assert_eq!(first, second);
     }
@@ -673,7 +674,7 @@ mod tests {
         t.remove(dead);
 
         let mut replicas = Vec::new();
-        replicate_by_extent(&t, &g, 0.0, &mut replicas);
+        replicate_by_extent(&t, &g, &mut replicas);
         assert_eq!(replicas.len(), 4);
 
         let holding = |id: EntryId| {
@@ -761,7 +762,7 @@ mod tests {
         t.push(10.0, 10.0);
         t.push(90.0, 90.0);
         let mut replicas = Vec::new();
-        replicate_by_extent(&t, &g, 1.0, &mut replicas);
+        replicate_by_extent(&t, &g, &mut replicas);
         let populated = replicas.iter().filter(|r| !r.table.is_empty()).count();
         assert!((2..=8).contains(&populated));
         let total: usize = replicas.iter().map(|r| r.table.len()).sum();

@@ -262,7 +262,7 @@ proptest! {
         let mut s = MovingSet::default();
         s.push(Point::new(x, y), Vec2::new(vx, vy));
         s.advance_bouncing(&space);
-        let p = s.positions.point(0);
+        let p = s.table.point(0);
         prop_assert!(space.contains_point(p.x, p.y), "escaped to {p:?}");
         let v = s.velocity(0);
         if x + vx < space.x1 {
@@ -288,7 +288,7 @@ proptest! {
         s.push(Point::new(x, y), Vec2::new(vx, vy));
         for step in 0..64 {
             s.advance_bouncing(&space);
-            let p = s.positions.point(0);
+            let p = s.table.point(0);
             prop_assert!(
                 space.contains_point(p.x, p.y),
                 "escaped at step {step}: {p:?} with v=({vx},{vy})"
@@ -315,7 +315,7 @@ proptest! {
             );
         }
         let before: Vec<(Point, Vec2)> = (0..n as u32)
-            .map(|id| (s.positions.point(id), s.velocity(id)))
+            .map(|id| (s.table.point(id), s.velocity(id)))
             .collect();
         let doomed: Vec<u32> = (0..n as u32).filter(|id| remove_mask >> (id % 64) & 1 == 1).collect();
         for &id in &doomed {
@@ -325,11 +325,11 @@ proptest! {
         for id in 0..n as u32 {
             prop_assert_eq!(s.is_live(id), !doomed.contains(&id));
             // Dead or alive, the slot's contents are frozen in place.
-            prop_assert_eq!(s.positions.point(id), before[id as usize].0);
+            prop_assert_eq!(s.table.point(id), before[id as usize].0);
             prop_assert_eq!(s.velocity(id), before[id as usize].1);
         }
         // Live iteration yields exactly the survivors, in id order.
-        let live: Vec<u32> = s.positions.iter().map(|(id, _)| id).collect();
+        let live: Vec<u32> = s.table.iter().map(|(id, _)| id).collect();
         let expect: Vec<u32> = (0..n as u32).filter(|id| !doomed.contains(id)).collect();
         prop_assert_eq!(live, expect);
     }

@@ -13,7 +13,7 @@ fn bench_stages(c: &mut Criterion) {
     let params = WorkloadParams::default();
     let mut w = UniformWorkload::new(params);
     let set = sj_core::Workload::init(&mut w);
-    let table = &set.positions;
+    let table = &set.table;
     let space = Rect::space(params.space_side);
 
     let mut rng = Xoshiro256::seeded(77);

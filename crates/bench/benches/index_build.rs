@@ -14,7 +14,7 @@ fn build_table(n: u32) -> (PointTable, f32) {
     };
     let mut w = UniformWorkload::new(params);
     let set = sj_core::Workload::init(&mut w);
-    (set.positions, params.space_side)
+    (set.table, params.space_side)
 }
 
 fn bench_builds(c: &mut Criterion) {

@@ -14,7 +14,7 @@ fn bench_queries(c: &mut Criterion) {
     let params = WorkloadParams::default();
     let mut w = UniformWorkload::new(params);
     let set = sj_core::Workload::init(&mut w);
-    let table: &PointTable = &set.positions;
+    let table: &PointTable = &set.table;
     let space = Rect::space(params.space_side);
 
     // A fixed batch of query rectangles centred on object positions, as

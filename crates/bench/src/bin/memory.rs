@@ -21,7 +21,7 @@ fn main() {
     let wspec = opts.workload_spec();
     let mut workload = wspec.build(params);
     let set = workload.init();
-    let table = &set.positions;
+    let table = &set.table;
 
     if opts.threads.is_some() {
         // Footprint is measured after one build; there is no query phase

@@ -41,13 +41,12 @@ fn profile_stage(stage: Stage, opts: &CommonOpts) -> CacheStats {
     for tick in 0..params.ticks {
         actions.clear();
         workload.plan_tick(tick, &set, &mut actions);
-        grid.build_traced(&set.positions, &mut sim);
+        grid.build_traced(&set.table, &mut sim);
         for &q in &actions.queriers {
-            let region =
-                Rect::centered_square(set.positions.point(q), query_side).clipped_to(&space);
+            let region = Rect::centered_square(set.table.point(q), query_side).clipped_to(&space);
             // Sink-based query, like the driver: the traced access stream
             // contains only index traversal, no result materialization.
-            grid.for_each_traced(&set.positions, &region, &mut |_| sink += 1, &mut sim);
+            grid.for_each_traced(&set.table, &region, &mut |_| sink += 1, &mut sim);
         }
         for &(id, vx, vy) in &actions.velocity_updates {
             set.set_velocity(id, sj_core::geom::Vec2::new(vx, vy));

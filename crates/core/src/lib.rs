@@ -71,5 +71,5 @@ pub use driver::{
 pub use geom::{Point, Rect, Vec2};
 pub use index::{ScanIndex, SpatialIndex};
 pub use par::ExecMode;
-pub use table::{EntryId, ExtentTable, MovingExtentSet, MovingSet, PointTable, Table};
+pub use table::{EntryId, ExtentTable, Moving, MovingExtentSet, MovingSet, PointTable, Table};
 pub use technique::{registry, ParseSpecError, Technique, TechniqueKind, TechniqueSpec};

@@ -28,10 +28,11 @@ use std::num::NonZeroUsize;
 use sj_base::batch::BatchJoin;
 use sj_base::driver::{
     run_batch_join, run_bipartite_batch_join, run_bipartite_join, run_intersect_batch_join,
-    run_intersect_join, run_join, DriverConfig, ExtentWorkload, RunStats, Workload,
+    run_intersect_join, run_join, DriverConfig, RunStats, Workload,
 };
 use sj_base::index::{ScanIndex, SpatialIndex};
 use sj_base::par::{ExecMode, Tiling};
+use sj_base::table::ExtentTable;
 use sj_binsearch::{BinarySearchJoin, VecSearchJoin};
 use sj_crtree::CRTree;
 use sj_grid::{IncrementalGrid, SimpleGrid, Stage};
@@ -149,7 +150,7 @@ impl Technique {
     /// rectangle-overlap predicate (see DESIGN.md §15). Same category
     /// dispatch and exec-mode promotion as [`Technique::run`]. Panics
     /// before the first tick unless [`Technique::supports_intersect`].
-    pub fn run_intersect<W: ExtentWorkload + ?Sized>(
+    pub fn run_intersect<W: Workload<ExtentTable> + ?Sized>(
         &mut self,
         workload: &mut W,
         cfg: DriverConfig,
@@ -958,7 +959,7 @@ mod tests {
 
     #[test]
     fn intersect_techniques_agree_across_exec_modes() {
-        use sj_base::driver::ExtentTickActions;
+        use sj_base::driver::{ExtentTickActions, ExtentWorkload};
         use sj_base::geom::{Rect, Vec2};
         use sj_base::table::MovingExtentSet;
 

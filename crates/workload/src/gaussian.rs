@@ -140,7 +140,7 @@ impl Workload for GaussianWorkload {
         // whether or not a churn wrapper later filters them out.
         for id in 0..n {
             let h = self.hotspots[self.assignment[id as usize] as usize];
-            let v = self.step_velocity(set.positions.point(id), h);
+            let v = self.step_velocity(set.table.point(id), h);
             actions.velocity_updates.push((id, v.x, v.y));
         }
     }
@@ -169,7 +169,7 @@ mod tests {
         let mut w = GaussianWorkload::new(small_params(4));
         let set = w.init();
         let space = w.space();
-        for (_, p) in set.positions.iter() {
+        for (_, p) in set.table.iter() {
             assert!(space.contains_point(p.x, p.y));
         }
     }
@@ -180,7 +180,7 @@ mod tests {
         let set = w.init();
         let sigma = w.params().sigma;
         let mut within = 0usize;
-        for (id, p) in set.positions.iter() {
+        for (id, p) in set.table.iter() {
             let h = w.hotspots()[w.assignment[id as usize] as usize];
             if p.dist2(&h).sqrt() <= 3.0 * sigma * std::f32::consts::SQRT_2 {
                 within += 1;
@@ -199,7 +199,7 @@ mod tests {
             let set = w.init();
             // Count points inside one query-sized box at the first hotspot.
             let q = Rect::centered_square(w.hotspots()[0], 400.0);
-            set.positions
+            set.table
                 .iter()
                 .filter(|(_, p)| q.contains_point(p.x, p.y))
                 .count()
@@ -238,7 +238,7 @@ mod tests {
         let mk = || {
             let mut w = GaussianWorkload::new(small_params(8));
             let set = w.init();
-            (w.hotspots()[3], set.positions.point(100))
+            (w.hotspots()[3], set.table.point(100))
         };
         assert_eq!(mk(), mk());
     }
@@ -260,7 +260,7 @@ mod tests {
         }
         let sigma = w.params().sigma;
         let mut near = 0usize;
-        for (id, p) in set.positions.iter() {
+        for (id, p) in set.table.iter() {
             let h = w.hotspots()[w.assignment[id as usize] as usize];
             if p.dist2(&h).sqrt() <= 6.0 * sigma {
                 near += 1;

@@ -410,8 +410,8 @@ mod tests {
         let (r2s, s2s) = (r2.init(), s2.init());
         assert_eq!(r2s.live_len(), s2s.live_len());
         assert_ne!(
-            r2s.positions.point(0),
-            s2s.positions.point(0),
+            r2s.table.point(0),
+            s2s.table.point(0),
             "R must not be a copy of S"
         );
         // And both plan queries when asked (the driver drops S's).

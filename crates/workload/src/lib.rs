@@ -41,8 +41,5 @@ pub use roadgrid::RoadGridWorkload;
 pub use spec::{
     workload_registry, ParseWorkloadError, WorkloadKind, WorkloadSpec, DEFAULT_HOTSPOTS,
 };
-pub use trace::{
-    record, record_bipartite, record_extents, ExtentTrace, ExtentTraceWorkload, Trace,
-    TraceWorkload,
-};
+pub use trace::{record, record_bipartite, Trace, TraceShape, TraceWorkload};
 pub use uniform::UniformWorkload;

@@ -32,7 +32,7 @@ use crate::uniform::random_velocity;
 /// let set = workload.init();
 /// assert_eq!(set.len(), 1_000);
 /// let space = workload.space();
-/// assert!(space.contains_rect(&set.extents.rect(0)));
+/// assert!(space.contains_rect(&set.table.rect(0)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct RectsWorkload {
@@ -117,7 +117,7 @@ mod tests {
         assert_eq!(set.len(), 2_000);
         let space = w.space();
         let max = small_params().query_side;
-        for (_, r) in set.extents.iter() {
+        for (_, r) in set.table.iter() {
             assert!(space.contains_rect(&r), "{r:?}");
             assert!(r.width() <= max && r.height() <= max, "{r:?}");
         }
@@ -131,7 +131,7 @@ mod tests {
             let mut a = ExtentTickActions::default();
             w.plan_tick(0, &set, &mut a);
             (
-                set.extents.rect(7),
+                set.table.rect(7),
                 a.queriers.len(),
                 a.velocity_updates.len(),
             )
@@ -160,7 +160,7 @@ mod tests {
         let mut w = RectsWorkload::new(small_params());
         let mut set = w.init();
         let sizes: Vec<(f32, f32)> = set
-            .extents
+            .table
             .iter()
             .map(|(_, r)| (r.width(), r.height()))
             .collect();
@@ -168,7 +168,7 @@ mod tests {
         for _ in 0..50 {
             w.advance(&mut set);
         }
-        for ((_, r), &(w0, h0)) in set.extents.iter().zip(&sizes) {
+        for ((_, r), &(w0, h0)) in set.table.iter().zip(&sizes) {
             assert!(space.contains_rect(&r), "{r:?}");
             // Sizes are preserved up to float rounding of the corner
             // translation (one ulp of `x + w` per tick).
@@ -189,7 +189,7 @@ mod tests {
         });
         let (s1, s2) = (w1.init(), w2.init());
         let same = (0..100u32)
-            .filter(|&i| s1.extents.rect(i) == s2.extents.rect(i))
+            .filter(|&i| s1.table.rect(i) == s2.table.rect(i))
             .count();
         assert_eq!(same, 0);
     }

@@ -183,7 +183,7 @@ impl Workload for RoadGridWorkload {
             if !set.is_live(id) {
                 continue;
             }
-            let p = set.positions.point(id);
+            let p = set.table.point(id);
             let dir = self.dirs[i];
             let speed = self.speeds[i];
             let v = dir.velocity(speed);
@@ -201,7 +201,7 @@ impl Workload for RoadGridWorkload {
                 self.dirs[i] = flipped;
                 nx = p.x.clamp(0.0, side);
                 ny = p.y.clamp(0.0, side);
-                set.positions.set_position(id, nx, ny);
+                set.table.set_position(id, nx, ny);
                 set.set_velocity(id, flipped.velocity(speed));
                 continue;
             }
@@ -226,7 +226,7 @@ impl Workload for RoadGridWorkload {
                 self.dirs[i] = new_dir;
                 set.set_velocity(id, new_dir.velocity(speed));
             }
-            set.positions
+            set.table
                 .set_position(id, nx.clamp(0.0, side), ny.clamp(0.0, side));
         }
     }
@@ -258,7 +258,7 @@ mod tests {
     fn objects_start_on_roads() {
         let mut w = RoadGridWorkload::with_defaults(small_params());
         let set = w.init();
-        for (_, p) in set.positions.iter() {
+        for (_, p) in set.table.iter() {
             assert!(on_a_road(&w, p), "{p:?} is off-road");
         }
     }
@@ -273,7 +273,7 @@ mod tests {
             actions.clear();
             w.plan_tick(tick, &set, &mut actions);
             w.advance(&mut set);
-            for (_, p) in set.positions.iter() {
+            for (_, p) in set.table.iter() {
                 assert!(space.contains_point(p.x, p.y), "tick {tick}: escaped {p:?}");
                 assert!(on_a_road(&w, p), "tick {tick}: off-road {p:?}");
             }
@@ -288,7 +288,7 @@ mod tests {
         let set = w.init();
         let off_road = Rect::new(1_100.0, 1_100.0, 1_900.0, 1_900.0); // strictly between lines
         let hits = set
-            .positions
+            .table
             .iter()
             .filter(|(_, p)| off_road.contains_point(p.x, p.y))
             .count();
@@ -303,7 +303,7 @@ mod tests {
             for _ in 0..10 {
                 w.advance(&mut set);
             }
-            set.positions.point(123)
+            set.table.point(123)
         };
         assert_eq!(mk(), mk());
     }

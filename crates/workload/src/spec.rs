@@ -407,7 +407,7 @@ mod tests {
             let set = w.init();
             assert_eq!(set.live_len(), 100, "{}", spec.name());
             let space = w.space();
-            for (_, p) in set.positions.iter() {
+            for (_, p) in set.table.iter() {
                 assert!(space.contains_point(p.x, p.y));
             }
         }

@@ -6,68 +6,117 @@
 //! trace-driven setup needs: record any [`Workload`]'s initial population
 //! and per-tick actions once, persist them in a compact binary format,
 //! and replay them bit-identically — across processes, machines, or
-//! implementations under comparison.
+//! implementations under comparison. One trace type, [`Trace<T>`], one
+//! recorder ([`record`]) and one replayer ([`TraceWorkload<T>`]) serve
+//! both entry shapes: points ([`PointTable`]) and rectangles
+//! ([`ExtentTable`]).
 //!
 //! A trace stores velocities, velocity updates, and the churn plan
-//! (departure ids and arrival positions/velocities — format v2), not
-//! per-tick positions, so replay relies on the *default* movement model
-//! (linear motion with boundary bounce — what the uniform and Gaussian
-//! workloads use; the road grid's custom mobility is not replayable).
-//! Recording verifies this assumption by checksumming the final live
-//! object positions and embedding the checksum in the trace;
-//! [`TraceWorkload`] re-derives it on replay in tests.
+//! (departure ids and arrival geometry/velocities), not per-tick
+//! positions, so replay relies on the *default* movement model
+//! ([`Moving::advance_bouncing`] — what the uniform, Gaussian and
+//! rectangle workloads use; the road grid's custom mobility is not
+//! replayable). Recording verifies this assumption by checksumming the
+//! final live rows and embedding the checksum in the trace;
+//! [`TraceWorkload::checksum`] re-derives it on replay in tests.
 //!
-//! Format v3 adds **bipartite** traces: a second, nested relation section
-//! holding the query relation R's initial state and per-tick plan
-//! ([`Trace::query_rel`], recorded by [`record_bipartite`]). A
-//! self-join trace serializes exactly as v2 — v3 bytes only appear when a
-//! query relation is present.
+//! ## Format
 //!
-//! Format v4 is a **separate trace type** for extent workloads
-//! ([`ExtentTrace`], magic `SJTRACE4`): rectangles instead of points, the
-//! same per-tick sections with rectangle arrivals. Extent rectangles are
-//! validated with [`Rect::try_new`] on load, so a corrupted or
-//! hand-edited trace with an inverted rectangle is rejected as
-//! `InvalidData` instead of tripping a debug-only assert downstream.
+//! One format, `SJTRACE5`, little-endian throughout:
 //!
-//! Every length prefix is untrusted: readers reserve at most 65,536
-//! elements up front and grow as elements arrive, so a truncated or
-//! hostile file ends in `UnexpectedEof` rather than one huge allocation.
+//! 1. the magic `SJTRACE5`, then one shape-tag byte ([`TraceShape::TAG`]:
+//!    `P` for points, `R` for rectangles);
+//! 2. the relation body: space side, query side, the initial rows (a
+//!    count, then each row's geometry and velocity), the ticks (a count,
+//!    then per tick the queriers, velocity updates, removals and
+//!    arrivals, each a count and its items), and the final-state
+//!    checksum;
+//! 3. a byte saying whether a nested query relation follows (1) or not
+//!    (0), and if so its relation body: the query relation R of a
+//!    bipartite R ⋈ S trace ([`Trace::query_rel`], recorded by
+//!    [`record_bipartite`]).
+//!
+//! A trace file is untrusted input, checked where it enters:
+//!
+//! - every length prefix is: readers reserve at most 65,536 elements up
+//!   front and grow as elements arrive, so a truncated or hostile file
+//!   ends in `UnexpectedEof` rather than one huge allocation;
+//! - a rectangle passes through [`Rect::try_new`], so an inverted or NaN
+//!   one is `InvalidData` instead of tripping a debug-only assert
+//!   downstream;
+//! - every querier, velocity-update and removal id must name a row that
+//!   exists at the start of its tick (the initial rows plus earlier
+//!   ticks' arrivals), and a querier must be live then — the
+//!   [`Workload::plan_tick`] contract. Anything else is `InvalidData`, so
+//!   replay can never index out of bounds.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use sj_base::driver::{ExtentTickActions, ExtentWorkload, TickActions, Workload};
+use sj_base::driver::{TickActions, Workload};
 use sj_base::geom::{Point, Rect, Vec2};
 use sj_base::rng::mix64;
-use sj_base::table::{EntryId, MovingExtentSet, MovingSet};
+use sj_base::table::{entry_id, EntryId, ExtentTable, Moving, PointTable, Shape};
 
-/// Current format: v3 adds an optional nested query-relation section
-/// (bipartite R ⋈ S traces). Only written when that section is present.
-const MAGIC_V3: &[u8; 8] = b"SJTRACE3";
-/// v2 adds per-tick churn sections (removals + inserts); still the format
-/// written for self-join traces, so v2 consumers keep working.
-const MAGIC_V2: &[u8; 8] = b"SJTRACE2";
-/// Extent (rectangle) traces — a distinct trace type, never mixed with
-/// the point formats: an `SJTRACE4` file deserializes only to
-/// [`ExtentTrace`] and vice versa.
-const MAGIC_V4: &[u8; 8] = b"SJTRACE4";
+/// The magic header of the one trace format.
+const MAGIC: &[u8; 8] = b"SJTRACE5";
 
 /// The most elements a reader reserves for a length prefix before any of
 /// them has been read.
 const MAX_PREALLOC: usize = 1 << 16;
 
-/// Read a length prefix: the element count, and a `Vec` with capacity for
-/// at most [`MAX_PREALLOC`] of them.
-fn read_len<R: Read, T>(r: &mut R) -> io::Result<(usize, Vec<T>)> {
-    let n = read_u32(r)? as usize;
-    Ok((n, Vec::with_capacity(n.min(MAX_PREALLOC))))
+/// A [`Shape`] a trace can hold: the tag naming it in the header and the
+/// bytes of one row.
+pub trait TraceShape: Shape {
+    /// The header byte naming the shape.
+    const TAG: u8;
+
+    fn write_row<W: Write>(w: &mut W, row: Self::Row) -> io::Result<()>;
+
+    fn read_row<R: Read>(r: &mut R) -> io::Result<Self::Row>;
 }
 
-/// A fully materialized workload: initial state plus every tick's actions.
+impl TraceShape for PointTable {
+    const TAG: u8 = b'P';
+
+    fn write_row<W: Write>(w: &mut W, p: Point) -> io::Result<()> {
+        write_f32(w, p.x)?;
+        write_f32(w, p.y)
+    }
+
+    fn read_row<R: Read>(r: &mut R) -> io::Result<Point> {
+        Ok(Point::new(read_f32(r)?, read_f32(r)?))
+    }
+}
+
+impl TraceShape for ExtentTable {
+    const TAG: u8 = b'R';
+
+    fn write_row<W: Write>(w: &mut W, r: Rect) -> io::Result<()> {
+        for v in [r.x1, r.y1, r.x2, r.y2] {
+            write_f32(w, v)?;
+        }
+        Ok(())
+    }
+
+    /// A rectangle read from untrusted trace bytes: [`Rect::try_new`]
+    /// rejects inverted or NaN corners as `InvalidData`.
+    fn read_row<R: Read>(r: &mut R) -> io::Result<Rect> {
+        let [x1, y1, x2, y2] = [read_f32(r)?, read_f32(r)?, read_f32(r)?, read_f32(r)?];
+        Rect::try_new(x1, y1, x2, y2).ok_or_else(|| {
+            invalid(format!(
+                "malformed rectangle in trace: ({x1}, {y1})–({x2}, {y2})"
+            ))
+        })
+    }
+}
+
+/// A fully materialized workload over rows of shape `T` (points by
+/// default): initial state plus every tick's actions.
 ///
 /// ```
-/// use sj_workload::{record, Trace, TraceWorkload, UniformWorkload, WorkloadParams};
+/// use sj_base::table::ExtentTable;
+/// use sj_workload::{record, RectsWorkload, Trace, TraceWorkload, UniformWorkload, WorkloadParams};
 ///
 /// let params = WorkloadParams { num_points: 100, ..WorkloadParams::default() };
 /// let trace = record(&mut UniformWorkload::new(params), 3);
@@ -78,70 +127,94 @@ fn read_len<R: Read, T>(r: &mut R) -> io::Result<(usize, Vec<T>)> {
 /// let restored = Trace::read_from(buf.as_slice()).unwrap();
 /// assert_eq!(restored, trace);
 /// let _replayable = TraceWorkload::new(restored);
+///
+/// // Rectangles go through the same type and format.
+/// let rects = record(&mut RectsWorkload::new(params), 3);
+/// let mut buf = Vec::new();
+/// rects.write_to(&mut buf).unwrap();
+/// assert_eq!(Trace::<ExtentTable>::read_from(buf.as_slice()).unwrap(), rects);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-pub struct Trace {
+pub struct Trace<T: Shape = PointTable> {
     pub space_side: f32,
+    /// The workload's query size (unused by rectangles, whose query region
+    /// is their own extent).
     pub query_side: f32,
-    /// Initial positions and velocities, SoA.
-    pub init_x: Vec<f32>,
-    pub init_y: Vec<f32>,
-    pub init_vx: Vec<f32>,
-    pub init_vy: Vec<f32>,
-    /// Per tick: querier ids and velocity updates.
-    pub ticks: Vec<TickActions>,
-    /// Checksum of the final positions after replaying all ticks with the
+    /// Initial rows and their velocities.
+    pub init: Vec<(T::Row, Vec2)>,
+    /// Per tick: queriers, velocity updates, and churn.
+    pub ticks: Vec<TickActions<T::Row>>,
+    /// Checksum of the final live rows after replaying all ticks with the
     /// default movement model; guards against replaying a trace of a
     /// workload whose movement model was not the default.
-    pub final_positions_checksum: u64,
-    /// The query relation R of a bipartite R ⋈ S trace (format v3): a
-    /// nested self-shaped trace holding R's initial state, per-tick plan
-    /// (queriers, updates, churn), and final-position checksum. `None`
-    /// for self-join traces — which therefore serialize exactly as v2.
-    /// The nested trace never nests further.
-    pub query_rel: Option<Box<Trace>>,
+    pub final_checksum: u64,
+    /// The query relation R of a bipartite R ⋈ S trace: a nested
+    /// self-shaped trace holding R's initial state, per-tick plan
+    /// (queriers, updates, churn), and final-state checksum. `None` for
+    /// self-join traces. The nested trace never nests further.
+    pub query_rel: Option<Box<Trace<T>>>,
 }
 
-fn positions_checksum(set: &MovingSet) -> u64 {
+/// Order-independent checksum of `set`'s live rows, bit for bit.
+fn final_checksum<T: Shape>(set: &Moving<T>) -> u64 {
     let mut sum = 0u64;
-    for (_, p) in set.positions.iter() {
-        sum = sum.wrapping_add(mix64(((p.x.to_bits() as u64) << 32) | p.y.to_bits() as u64));
+    for id in (0..set.len()).map(entry_id).filter(|&id| set.is_live(id)) {
+        let r = set.table.extent(id);
+        for (x, y) in [(r.x1, r.y1), (r.x2, r.y2)] {
+            sum = sum.wrapping_add(mix64(((x.to_bits() as u64) << 32) | y.to_bits() as u64));
+        }
     }
     sum
 }
 
-impl Trace {
-    /// Serialize to a writer: the v2 format for a self-join trace, v3
-    /// (one extra nested relation section) when [`Trace::query_rel`] is
-    /// present — so pre-bipartite consumers keep reading every self-join
-    /// trace byte for byte.
+impl<T: Shape> Trace<T> {
+    pub fn num_rows(&self) -> usize {
+        self.init.len()
+    }
+
+    pub fn num_ticks(&self) -> usize {
+        self.ticks.len()
+    }
+
+    /// Whether this trace records a bipartite R ⋈ S run.
+    pub fn is_bipartite(&self) -> bool {
+        self.query_rel.is_some()
+    }
+
+    /// Split a bipartite trace into its `(query relation R, data relation
+    /// S)` halves — two self-shaped traces, each replayable through
+    /// [`TraceWorkload`] and rejoinable with
+    /// `sj_base::driver::run_bipartite_join`. `None` for self-join traces.
+    pub fn split_bipartite(self) -> Option<(Trace<T>, Trace<T>)> {
+        let mut s = self;
+        let r = *s.query_rel.take()?;
+        Some((r, s))
+    }
+}
+
+impl<T: TraceShape> Trace<T> {
+    /// Serialize to a writer (see the module docs for the format).
     pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
         let mut w = BufWriter::new(w);
+        w.write_all(MAGIC)?;
+        w.write_all(&[T::TAG])?;
+        self.write_body(&mut w)?;
         match &self.query_rel {
-            None => {
-                w.write_all(MAGIC_V2)?;
-                self.write_body(&mut w)?;
-            }
+            None => w.write_all(&[0])?,
             Some(r) => {
                 debug_assert!(r.query_rel.is_none(), "query relation traces never nest");
-                w.write_all(MAGIC_V3)?;
-                self.write_body(&mut w)?;
+                w.write_all(&[1])?;
                 r.write_body(&mut w)?;
             }
         }
         w.flush()
     }
 
-    /// Everything after the magic header, in the v2 layout (one relation).
+    /// One relation body.
     fn write_body<W: Write>(&self, w: &mut W) -> io::Result<()> {
         write_f32(w, self.space_side)?;
         write_f32(w, self.query_side)?;
-        write_u32(w, self.init_x.len() as u32)?;
-        for col in [&self.init_x, &self.init_y, &self.init_vx, &self.init_vy] {
-            for &v in col.iter() {
-                write_f32(w, v)?;
-            }
-        }
+        write_rows::<T, W>(w, &self.init)?;
         write_u32(w, self.ticks.len() as u32)?;
         for t in &self.ticks {
             write_u32(w, t.queriers.len() as u32)?;
@@ -158,80 +231,78 @@ impl Trace {
             for &id in &t.removals {
                 write_u32(w, id)?;
             }
-            write_u32(w, t.inserts.len() as u32)?;
-            for &(p, v) in &t.inserts {
-                write_f32(w, p.x)?;
-                write_f32(w, p.y)?;
-                write_f32(w, v.x)?;
-                write_f32(w, v.y)?;
-            }
+            write_rows::<T, W>(w, &t.inserts)?;
         }
-        write_u64(w, self.final_positions_checksum)
+        write_u64(w, self.final_checksum)
     }
 
-    /// Deserialize from a reader (the v2 or v3 format).
+    /// Deserialize from a reader.
     ///
     /// # Errors
-    /// I/O errors, a bad magic header, or truncated data.
-    pub fn read_from<R: Read>(r: R) -> io::Result<Trace> {
+    /// I/O errors, truncated data, and `InvalidData` for a bad magic
+    /// header, a shape tag other than `T`'s, a malformed rectangle, or an
+    /// id that breaks the [`Workload::plan_tick`] contract (see the
+    /// module docs).
+    pub fn read_from<R: Read>(r: R) -> io::Result<Trace<T>> {
         let mut r = BufReader::new(r);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        let query_rel_section = match &magic {
-            m if m == MAGIC_V3 => true,
-            m if m == MAGIC_V2 => false,
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "not an SJTRACE file",
-                ))
-            }
-        };
-        let mut trace = Self::read_body(&mut r)?;
-        if query_rel_section {
-            trace.query_rel = Some(Box::new(Self::read_body(&mut r)?));
+        let mut header = [0u8; 9];
+        r.read_exact(&mut header)?;
+        if &header[..8] != MAGIC {
+            return Err(invalid("not an SJTRACE5 file".into()));
         }
+        if header[8] != T::TAG {
+            return Err(invalid(format!(
+                "trace shape tag {:?}, expected {:?}",
+                header[8] as char,
+                T::TAG as char
+            )));
+        }
+        let mut trace = Self::read_body(&mut r)?;
+        let mut more = [0u8];
+        r.read_exact(&mut more)?;
+        trace.query_rel = match more[0] {
+            0 => None,
+            1 => Some(Box::new(Self::read_body(&mut r)?)),
+            b => return Err(invalid(format!("bad query-relation marker {b}"))),
+        };
         Ok(trace)
     }
 
-    /// One relation section in the v2 layout (`query_rel` left `None`).
-    fn read_body<R: Read>(r: &mut R) -> io::Result<Trace> {
+    /// One relation body (`query_rel` left `None`), checking every id
+    /// against the rows that exist, and are live, at the start of its
+    /// tick.
+    fn read_body<R: Read>(r: &mut R) -> io::Result<Trace<T>> {
         let space_side = read_f32(r)?;
         let query_side = read_f32(r)?;
-        let n = read_u32(r)? as usize;
-        let mut cols: [Vec<f32>; 4] = Default::default();
-        for col in cols.iter_mut() {
-            col.reserve(n.min(MAX_PREALLOC));
-            for _ in 0..n {
-                col.push(read_f32(r)?);
-            }
-        }
-        let [init_x, init_y, init_vx, init_vy] = cols;
+        let init = read_rows::<T, R>(r)?;
+        // Liveness of every row so far, one entry per row slot.
+        let mut live = vec![true; init.len()];
         let (tick_count, mut ticks) = read_len(r)?;
-        for _ in 0..tick_count {
+        for tick in 0..tick_count {
             let (nq, mut queriers) = read_len(r)?;
             for _ in 0..nq {
-                queriers.push(read_u32(r)?);
+                let q = read_u32(r)?;
+                if !live.get(q as usize).copied().unwrap_or(false) {
+                    return Err(invalid(format!(
+                        "tick {tick}: querier {q} is not a live row"
+                    )));
+                }
+                queriers.push(q);
             }
             let (nu, mut velocity_updates) = read_len(r)?;
             for _ in 0..nu {
-                let id = read_u32(r)?;
-                let vx = read_f32(r)?;
-                let vy = read_f32(r)?;
-                velocity_updates.push((id, vx, vy));
+                let id = read_id(r, live.len(), tick, "velocity update")?;
+                velocity_updates.push((id, read_f32(r)?, read_f32(r)?));
             }
             let (nr, mut removals) = read_len(r)?;
             for _ in 0..nr {
-                removals.push(read_u32(r)?);
+                removals.push(read_id(r, live.len(), tick, "removal")?);
             }
-            let (ni, mut inserts) = read_len(r)?;
-            for _ in 0..ni {
-                let px = read_f32(r)?;
-                let py = read_f32(r)?;
-                let vx = read_f32(r)?;
-                let vy = read_f32(r)?;
-                inserts.push((Point::new(px, py), Vec2::new(vx, vy)));
+            let inserts = read_rows::<T, R>(r)?;
+            for &id in &removals {
+                live[id as usize] = false;
             }
+            live.resize(live.len() + inserts.len(), true);
             ticks.push(TickActions {
                 queriers,
                 velocity_updates,
@@ -239,16 +310,13 @@ impl Trace {
                 inserts,
             });
         }
-        let final_positions_checksum = read_u64(r)?;
+        let final_checksum = read_u64(r)?;
         Ok(Trace {
             space_side,
             query_side,
-            init_x,
-            init_y,
-            init_vx,
-            init_vy,
+            init,
             ticks,
-            final_positions_checksum,
+            final_checksum,
             query_rel: None,
         })
     }
@@ -259,45 +327,21 @@ impl Trace {
     }
 
     /// Convenience wrapper over [`Trace::read_from`] for a filesystem path.
-    pub fn load(path: &Path) -> io::Result<Trace> {
+    pub fn load(path: &Path) -> io::Result<Trace<T>> {
         Self::read_from(std::fs::File::open(path)?)
-    }
-
-    pub fn num_points(&self) -> usize {
-        self.init_x.len()
-    }
-
-    pub fn num_ticks(&self) -> usize {
-        self.ticks.len()
-    }
-
-    /// Whether this trace records a bipartite R ⋈ S run (format v3).
-    pub fn is_bipartite(&self) -> bool {
-        self.query_rel.is_some()
-    }
-
-    /// Split a bipartite trace into its `(query relation R, data relation
-    /// S)` halves — two self-shaped traces, each replayable through
-    /// [`TraceWorkload`] and rejoinable with
-    /// `sj_base::driver::run_bipartite_join`. `None` for self-join traces.
-    pub fn split_bipartite(self) -> Option<(Trace, Trace)> {
-        let mut s = self;
-        let r = *s.query_rel.take()?;
-        Some((r, s))
     }
 }
 
 /// Record a workload into a [`Trace`]. Free function (rather than a
 /// `Trace` constructor) so the borrow of the workload is obvious.
-pub fn record<W: Workload + ?Sized>(workload: &mut W, ticks: u32) -> Trace {
+pub fn record<T: Shape, W: Workload<T> + ?Sized>(workload: &mut W, ticks: u32) -> Trace<T> {
     let space_side = workload.space().x2;
     let query_side = workload.query_side();
     let mut set = workload.init();
-
-    let init_x = set.positions.xs().to_vec();
-    let init_y = set.positions.ys().to_vec();
-    let init_vx = set.vx.clone();
-    let init_vy = set.vy.clone();
+    let init = (0..set.len())
+        .map(entry_id)
+        .map(|id| (set.table.row(id), set.velocity(id)))
+        .collect();
 
     let mut recorded = Vec::with_capacity(ticks as usize);
     let mut actions = TickActions::default();
@@ -312,74 +356,61 @@ pub fn record<W: Workload + ?Sized>(workload: &mut W, ticks: u32) -> Trace {
     Trace {
         space_side,
         query_side,
-        init_x,
-        init_y,
-        init_vx,
-        init_vy,
+        init,
         ticks: recorded,
-        final_positions_checksum: positions_checksum(&set),
+        final_checksum: final_checksum(&set),
         query_rel: None,
     }
 }
 
-/// Record a bipartite R ⋈ S run into a single (format v3) [`Trace`]: the
-/// data relation S fills the top-level sections, the query relation R the
-/// nested [`Trace::query_rel`] section. Both relations are planned and
-/// applied in the driver's order (S first, then R — see
-/// `sj_base::driver::run_bipartite_join`); S's planned queriers are
-/// dropped, exactly as the driver drops them, so a replay through
-/// [`Trace::split_bipartite`] reproduces the recorded run bit for bit.
-pub fn record_bipartite<R: Workload + ?Sized, S: Workload + ?Sized>(
+/// Record a bipartite R ⋈ S run into a single [`Trace`]: the data relation
+/// S fills the top-level body, the query relation R the nested
+/// [`Trace::query_rel`] one. S's planned queriers are dropped, exactly as
+/// the driver drops them (see `sj_base::driver::run_bipartite_join`), so a
+/// replay through [`Trace::split_bipartite`] reproduces the recorded run
+/// bit for bit.
+pub fn record_bipartite<T, R, S>(
     query_workload: &mut R,
     data_workload: &mut S,
     ticks: u32,
-) -> Trace {
-    let mut s_trace = record_relation(data_workload, ticks, true);
-    let r_trace = record_relation(query_workload, ticks, false);
-    s_trace.query_rel = Some(Box::new(r_trace));
-    s_trace
-}
-
-/// [`record`] with the driver's bipartite querier policy applied: the data
-/// relation never queries.
-fn record_relation<W: Workload + ?Sized>(
-    workload: &mut W,
-    ticks: u32,
-    drop_queriers: bool,
-) -> Trace {
-    let mut trace = record(workload, ticks);
-    if drop_queriers {
-        for t in &mut trace.ticks {
-            t.queriers.clear();
-        }
+) -> Trace<T>
+where
+    T: Shape,
+    R: Workload<T> + ?Sized,
+    S: Workload<T> + ?Sized,
+{
+    let mut trace = record(data_workload, ticks);
+    for t in &mut trace.ticks {
+        t.queriers.clear();
     }
+    trace.query_rel = Some(Box::new(record(query_workload, ticks)));
     trace
 }
 
 /// Replays a [`Trace`] through the standard [`Workload`] interface.
-pub struct TraceWorkload {
-    trace: Trace,
+pub struct TraceWorkload<T: Shape = PointTable> {
+    trace: Trace<T>,
     cursor: usize,
 }
 
-impl TraceWorkload {
-    pub fn new(trace: Trace) -> Self {
+impl<T: Shape> TraceWorkload<T> {
+    pub fn new(trace: Trace<T>) -> Self {
         TraceWorkload { trace, cursor: 0 }
     }
 
-    pub fn trace(&self) -> &Trace {
+    pub fn trace(&self) -> &Trace<T> {
         &self.trace
     }
 
-    /// Checksum of `set`'s positions — equals the trace's embedded value
-    /// after all recorded ticks have been replayed with the default
-    /// movement model.
-    pub fn checksum_positions(set: &MovingSet) -> u64 {
-        positions_checksum(set)
+    /// Checksum of `set`'s live rows — equals the trace's embedded
+    /// [`Trace::final_checksum`] after all recorded ticks have been
+    /// replayed with the default movement model.
+    pub fn checksum(set: &Moving<T>) -> u64 {
+        final_checksum(set)
     }
 }
 
-impl Workload for TraceWorkload {
+impl<T: Shape> Workload<T> for TraceWorkload<T> {
     fn space(&self) -> Rect {
         Rect::space(self.trace.space_side)
     }
@@ -388,20 +419,16 @@ impl Workload for TraceWorkload {
         self.trace.query_side
     }
 
-    fn init(&mut self) -> MovingSet {
+    fn init(&mut self) -> Moving<T> {
         self.cursor = 0;
-        let n = self.trace.num_points();
-        let mut set = MovingSet::with_capacity(n);
-        for i in 0..n {
-            set.push(
-                Point::new(self.trace.init_x[i], self.trace.init_y[i]),
-                Vec2::new(self.trace.init_vx[i], self.trace.init_vy[i]),
-            );
+        let mut set = Moving::with_capacity(self.trace.num_rows());
+        for &(row, v) in &self.trace.init {
+            set.push(row, v);
         }
         set
     }
 
-    fn plan_tick(&mut self, _tick: u32, _set: &MovingSet, actions: &mut TickActions) {
+    fn plan_tick(&mut self, _tick: u32, _set: &Moving<T>, actions: &mut TickActions<T::Row>) {
         if let Some(recorded) = self.trace.ticks.get(self.cursor) {
             actions.queriers.extend_from_slice(&recorded.queriers);
             actions
@@ -415,308 +442,46 @@ impl Workload for TraceWorkload {
     }
 }
 
-/// A fully materialized **extent** workload (format v4): initial
-/// rectangles and velocities plus every tick's actions. The extent
-/// analogue of [`Trace`]; replay goes through [`ExtentTraceWorkload`]
-/// and the default extent movement model
-/// ([`MovingExtentSet::advance_bouncing`]).
-///
-/// ```
-/// use sj_workload::{record_extents, ExtentTrace, RectsWorkload, WorkloadParams};
-///
-/// let params = WorkloadParams { num_points: 100, ..WorkloadParams::default() };
-/// let trace = record_extents(&mut RectsWorkload::new(params), 3);
-/// let mut buf = Vec::new();
-/// trace.write_to(&mut buf).unwrap();
-/// assert_eq!(ExtentTrace::read_from(buf.as_slice()).unwrap(), trace);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExtentTrace {
-    pub space_side: f32,
-    /// Initial rectangles and velocities, SoA.
-    pub init_x1: Vec<f32>,
-    pub init_y1: Vec<f32>,
-    pub init_x2: Vec<f32>,
-    pub init_y2: Vec<f32>,
-    pub init_vx: Vec<f32>,
-    pub init_vy: Vec<f32>,
-    /// Per tick: querier ids, velocity updates, and churn.
-    pub ticks: Vec<ExtentTickActions>,
-    /// Checksum of the final live rectangles after replaying all ticks
-    /// with the default extent movement model (see
-    /// [`Trace::final_positions_checksum`]).
-    pub final_extents_checksum: u64,
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-fn extents_checksum(set: &MovingExtentSet) -> u64 {
-    let mut sum = 0u64;
-    for (_, r) in set.extents.iter() {
-        sum = sum
-            .wrapping_add(mix64(
-                ((r.x1.to_bits() as u64) << 32) | r.y1.to_bits() as u64,
-            ))
-            .wrapping_add(mix64(
-                ((r.x2.to_bits() as u64) << 32) | r.y2.to_bits() as u64,
-            ));
+fn write_rows<T: TraceShape, W: Write>(w: &mut W, rows: &[(T::Row, Vec2)]) -> io::Result<()> {
+    write_u32(w, rows.len() as u32)?;
+    for &(row, v) in rows {
+        T::write_row(w, row)?;
+        write_f32(w, v.x)?;
+        write_f32(w, v.y)?;
     }
-    sum
+    Ok(())
 }
 
-/// A rectangle read from untrusted trace bytes: [`Rect::try_new`]
-/// rejects inverted or NaN corners as `InvalidData`.
-fn read_rect<R: Read>(r: &mut R) -> io::Result<Rect> {
-    let x1 = read_f32(r)?;
-    let y1 = read_f32(r)?;
-    let x2 = read_f32(r)?;
-    let y2 = read_f32(r)?;
-    Rect::try_new(x1, y1, x2, y2).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("malformed rectangle in trace: ({x1}, {y1})–({x2}, {y2})"),
-        )
-    })
+fn read_rows<T: TraceShape, R: Read>(r: &mut R) -> io::Result<Vec<(T::Row, Vec2)>> {
+    let (n, mut rows) = read_len(r)?;
+    for _ in 0..n {
+        let row = T::read_row(r)?;
+        rows.push((row, Vec2::new(read_f32(r)?, read_f32(r)?)));
+    }
+    Ok(rows)
 }
 
-impl ExtentTrace {
-    /// Serialize to a writer (always format v4).
-    pub fn write_to<W: Write>(&self, w: W) -> io::Result<()> {
-        let mut w = BufWriter::new(w);
-        w.write_all(MAGIC_V4)?;
-        write_f32(&mut w, self.space_side)?;
-        write_u32(&mut w, self.init_x1.len() as u32)?;
-        for col in [
-            &self.init_x1,
-            &self.init_y1,
-            &self.init_x2,
-            &self.init_y2,
-            &self.init_vx,
-            &self.init_vy,
-        ] {
-            for &v in col.iter() {
-                write_f32(&mut w, v)?;
-            }
-        }
-        write_u32(&mut w, self.ticks.len() as u32)?;
-        for t in &self.ticks {
-            write_u32(&mut w, t.queriers.len() as u32)?;
-            for &q in &t.queriers {
-                write_u32(&mut w, q)?;
-            }
-            write_u32(&mut w, t.velocity_updates.len() as u32)?;
-            for &(id, vx, vy) in &t.velocity_updates {
-                write_u32(&mut w, id)?;
-                write_f32(&mut w, vx)?;
-                write_f32(&mut w, vy)?;
-            }
-            write_u32(&mut w, t.removals.len() as u32)?;
-            for &id in &t.removals {
-                write_u32(&mut w, id)?;
-            }
-            write_u32(&mut w, t.inserts.len() as u32)?;
-            for &(r, v) in &t.inserts {
-                write_f32(&mut w, r.x1)?;
-                write_f32(&mut w, r.y1)?;
-                write_f32(&mut w, r.x2)?;
-                write_f32(&mut w, r.y2)?;
-                write_f32(&mut w, v.x)?;
-                write_f32(&mut w, v.y)?;
-            }
-        }
-        write_u64(&mut w, self.final_extents_checksum)?;
-        w.flush()
-    }
-
-    /// Deserialize from a reader. Every rectangle — initial rows and
-    /// arrivals — passes through [`Rect::try_new`].
-    ///
-    /// # Errors
-    /// I/O errors, a bad magic header (including the point-trace magics:
-    /// the formats never cross), truncated data, or a malformed
-    /// rectangle.
-    pub fn read_from<R: Read>(r: R) -> io::Result<ExtentTrace> {
-        let mut r = BufReader::new(r);
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC_V4 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "not an SJTRACE4 extent-trace file",
-            ));
-        }
-        let space_side = read_f32(&mut r)?;
-        let n = read_u32(&mut r)? as usize;
-        let mut cols: [Vec<f32>; 6] = Default::default();
-        for col in cols.iter_mut() {
-            col.reserve(n.min(MAX_PREALLOC));
-            for _ in 0..n {
-                col.push(read_f32(&mut r)?);
-            }
-        }
-        let [init_x1, init_y1, init_x2, init_y2, init_vx, init_vy] = cols;
-        for i in 0..n {
-            if Rect::try_new(init_x1[i], init_y1[i], init_x2[i], init_y2[i]).is_none() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed rectangle in trace at row {i}"),
-                ));
-            }
-        }
-        let (tick_count, mut ticks) = read_len(&mut r)?;
-        for _ in 0..tick_count {
-            let (nq, mut queriers) = read_len(&mut r)?;
-            for _ in 0..nq {
-                queriers.push(read_u32(&mut r)?);
-            }
-            let (nu, mut velocity_updates) = read_len(&mut r)?;
-            for _ in 0..nu {
-                let id = read_u32(&mut r)?;
-                let vx = read_f32(&mut r)?;
-                let vy = read_f32(&mut r)?;
-                velocity_updates.push((id, vx, vy));
-            }
-            let (nr, mut removals) = read_len(&mut r)?;
-            for _ in 0..nr {
-                removals.push(read_u32(&mut r)?);
-            }
-            let (ni, mut inserts) = read_len(&mut r)?;
-            for _ in 0..ni {
-                let rect = read_rect(&mut r)?;
-                let vx = read_f32(&mut r)?;
-                let vy = read_f32(&mut r)?;
-                inserts.push((rect, Vec2::new(vx, vy)));
-            }
-            ticks.push(ExtentTickActions {
-                queriers,
-                velocity_updates,
-                removals,
-                inserts,
-            });
-        }
-        let final_extents_checksum = read_u64(&mut r)?;
-        Ok(ExtentTrace {
-            space_side,
-            init_x1,
-            init_y1,
-            init_x2,
-            init_y2,
-            init_vx,
-            init_vy,
-            ticks,
-            final_extents_checksum,
-        })
-    }
-
-    /// Convenience wrapper over [`ExtentTrace::write_to`] for a path.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        self.write_to(std::fs::File::create(path)?)
-    }
-
-    /// Convenience wrapper over [`ExtentTrace::read_from`] for a path.
-    pub fn load(path: &Path) -> io::Result<ExtentTrace> {
-        Self::read_from(std::fs::File::open(path)?)
-    }
-
-    pub fn num_rects(&self) -> usize {
-        self.init_x1.len()
-    }
-
-    pub fn num_ticks(&self) -> usize {
-        self.ticks.len()
-    }
+/// Read a length prefix: the element count, and a `Vec` with capacity for
+/// at most [`MAX_PREALLOC`] of them.
+fn read_len<R: Read, E>(r: &mut R) -> io::Result<(usize, Vec<E>)> {
+    let n = read_u32(r)? as usize;
+    Ok((n, Vec::with_capacity(n.min(MAX_PREALLOC))))
 }
 
-/// Record an extent workload into an [`ExtentTrace`] — the extent
-/// analogue of [`record`].
-pub fn record_extents<W: ExtentWorkload + ?Sized>(workload: &mut W, ticks: u32) -> ExtentTrace {
-    let space_side = workload.space().x2;
-    let mut set = workload.init();
-
-    let init_x1 = set.extents.x1s().to_vec();
-    let init_y1 = set.extents.y1s().to_vec();
-    let init_x2 = set.extents.x2s().to_vec();
-    let init_y2 = set.extents.y2s().to_vec();
-    let init_vx = set.vx.clone();
-    let init_vy = set.vy.clone();
-
-    let mut recorded = Vec::with_capacity(ticks as usize);
-    let mut actions = ExtentTickActions::default();
-    for tick in 0..ticks {
-        actions.clear();
-        workload.plan_tick(tick, &set, &mut actions);
-        recorded.push(actions.clone());
-        actions.apply(&mut set, workload);
+/// Read the id of a `what` in `tick`, which must be below `rows`, the
+/// number of rows at the start of that tick.
+fn read_id<R: Read>(r: &mut R, rows: usize, tick: usize, what: &str) -> io::Result<EntryId> {
+    let id = read_u32(r)?;
+    if id as usize >= rows {
+        return Err(invalid(format!(
+            "tick {tick}: {what} names row {id} of {rows}"
+        )));
     }
-    ExtentTrace {
-        space_side,
-        init_x1,
-        init_y1,
-        init_x2,
-        init_y2,
-        init_vx,
-        init_vy,
-        ticks: recorded,
-        final_extents_checksum: extents_checksum(&set),
-    }
-}
-
-/// Replays an [`ExtentTrace`] through the standard [`ExtentWorkload`]
-/// interface.
-pub struct ExtentTraceWorkload {
-    trace: ExtentTrace,
-    cursor: usize,
-}
-
-impl ExtentTraceWorkload {
-    pub fn new(trace: ExtentTrace) -> Self {
-        ExtentTraceWorkload { trace, cursor: 0 }
-    }
-
-    pub fn trace(&self) -> &ExtentTrace {
-        &self.trace
-    }
-
-    /// Checksum of `set`'s live rectangles — equals the trace's embedded
-    /// value after all recorded ticks replay with the default movement
-    /// model.
-    pub fn checksum_extents(set: &MovingExtentSet) -> u64 {
-        extents_checksum(set)
-    }
-}
-
-impl ExtentWorkload for ExtentTraceWorkload {
-    fn space(&self) -> Rect {
-        Rect::space(self.trace.space_side)
-    }
-
-    fn init(&mut self) -> MovingExtentSet {
-        self.cursor = 0;
-        let n = self.trace.num_rects();
-        let mut set = MovingExtentSet::with_capacity(n);
-        for i in 0..n {
-            set.push(
-                Rect::new(
-                    self.trace.init_x1[i],
-                    self.trace.init_y1[i],
-                    self.trace.init_x2[i],
-                    self.trace.init_y2[i],
-                ),
-                Vec2::new(self.trace.init_vx[i], self.trace.init_vy[i]),
-            );
-        }
-        set
-    }
-
-    fn plan_tick(&mut self, _tick: u32, _set: &MovingExtentSet, actions: &mut ExtentTickActions) {
-        if let Some(recorded) = self.trace.ticks.get(self.cursor) {
-            actions.queriers.extend_from_slice(&recorded.queriers);
-            actions
-                .velocity_updates
-                .extend_from_slice(&recorded.velocity_updates);
-            actions.removals.extend_from_slice(&recorded.removals);
-            actions.inserts.extend_from_slice(&recorded.inserts);
-        }
-        self.cursor += 1;
-    }
+    Ok(id)
 }
 
 fn write_u32<W: Write>(w: &mut W, v: u32) -> io::Result<()> {
@@ -747,17 +512,14 @@ fn read_f32<R: Read>(r: &mut R) -> io::Result<f32> {
     Ok(f32::from_bits(read_u32(r)?))
 }
 
-/// Needed because EntryId appears in TickActions; keep the type local to
-/// serialization to avoid accidental widening.
-#[allow(dead_code)]
-fn _entry_id_is_u32(e: EntryId) -> u32 {
-    e
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{UniformWorkload, WorkloadParams};
+    use crate::{ChurnParams, ChurnWorkload, RectsWorkload, UniformWorkload, WorkloadParams};
+    use sj_base::driver::{
+        run_bipartite_join, run_intersect_join, run_join, DriverConfig, RunStats,
+    };
+    use sj_base::index::ScanIndex;
 
     fn small_params() -> WorkloadParams {
         WorkloadParams {
@@ -768,48 +530,53 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recorded_trace_has_expected_shape() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 5);
-        assert_eq!(trace.num_points(), 500);
-        assert_eq!(trace.num_ticks(), 5);
-        assert_eq!(trace.space_side, 4_000.0);
-        assert_eq!(trace.query_side, 400.0);
+    const TICKS: u32 = 4;
+
+    fn cfg() -> DriverConfig {
+        DriverConfig::new(TICKS, 0)
     }
 
-    #[test]
-    fn replay_reproduces_the_final_state_checksum() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 5);
-        let expected = trace.final_positions_checksum;
-
-        let mut replay = TraceWorkload::new(trace);
-        let mut set = replay.init();
-        let mut actions = TickActions::default();
-        for tick in 0..5 {
-            actions.clear();
-            replay.plan_tick(tick, &set, &mut actions);
-            actions.apply(&mut set, &mut replay);
-        }
-        assert_eq!(TraceWorkload::checksum_positions(&set), expected);
-    }
-
-    #[test]
-    fn serialization_roundtrips_exactly() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 4);
+    fn bytes<T: TraceShape>(trace: &Trace<T>) -> Vec<u8> {
         let mut buf = Vec::new();
         trace.write_to(&mut buf).unwrap();
-        let back = Trace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
+        buf
     }
 
-    #[test]
-    fn churn_traces_roundtrip_and_replay_bit_identically() {
-        use crate::{ChurnParams, ChurnWorkload};
+    /// The one shape-generic trace test: write, read back and compare;
+    /// replay through the driver (`replay`) and match the live run's
+    /// pairs, checksum and queries; and re-derive every relation's
+    /// embedded final-state checksum by applying its ticks by hand.
+    fn assert_roundtrips_and_replays<T: TraceShape>(
+        trace: Trace<T>,
+        live: RunStats,
+        replay: impl FnOnce(Trace<T>) -> RunStats,
+    ) {
+        assert_eq!(trace.num_ticks(), TICKS as usize);
+        let back = Trace::<T>::read_from(bytes(&trace).as_slice()).unwrap();
+        assert_eq!(back, trace);
+
+        let replayed = replay(back);
+        assert!(live.result_pairs > 0);
+        assert_eq!(replayed.result_pairs, live.result_pairs);
+        assert_eq!(replayed.checksum, live.checksum);
+        assert_eq!(replayed.queries, live.queries);
+
+        for rel in std::iter::once(&trace).chain(trace.query_rel.as_deref()) {
+            let mut replay = TraceWorkload::new(rel.clone());
+            let mut set = replay.init();
+            let mut actions = TickActions::default();
+            for tick in 0..TICKS {
+                actions.clear();
+                replay.plan_tick(tick, &set, &mut actions);
+                actions.apply(&mut set, &mut replay);
+            }
+            assert_eq!(TraceWorkload::checksum(&set), rel.final_checksum);
+        }
+    }
+
+    fn churn() -> ChurnWorkload {
         let params = small_params();
-        let mut w = ChurnWorkload::new(
+        ChurnWorkload::new(
             Box::new(UniformWorkload::new(params)),
             ChurnParams {
                 rate: 0.1,
@@ -817,239 +584,286 @@ mod tests {
                 seed: params.seed,
                 target_population: params.num_points,
             },
+        )
+    }
+
+    #[test]
+    fn serialization_roundtrips_exactly() {
+        let live = run_join(
+            &mut UniformWorkload::new(small_params()),
+            &mut ScanIndex::new(),
+            cfg(),
         );
-        let trace = record(&mut w, 6);
-        let total_removed: usize = trace.ticks.iter().map(|t| t.removals.len()).sum();
-        let total_inserted: usize = trace.ticks.iter().map(|t| t.inserts.len()).sum();
-        assert!(total_removed > 0, "no churn recorded");
-        assert!(total_inserted > 0, "no churn recorded");
-
-        // Serialization keeps the churn sections.
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        let back = Trace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
-
-        // Replay reproduces the recorded run's final live population.
-        let expected = trace.final_positions_checksum;
-        let mut replay = TraceWorkload::new(trace);
-        let mut set = replay.init();
-        let mut actions = TickActions::default();
-        for tick in 0..6 {
-            actions.clear();
-            replay.plan_tick(tick, &set, &mut actions);
-            actions.apply(&mut set, &mut replay);
-        }
-        assert_eq!(set.live_len(), 500 + total_inserted - total_removed);
-        assert_eq!(TraceWorkload::checksum_positions(&set), expected);
+        let trace = record(&mut UniformWorkload::new(small_params()), TICKS);
+        assert_roundtrips_and_replays(trace, live, |t| {
+            run_join(&mut TraceWorkload::new(t), &mut ScanIndex::new(), cfg())
+        });
     }
 
     #[test]
-    fn self_join_traces_still_serialize_as_v2() {
-        // Format compatibility: the v3 magic only appears for bipartite
-        // traces, so every pre-existing consumer of self-join traces keeps
-        // reading them unchanged.
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 2);
-        assert!(!trace.is_bipartite());
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], MAGIC_V2);
+    fn churn_traces_roundtrip_and_replay_bit_identically() {
+        let live = run_join(&mut churn(), &mut ScanIndex::new(), cfg());
+        let trace = record(&mut churn(), TICKS);
+        let removed: usize = trace.ticks.iter().map(|t| t.removals.len()).sum();
+        let inserted: usize = trace.ticks.iter().map(|t| t.inserts.len()).sum();
+        assert!(removed > 0 && inserted > 0, "no churn recorded");
+        assert_roundtrips_and_replays(trace, live, |t| {
+            run_join(&mut TraceWorkload::new(t), &mut ScanIndex::new(), cfg())
+        });
     }
 
     #[test]
-    fn bipartite_traces_roundtrip_as_v3() {
-        let params = small_params();
-        let r_params = WorkloadParams {
-            num_points: 60,
-            seed: 99,
-            ..params
-        };
-        let mut r = UniformWorkload::new(r_params);
-        let mut s = UniformWorkload::new(params);
-        let trace = record_bipartite(&mut r, &mut s, 4);
-        assert!(trace.is_bipartite());
-        assert_eq!(trace.num_points(), 500, "top level holds S");
-        let rel = trace.query_rel.as_deref().unwrap();
-        assert_eq!(rel.num_points(), 60, "nested section holds R");
-        // The data relation's queriers were dropped at record time (the
-        // driver drops them too); R keeps its own.
-        assert!(trace.ticks.iter().all(|t| t.queriers.is_empty()));
-        assert!(rel.ticks.iter().any(|t| !t.queriers.is_empty()));
-
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], MAGIC_V3);
-        let back = Trace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
+    fn extent_trace_replay_reproduces_the_recorded_run() {
+        let live = run_intersect_join(
+            &mut RectsWorkload::new(small_params()),
+            &mut ScanIndex::new(),
+            cfg(),
+        );
+        let trace = record(&mut RectsWorkload::new(small_params()), TICKS);
+        assert_roundtrips_and_replays(trace, live, |t| {
+            run_intersect_join(&mut TraceWorkload::new(t), &mut ScanIndex::new(), cfg())
+        });
     }
 
     #[test]
     fn bipartite_trace_replay_reproduces_the_recorded_join() {
-        use sj_base::driver::{run_bipartite_join, DriverConfig};
-        use sj_base::index::ScanIndex;
-
         let params = small_params();
         let r_params = WorkloadParams {
             num_points: 80,
             seed: 123,
             ..params
         };
-        // The live run.
-        let live = {
-            let mut r = UniformWorkload::new(r_params);
-            let mut s = UniformWorkload::new(params);
+        let mut r = UniformWorkload::new(r_params);
+        let mut s = UniformWorkload::new(params);
+        let live = run_bipartite_join(&mut r, &mut s, &mut ScanIndex::new(), cfg());
+        let mut r = UniformWorkload::new(r_params);
+        let mut s = UniformWorkload::new(params);
+        let trace = record_bipartite(&mut r, &mut s, TICKS);
+        assert_eq!(trace.num_rows(), 500, "top level holds S");
+        let rel = trace.query_rel.as_deref().unwrap();
+        assert_eq!(rel.num_rows(), 80, "nested relation holds R");
+        // The data relation's queriers were dropped at record time (the
+        // driver drops them too); R keeps its own.
+        assert!(trace.ticks.iter().all(|t| t.queriers.is_empty()));
+        assert!(rel.ticks.iter().any(|t| !t.queriers.is_empty()));
+        assert_roundtrips_and_replays(trace, live, |t| {
+            let (r_half, s_half) = t.split_bipartite().unwrap();
             run_bipartite_join(
-                &mut r,
-                &mut s,
+                &mut TraceWorkload::new(r_half),
+                &mut TraceWorkload::new(s_half),
                 &mut ScanIndex::new(),
-                DriverConfig::new(4, 0),
+                cfg(),
             )
-        };
-        // Record the identical workloads, split, and replay through the
-        // same driver entry point.
-        let trace = {
-            let mut r = UniformWorkload::new(r_params);
-            let mut s = UniformWorkload::new(params);
-            record_bipartite(&mut r, &mut s, 4)
-        };
-        let (r_half, s_half) = trace.split_bipartite().unwrap();
-        let replayed = run_bipartite_join(
-            &mut TraceWorkload::new(r_half),
-            &mut TraceWorkload::new(s_half),
-            &mut ScanIndex::new(),
-            DriverConfig::new(4, 0),
-        );
-        assert!(live.result_pairs > 0);
-        assert_eq!(replayed.result_pairs, live.result_pairs);
-        assert_eq!(replayed.checksum, live.checksum);
-        assert_eq!(replayed.queries, live.queries);
+        });
+    }
+
+    #[test]
+    fn recorded_trace_has_expected_shape() {
+        let trace = record(&mut UniformWorkload::new(small_params()), 5);
+        assert_eq!(trace.num_rows(), 500);
+        assert_eq!(trace.num_ticks(), 5);
+        assert_eq!(trace.space_side, 4_000.0);
+        assert_eq!(trace.query_side, 400.0);
+        assert!(!trace.is_bipartite());
+    }
+
+    #[test]
+    fn traces_begin_with_the_magic_and_the_shape_tag() {
+        let points = bytes(&record(&mut UniformWorkload::new(small_params()), 2));
+        let rects = bytes(&record(&mut RectsWorkload::new(small_params()), 2));
+        for (buf, tag) in [(points, b'P'), (rects, b'R')] {
+            assert_eq!(&buf[..8], MAGIC);
+            assert_eq!(buf[8], tag);
+            assert_eq!(buf.last(), Some(&0), "no query relation follows");
+        }
     }
 
     #[test]
     fn split_bipartite_is_none_for_self_traces() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 2);
+        let trace = record(&mut UniformWorkload::new(small_params()), 2);
         assert!(trace.split_bipartite().is_none());
+    }
+
+    fn assert_invalid<T: std::fmt::Debug>(read: io::Result<T>, what: &str) {
+        let err = read.expect_err(what);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
     }
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = Trace::read_from(&b"NOTATRACEFILE..."[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn extent_traces_roundtrip_as_v4() {
-        use crate::RectsWorkload;
-        let mut w = RectsWorkload::new(small_params());
-        let trace = record_extents(&mut w, 4);
-        assert_eq!(trace.num_rects(), 500);
-        assert_eq!(trace.num_ticks(), 4);
-        assert!(trace.ticks.iter().any(|t| !t.queriers.is_empty()));
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        assert_eq!(&buf[..8], MAGIC_V4);
-        let back = ExtentTrace::read_from(buf.as_slice()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn extent_trace_replay_reproduces_the_recorded_run() {
-        use crate::RectsWorkload;
-        use sj_base::driver::{run_intersect_join, DriverConfig};
-        use sj_base::index::ScanIndex;
-
-        let live = run_intersect_join(
-            &mut RectsWorkload::new(small_params()),
-            &mut ScanIndex::new(),
-            DriverConfig::new(4, 0),
-        );
-        let trace = record_extents(&mut RectsWorkload::new(small_params()), 4);
-        let expected_checksum = trace.final_extents_checksum;
-        let mut replay = ExtentTraceWorkload::new(trace);
-        let replayed =
-            run_intersect_join(&mut replay, &mut ScanIndex::new(), DriverConfig::new(4, 0));
-        assert!(live.result_pairs > 0);
-        assert_eq!(replayed.result_pairs, live.result_pairs);
-        assert_eq!(replayed.checksum, live.checksum);
-        assert_eq!(replayed.queries, live.queries);
-
-        // And the embedded final-state checksum holds under manual replay.
-        let mut set = replay.init();
-        let mut actions = ExtentTickActions::default();
-        for tick in 0..4 {
-            actions.clear();
-            replay.plan_tick(tick, &set, &mut actions);
-            actions.apply(&mut set, &mut replay);
-        }
-        assert_eq!(
-            ExtentTraceWorkload::checksum_extents(&set),
-            expected_checksum
-        );
-    }
-
-    #[test]
-    fn malformed_rectangles_in_extent_traces_are_rejected_on_load() {
-        // An inverted initial rectangle (x2 < x1) must fail Rect::try_new
-        // at load time — not trip a debug assert downstream.
-        let trace = ExtentTrace {
-            space_side: 100.0,
-            init_x1: vec![10.0],
-            init_y1: vec![10.0],
-            init_x2: vec![5.0],
-            init_y2: vec![20.0],
-            init_vx: vec![0.0],
-            init_vy: vec![0.0],
-            ticks: Vec::new(),
-            final_extents_checksum: 0,
-        };
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        let err = ExtentTrace::read_from(buf.as_slice()).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("malformed rectangle"), "{err}");
+        let read = Trace::<PointTable>::read_from(&b"NOTATRACEFILE..."[..]);
+        assert_invalid(read, "magic");
     }
 
     #[test]
     fn point_and_extent_trace_formats_never_cross() {
-        use crate::RectsWorkload;
-        let point_trace = record(&mut UniformWorkload::new(small_params()), 2);
-        let mut point_bytes = Vec::new();
-        point_trace.write_to(&mut point_bytes).unwrap();
-        assert!(ExtentTrace::read_from(point_bytes.as_slice()).is_err());
-
-        let extent_trace = record_extents(&mut RectsWorkload::new(small_params()), 2);
-        let mut extent_bytes = Vec::new();
-        extent_trace.write_to(&mut extent_bytes).unwrap();
-        assert!(Trace::read_from(extent_bytes.as_slice()).is_err());
+        let points = bytes(&record(&mut UniformWorkload::new(small_params()), 2));
+        let read = Trace::<ExtentTable>::read_from(points.as_slice());
+        assert_invalid(read, "points as rectangles");
+        let rects = bytes(&record(&mut RectsWorkload::new(small_params()), 2));
+        let read = Trace::<PointTable>::read_from(rects.as_slice());
+        assert_invalid(read, "rectangles as points");
     }
 
     #[test]
-    fn extent_trace_file_roundtrip() {
-        use crate::RectsWorkload;
-        let trace = record_extents(&mut RectsWorkload::new(small_params()), 3);
-        let path = std::env::temp_dir().join("sj_extent_trace_test.bin");
-        trace.save(&path).unwrap();
-        let back = ExtentTrace::load(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(back, trace);
+    fn an_unknown_shape_tag_is_rejected() {
+        let mut buf = bytes(&record(&mut UniformWorkload::new(small_params()), 2));
+        buf[8] = b'X';
+        assert_invalid(Trace::<PointTable>::read_from(buf.as_slice()), "points");
+        assert_invalid(Trace::<ExtentTable>::read_from(buf.as_slice()), "rects");
+    }
+
+    #[test]
+    fn a_bad_query_relation_marker_is_rejected() {
+        let mut buf = bytes(&record(&mut UniformWorkload::new(small_params()), 2));
+        *buf.last_mut().unwrap() = 2;
+        assert_invalid(Trace::<PointTable>::read_from(buf.as_slice()), "marker");
+    }
+
+    #[test]
+    fn malformed_rectangles_in_extent_traces_are_rejected_on_load() {
+        // An inverted rectangle (x2 < x1) must fail Rect::try_new at load
+        // time — not trip a debug assert downstream — whether it is an
+        // initial row or an arrival.
+        let inverted = Rect {
+            x1: 10.0,
+            y1: 10.0,
+            x2: 5.0,
+            y2: 20.0,
+        };
+        let init = Trace::<ExtentTable> {
+            space_side: 100.0,
+            query_side: 0.0,
+            init: vec![(inverted, Vec2::default())],
+            ticks: Vec::new(),
+            final_checksum: 0,
+            query_rel: None,
+        };
+        let arrival = Trace {
+            init: Vec::new(),
+            ticks: vec![TickActions {
+                inserts: vec![(inverted, Vec2::default())],
+                ..TickActions::default()
+            }],
+            ..init.clone()
+        };
+        for trace in [init, arrival] {
+            let err = Trace::<ExtentTable>::read_from(bytes(&trace).as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("malformed rectangle"), "{err}");
+        }
+    }
+
+    /// Assert that a trace with one initial row and `ticks` loads (`ok`)
+    /// or fails with `InvalidData`, for both shapes, both as the only
+    /// relation and as the nested query relation behind a quiet data
+    /// relation. The ticks carry `()` for arrival geometry; each shape
+    /// fills in its default row.
+    fn assert_ids_checked(ticks: &[TickActions<()>], ok: bool, what: &str) {
+        fn check<T: TraceShape>(ticks: &[TickActions<()>], ok: bool, what: &str) {
+            let rel = Trace::<T> {
+                space_side: 100.0,
+                query_side: 10.0,
+                init: vec![(T::Row::default(), Vec2::default())],
+                ticks: ticks
+                    .iter()
+                    .map(|t| TickActions {
+                        queriers: t.queriers.clone(),
+                        velocity_updates: t.velocity_updates.clone(),
+                        removals: t.removals.clone(),
+                        inserts: vec![(T::Row::default(), Vec2::default()); t.inserts.len()],
+                    })
+                    .collect(),
+                final_checksum: 0,
+                query_rel: None,
+            };
+            let bipartite = Trace {
+                ticks: vec![TickActions::default(); ticks.len()],
+                query_rel: Some(Box::new(rel.clone())),
+                ..rel.clone()
+            };
+            for trace in [rel, bipartite] {
+                let read = Trace::<T>::read_from(bytes(&trace).as_slice());
+                match ok {
+                    true => assert_eq!(read.unwrap(), trace, "{what}"),
+                    false => assert_invalid(read, what),
+                }
+            }
+        }
+        check::<PointTable>(ticks, ok, what);
+        check::<ExtentTable>(ticks, ok, what);
+    }
+
+    /// Two ticks: `arrivals` rows arrive in the first, and the second
+    /// names `id` as a `kind` ("querier", "update" or "removal").
+    fn naming(kind: &str, id: EntryId, arrivals: usize) -> Vec<TickActions<()>> {
+        let mut tick = TickActions::default();
+        match kind {
+            "querier" => tick.queriers.push(id),
+            "update" => tick.velocity_updates.push((id, 1.0, 1.0)),
+            _ => tick.removals.push(id),
+        }
+        let before = TickActions {
+            inserts: vec![((), Vec2::default()); arrivals],
+            ..TickActions::default()
+        };
+        vec![before, tick]
+    }
+
+    #[test]
+    fn an_out_of_range_querier_is_rejected() {
+        assert_ids_checked(&naming("querier", 7, 0), false, "row 7 of 1");
+        assert_ids_checked(&naming("querier", 1, 0), false, "row 1 of 1");
+        assert_ids_checked(&naming("querier", 1, 1), true, "an earlier arrival");
+    }
+
+    #[test]
+    fn an_out_of_range_velocity_update_is_rejected() {
+        assert_ids_checked(&naming("update", 7, 0), false, "row 7 of 1");
+        assert_ids_checked(&naming("update", 2, 2), true, "an earlier arrival");
+    }
+
+    #[test]
+    fn an_out_of_range_removal_is_rejected() {
+        assert_ids_checked(&naming("removal", 7, 0), false, "row 7 of 1");
+        assert_ids_checked(&naming("removal", 1, 1), true, "an earlier arrival");
+        // An arrival gets its id only at the end of its tick.
+        let same_tick = TickActions {
+            removals: vec![1],
+            inserts: vec![((), Vec2::default())],
+            ..TickActions::default()
+        };
+        assert_ids_checked(&[same_tick], false, "this tick's arrival");
+    }
+
+    #[test]
+    fn a_querier_that_is_not_live_is_rejected() {
+        // Row 0 may query in the tick it departs (it is live at the start
+        // of the tick) but not after.
+        let departs = TickActions {
+            queriers: vec![0],
+            removals: vec![0],
+            ..TickActions::default()
+        };
+        assert_ids_checked(std::slice::from_ref(&departs), true, "departing querier");
+        let after = TickActions {
+            queriers: vec![0],
+            ..TickActions::default()
+        };
+        assert_ids_checked(&[departs, after], false, "dead querier");
     }
 
     #[test]
     fn truncated_data_is_rejected() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 2);
-        let mut buf = Vec::new();
-        trace.write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() / 2);
-        assert!(Trace::read_from(buf.as_slice()).is_err());
+        let points = bytes(&record(&mut UniformWorkload::new(small_params()), 2));
+        assert!(Trace::<PointTable>::read_from(&points[..points.len() / 2]).is_err());
+        let rects = bytes(&record(&mut RectsWorkload::new(small_params()), 2));
+        assert!(Trace::<ExtentTable>::read_from(&rects[..rects.len() / 2]).is_err());
     }
 
     #[test]
     fn replay_past_end_is_quiet() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 2);
+        let trace = record(&mut UniformWorkload::new(small_params()), 2);
         let mut replay = TraceWorkload::new(trace);
         let set = replay.init();
         let mut actions = TickActions::default();
@@ -1063,20 +877,31 @@ mod tests {
         }
     }
 
-    #[test]
-    fn file_roundtrip() {
-        let mut w = UniformWorkload::new(small_params());
-        let trace = record(&mut w, 3);
-        let path = std::env::temp_dir().join("sj_trace_test.bin");
+    fn assert_file_roundtrip<T: TraceShape>(trace: Trace<T>, name: &str) {
+        let path = std::env::temp_dir().join(name);
         trace.save(&path).unwrap();
-        let back = Trace::load(&path).unwrap();
+        let back = Trace::<T>::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(back, trace);
     }
 
-    /// A trace prefix: `magic`, the header floats, then `u32` fields.
-    fn prefix(magic: &[u8; 8], floats: &[f32], counts: &[u32]) -> Vec<u8> {
-        let mut out = magic.to_vec();
+    #[test]
+    fn file_roundtrip() {
+        let trace = record(&mut UniformWorkload::new(small_params()), 3);
+        assert_file_roundtrip(trace, "sj_trace_test.bin");
+    }
+
+    #[test]
+    fn extent_trace_file_roundtrip() {
+        let trace = record(&mut RectsWorkload::new(small_params()), 3);
+        assert_file_roundtrip(trace, "sj_extent_trace_test.bin");
+    }
+
+    /// A trace prefix with shape tag `tag`: the header, the header floats,
+    /// then `u32` fields.
+    fn prefix(tag: u8, floats: &[f32], counts: &[u32]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.push(tag);
         for f in floats {
             out.extend_from_slice(&f.to_le_bytes());
         }
@@ -1086,26 +911,32 @@ mod tests {
         out
     }
 
-    fn assert_eof<T: std::fmt::Debug>(read: io::Result<T>, what: &str) {
-        let err = read.expect_err(what);
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{what}: {err}");
+    /// Assert that the file `file(tag)` ends in `UnexpectedEof` for both
+    /// shapes.
+    fn assert_eof(file: impl Fn(u8) -> Vec<u8>, what: &str) {
+        let reads = [
+            Trace::<PointTable>::read_from(file(PointTable::TAG).as_slice()).map(drop),
+            Trace::<ExtentTable>::read_from(file(ExtentTable::TAG).as_slice()).map(drop),
+        ];
+        for read in reads {
+            let err = read.expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{what}: {err}");
+        }
     }
 
     const HOSTILE: u32 = u32::MAX;
 
     #[test]
     fn a_hostile_row_count_ends_in_eof_not_an_abort() {
-        // 20 bytes: the magic, two sides, then u32::MAX rows. Reserving
-        // for the claimed rows used to abort the process.
-        let file = prefix(MAGIC_V2, &[100.0, 10.0], &[HOSTILE]);
-        assert_eq!(file.len(), 20);
-        assert_eof(Trace::read_from(file.as_slice()), "rows");
+        // 21 bytes: the header, two sides, then u32::MAX rows. Reserving
+        // for the claimed rows would abort the process.
+        assert_eq!(prefix(b'P', &[100.0, 10.0], &[HOSTILE]).len(), 21);
+        assert_eof(|tag| prefix(tag, &[100.0, 10.0], &[HOSTILE]), "rows");
     }
 
     #[test]
     fn a_hostile_tick_count_ends_in_eof_not_an_abort() {
-        let file = prefix(MAGIC_V2, &[100.0, 10.0], &[0, HOSTILE]);
-        assert_eof(Trace::read_from(file.as_slice()), "ticks");
+        assert_eof(|tag| prefix(tag, &[100.0, 10.0], &[0, HOSTILE]), "ticks");
     }
 
     #[test]
@@ -1116,34 +947,21 @@ mod tests {
             let mut counts = vec![0, 1];
             counts.extend(std::iter::repeat_n(0, i));
             counts.push(HOSTILE);
-            let file = prefix(MAGIC_V2, &[100.0, 10.0], &counts);
-            assert_eof(Trace::read_from(file.as_slice()), what);
+            assert_eof(|tag| prefix(tag, &[100.0, 10.0], &counts), what);
         }
     }
 
     #[test]
     fn a_hostile_count_in_the_nested_relation_ends_in_eof_not_an_abort() {
-        // A complete, empty data relation, then the query relation's
-        // header with u32::MAX rows.
-        let mut file = prefix(MAGIC_V3, &[100.0, 10.0], &[0, 0]);
-        file.extend_from_slice(&0u64.to_le_bytes());
-        file.extend_from_slice(&prefix(&[0; 8], &[100.0, 10.0], &[HOSTILE])[8..]);
-        assert_eof(Trace::read_from(file.as_slice()), "nested rows");
-    }
-
-    #[test]
-    fn hostile_counts_in_extent_traces_end_in_eof_not_an_abort() {
-        let cases: [(&str, &[u32]); 6] = [
-            ("rows", &[HOSTILE]),
-            ("ticks", &[0, HOSTILE]),
-            ("queriers", &[0, 1, HOSTILE]),
-            ("velocity updates", &[0, 1, 0, HOSTILE]),
-            ("removals", &[0, 1, 0, 0, HOSTILE]),
-            ("inserts", &[0, 1, 0, 0, 0, HOSTILE]),
-        ];
-        for (what, counts) in cases {
-            let file = prefix(MAGIC_V4, &[100.0], counts);
-            assert_eof(ExtentTrace::read_from(file.as_slice()), what);
-        }
+        // A complete, empty data relation, the query-relation marker, then
+        // the query relation's header with u32::MAX rows.
+        let file = |tag| {
+            let mut file = prefix(tag, &[100.0, 10.0], &[0, 0]);
+            file.extend_from_slice(&0u64.to_le_bytes());
+            file.push(1);
+            file.extend_from_slice(&prefix(tag, &[100.0, 10.0], &[HOSTILE])[9..]);
+            file
+        };
+        assert_eof(file, "nested rows");
     }
 }

@@ -24,7 +24,7 @@ use crate::params::WorkloadParams;
 /// let set = workload.init();
 /// assert_eq!(set.len(), 1_000);
 /// let space = workload.space();
-/// let p = set.positions.point(0);
+/// let p = set.table.point(0);
 /// assert!(space.contains_point(p.x, p.y));
 /// ```
 #[derive(Clone, Debug)]
@@ -120,7 +120,7 @@ mod tests {
         let set = w.init();
         assert_eq!(set.len(), 2_000);
         let space = w.space();
-        for (_, p) in set.positions.iter() {
+        for (_, p) in set.table.iter() {
             assert!(space.contains_point(p.x, p.y));
         }
     }
@@ -158,7 +158,7 @@ mod tests {
             let mut a = TickActions::default();
             w.plan_tick(0, &set, &mut a);
             (
-                set.positions.point(7),
+                set.table.point(7),
                 a.queriers.len(),
                 a.velocity_updates.len(),
             )
@@ -178,7 +178,7 @@ mod tests {
         });
         let (s1, s2) = (w1.init(), w2.init());
         let same = (0..100)
-            .filter(|&i| s1.positions.point(i) == s2.positions.point(i))
+            .filter(|&i| s1.table.point(i) == s2.table.point(i))
             .count();
         assert_eq!(same, 0);
     }
@@ -190,7 +190,7 @@ mod tests {
         let set = w.init();
         let half = 5_000.0;
         let mut counts = [0usize; 4];
-        for (_, p) in set.positions.iter() {
+        for (_, p) in set.table.iter() {
             let qx = usize::from(p.x >= half);
             let qy = usize::from(p.y >= half);
             counts[qx * 2 + qy] += 1;

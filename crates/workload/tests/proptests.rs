@@ -36,7 +36,7 @@ proptest! {
         let set = w.init();
         prop_assert_eq!(set.len(), params.num_points as usize);
         let space = w.space();
-        for (id, p) in set.positions.iter() {
+        for (id, p) in set.table.iter() {
             prop_assert!(space.contains_point(p.x, p.y));
             prop_assert!(set.velocity(id).len() <= params.max_speed * 1.001 + 1e-3);
         }
@@ -74,7 +74,7 @@ proptest! {
             }
             w.advance(&mut set);
         }
-        for (_, p) in set.positions.iter() {
+        for (_, p) in set.table.iter() {
             prop_assert!(space.contains_point(p.x, p.y), "escaped: {p:?}");
         }
     }
@@ -90,7 +90,7 @@ proptest! {
         let set = w.init();
         let space = w.space();
         prop_assert_eq!(w.hotspots().len(), hotspots as usize);
-        for (_, p) in set.positions.iter() {
+        for (_, p) in set.table.iter() {
             prop_assert!(space.contains_point(p.x, p.y));
         }
     }

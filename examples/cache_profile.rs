@@ -22,11 +22,11 @@ fn profile(stage: Stage, params: &WorkloadParams) -> CacheStats {
     for tick in 0..params.ticks {
         actions.clear();
         workload.plan_tick(tick, &set, &mut actions);
-        grid.build_traced(&set.positions, &mut sim);
+        grid.build_traced(&set.table, &mut sim);
         for &q in &actions.queriers {
-            let region = Rect::centered_square(set.positions.point(q), side).clipped_to(&space);
+            let region = Rect::centered_square(set.table.point(q), side).clipped_to(&space);
             results.clear();
-            grid.query_traced(&set.positions, &region, &mut results, &mut sim);
+            grid.query_traced(&set.table, &region, &mut results, &mut sim);
         }
         for &(id, vx, vy) in &actions.velocity_updates {
             set.set_velocity(id, Vec2::new(vx, vy));

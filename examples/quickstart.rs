@@ -14,7 +14,7 @@ fn main() {
     };
     let mut workload = UniformWorkload::new(params);
     let set = workload.init();
-    let table: &PointTable = &set.positions;
+    let table: &PointTable = &set.table;
 
     // The winner of the paper: Simple Grid, refactored layout,
     // overlap-range queries, bs = 20, cps = 64.

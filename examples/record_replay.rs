@@ -31,7 +31,7 @@ fn main() {
         trace.save(&path).expect("write trace");
         println!(
             "recorded {} points x {} ticks to {} ({} KiB)",
-            trace.num_points(),
+            trace.num_rows(),
             trace.num_ticks(),
             path.display(),
             std::fs::metadata(&path)

@@ -196,7 +196,9 @@ pub mod prelude {
     pub use sj_core::geom::{Point, Rect, Vec2};
     pub use sj_core::index::{ScanIndex, SpatialIndex};
     pub use sj_core::par::ExecMode;
-    pub use sj_core::table::{EntryId, ExtentTable, MovingExtentSet, MovingSet, PointTable, Table};
+    pub use sj_core::table::{
+        EntryId, ExtentTable, Moving, MovingExtentSet, MovingSet, PointTable, Table,
+    };
     pub use sj_core::technique::{registry, Technique, TechniqueKind, TechniqueSpec};
     pub use sj_crtree::CRTree;
     pub use sj_grid::{GridConfig, IncrementalGrid, Layout, QueryAlgo, SimpleGrid, Stage};

@@ -152,15 +152,15 @@ impl ChurnRects {
 
 impl ExtentWorkload for ChurnRects {
     fn space(&self) -> Rect {
-        self.inner.space()
+        ExtentWorkload::space(&self.inner)
     }
 
     fn init(&mut self) -> MovingExtentSet {
-        self.inner.init()
+        ExtentWorkload::init(&mut self.inner)
     }
 
     fn plan_tick(&mut self, tick: u32, set: &MovingExtentSet, actions: &mut ExtentTickActions) {
-        self.inner.plan_tick(tick, set, actions);
+        ExtentWorkload::plan_tick(&mut self.inner, tick, set, actions);
         // Deterministic churn: tombstone five live rows in a rolling
         // window and spawn three arrivals per tick. Queriers planned by
         // the inner workload may die this very tick — the driver applies
@@ -173,7 +173,7 @@ impl ExtentWorkload for ChurnRects {
                 actions.removals.push(id);
             }
         }
-        let space = self.space();
+        let space = ExtentWorkload::space(self);
         for k in 0..3u32 {
             let t = ((tick * 31 + k * 7) % 97) as f32 / 97.0;
             let x = t * (space.x2 - 200.0);

@@ -19,12 +19,11 @@ fn profile(stage: Stage, params: &WorkloadParams) -> CacheStats {
     for tick in 0..params.ticks {
         actions.clear();
         workload.plan_tick(tick, &set, &mut actions);
-        grid.build_traced(&set.positions, &mut sim);
+        grid.build_traced(&set.table, &mut sim);
         for &q in &actions.queriers {
-            let region =
-                Rect::centered_square(set.positions.point(q), query_side).clipped_to(&space);
+            let region = Rect::centered_square(set.table.point(q), query_side).clipped_to(&space);
             results.clear();
-            grid.query_traced(&set.positions, &region, &mut results, &mut sim);
+            grid.query_traced(&set.table, &region, &mut results, &mut sim);
         }
         for &(id, vx, vy) in &actions.velocity_updates {
             set.set_velocity(id, Vec2::new(vx, vy));
@@ -105,14 +104,14 @@ fn traced_and_untraced_queries_return_identical_results() {
     let set = workload.init();
     let mut grid = SimpleGrid::at_stage(Stage::Original, params.space_side);
     let mut sim = CacheSim::i7();
-    grid.build_traced(&set.positions, &mut sim);
+    grid.build_traced(&set.table, &mut sim);
 
-    let region = Rect::centered_square(set.positions.point(0), 400.0)
+    let region = Rect::centered_square(set.table.point(0), 400.0)
         .clipped_to(&Rect::space(params.space_side));
     let mut traced = Vec::new();
-    grid.query_traced(&set.positions, &region, &mut traced, &mut sim);
+    grid.query_traced(&set.table, &region, &mut traced, &mut sim);
     let mut untraced = Vec::new();
-    grid.query_traced(&set.positions, &region, &mut untraced, &mut NullTracer);
+    grid.query_traced(&set.table, &region, &mut untraced, &mut NullTracer);
     traced.sort_unstable();
     untraced.sort_unstable();
     assert_eq!(traced, untraced);

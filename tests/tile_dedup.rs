@@ -1,15 +1,18 @@
 //! The reference-point rule behind `@tiles<N>` (DESIGN.md §13).
 //!
 //! Space-partitioned execution replicates every row into each tile its
-//! query region overlaps, so a pair whose two sides straddle a tile
-//! boundary is *visible* in more than one tile. Exactness rests on one
-//! filter: tile `T` emits `(a, b)` only if `b`'s canonical tile is `T`.
-//! These tests pin that rule directly against a brute-force sequential
-//! join — queries straddling two and four tiles, points landing exactly
-//! on tile edges (the boundary-tie lattice idiom from
-//! `proptest_simd.rs`: closed-rect ties are where `>=`-vs-`>` mistakes
-//! hide), and a churn step where a row dies out of every replica set
-//! that held a copy.
+//! own extent overlaps — a point into its home tile only, a rectangle into
+//! every tile it straddles — and sends each querier to every tile its
+//! query region overlaps. A rectangle pair that straddles a boundary is
+//! therefore *visible* in more than one tile. Exactness rests on one
+//! filter: tile `T` emits `(a, b)` only if the corner of the pair's
+//! intersection lies in `T` — for a point `b`, `b`'s own home tile, which
+//! is the only tile holding it. These tests pin that rule directly
+//! against a brute-force sequential join — queries straddling two and
+//! four tiles, points landing exactly on tile edges (the boundary-tie
+//! lattice idiom from `proptest_simd.rs`: closed-rect ties are where
+//! `>=`-vs-`>` mistakes hide), and a churn step where a row dies out of
+//! the replica set that held it.
 
 use std::num::NonZeroUsize;
 
@@ -18,6 +21,7 @@ use spatial_joins::core::driver::fold_pair;
 use spatial_joins::core::par::{
     tiled_batch_join, tiled_index_build, tiled_index_query, TileBatchPool, TileIndexPool, Tiling,
 };
+use spatial_joins::core::table::{entry_id, Shape};
 use spatial_joins::core::tile::{replicate_by_extent, TileGrid, TileReplica, MINI_JOIN_CHUNK};
 use spatial_joins::prelude::*;
 
@@ -33,47 +37,50 @@ fn grid(tiles: usize) -> TileGrid {
     TileGrid::new(&space(), NonZeroUsize::new(tiles).unwrap())
 }
 
+fn live_ids<T: Shape>(t: &T) -> impl Iterator<Item = EntryId> + '_ {
+    (0..t.len()).map(entry_id).filter(|&id| t.is_live(id))
+}
+
 /// Ground truth: every `(querier, match)` pair of the self-join, one
 /// entry each, in sorted order.
-fn sequential_pairs(t: &PointTable, query_side: f32) -> Vec<(EntryId, EntryId)> {
-    let space = space();
+fn sequential_pairs<T: Shape>(t: &T, query_side: f32) -> Vec<(EntryId, EntryId)> {
     let mut out = Vec::new();
-    for (a, p) in t.iter() {
-        let region = Rect::centered_square(p, query_side).clipped_to(&space);
-        for (b, q) in t.iter() {
-            if region.contains_point(q.x, q.y) {
-                out.push((a, b));
-            }
-        }
+    for a in live_ids(t) {
+        let region = t.query_region(a, query_side, &space());
+        out.extend(
+            live_ids(t)
+                .filter(|&b| t.extent(b).intersects(&region))
+                .map(|b| (a, b)),
+        );
     }
     out.sort_unstable();
     out
 }
 
-/// The tiled join, spelled out: partition by extent, assign each querier
-/// to every covered tile, join against the local replicas. With `dedup`
-/// the reference-point filter is applied; without it the raw
-/// (double-reporting) pair stream comes back — the delta is exactly what
-/// the rule exists to remove.
-fn tiled_pairs(
-    t: &PointTable,
+/// The tiled join, spelled out: replicate each row by its own extent,
+/// assign each querier to every tile its region covers, join against the
+/// local replicas. With `dedup` the reference-point filter is applied;
+/// without it the raw pair stream comes back — for rectangles the delta is
+/// exactly what the rule exists to remove.
+fn tiled_pairs<T: Shape>(
+    t: &T,
     query_side: f32,
     tiles: usize,
     dedup: bool,
 ) -> Vec<(EntryId, EntryId)> {
-    let space = space();
     let grid = grid(tiles);
-    let mut replicas: Vec<TileReplica> = Vec::new();
-    replicate_by_extent(t, &grid, query_side, &mut replicas);
+    let mut replicas: Vec<TileReplica<T>> = Vec::new();
+    replicate_by_extent(t, &grid, &mut replicas);
     let mut out = Vec::new();
-    for (a, p) in t.iter() {
-        let region = Rect::centered_square(p, query_side).clipped_to(&space);
+    for a in live_ids(t) {
+        let region = t.query_region(a, query_side, &space());
         for tid in grid.cover(&region) {
             let r = &replicas[tid];
-            for local in 0..r.table.len() {
-                let (x, y) = (r.table.xs()[local], r.table.ys()[local]);
-                if region.contains_point(x, y) && (!dedup || grid.tile_of(x, y) == tid) {
-                    out.push((a, r.global(local as EntryId)));
+            for local in live_ids(&r.table) {
+                let e = r.table.extent(local);
+                let p = T::reference_point(&region, Point::new(e.x1, e.y1));
+                if e.intersects(&region) && (!dedup || grid.tile_of(p.x, p.y) == tid) {
+                    out.push((a, r.global(local)));
                 }
             }
         }
@@ -82,20 +89,66 @@ fn tiled_pairs(
     out
 }
 
+/// The tiles whose replica set holds row `id`.
+fn holders<T: Shape>(t: &T, grid: &TileGrid, id: EntryId) -> Vec<usize> {
+    let mut replicas: Vec<TileReplica<T>> = Vec::new();
+    replicate_by_extent(t, grid, &mut replicas);
+    (0..grid.tiles())
+        .filter(|&tile| replicas[tile].to_global.contains(&id))
+        .collect()
+}
+
 #[test]
 fn a_pair_straddling_one_boundary_is_emitted_exactly_once() {
     // Two points either side of the x = 50 edge of a 2 × 2 grid, close
-    // enough to join: both are replicated into tiles 0 and 1, so the raw
-    // stream sees each cross pair twice and the filter must keep one.
+    // enough to join: each lives in its home tile only, and each query
+    // fans out to both tiles, so each pair is seen exactly once — the
+    // unfiltered stream already equals the join.
+    let g = grid(4);
     let mut t = PointTable::default();
-    t.push(48.0, 20.0);
-    t.push(52.0, 20.0);
+    let a = t.push(48.0, 20.0);
+    let b = t.push(52.0, 20.0);
+    assert_eq!(holders(&t, &g, a), vec![0]);
+    assert_eq!(holders(&t, &g, b), vec![1]);
     let seq = sequential_pairs(&t, 10.0);
     assert_eq!(seq.len(), 4, "both self pairs and both cross pairs");
     assert_eq!(tiled_pairs(&t, 10.0, 4, true), seq);
-    // Without the rule the join is wrong — the cross pairs double. The
-    // rule is load-bearing, not a formality.
-    let raw = tiled_pairs(&t, 10.0, 4, false);
+    assert_eq!(tiled_pairs(&t, 10.0, 4, false), seq);
+}
+
+#[test]
+fn a_pair_straddling_the_four_corner_tiles_is_emitted_exactly_once() {
+    // Diagonal neighbours of the (50, 50) corner: each query region
+    // covers all four tiles, but each point sits in one replica set, so
+    // no pair is seen twice even without the filter.
+    let g = grid(4);
+    let mut t = PointTable::default();
+    let a = t.push(48.0, 48.0);
+    let b = t.push(52.0, 52.0);
+    assert_eq!(holders(&t, &g, a), vec![0]);
+    assert_eq!(holders(&t, &g, b), vec![3]);
+    let seq = sequential_pairs(&t, 12.0);
+    assert_eq!(seq.len(), 4);
+    assert_eq!(tiled_pairs(&t, 12.0, 4, true), seq);
+    assert_eq!(tiled_pairs(&t, 12.0, 4, false), seq);
+}
+
+#[test]
+fn a_rect_pair_straddling_a_tile_edge_is_emitted_exactly_once() {
+    // Two overlapping rectangles that both straddle the x = 50 edge are
+    // replicated into tiles 0 and 1, and each queries both: the raw stream
+    // sees every pair twice, and the filter must keep one. The rule is
+    // load-bearing, not a formality.
+    let g = grid(4);
+    let mut t = ExtentTable::default();
+    let a = t.push(Rect::new(45.0, 10.0, 55.0, 20.0));
+    let b = t.push(Rect::new(48.0, 15.0, 58.0, 25.0));
+    assert_eq!(holders(&t, &g, a), vec![0, 1]);
+    assert_eq!(holders(&t, &g, b), vec![0, 1]);
+    let seq = sequential_pairs(&t, 0.0);
+    assert_eq!(seq.len(), 4, "both self pairs and both cross pairs");
+    assert_eq!(tiled_pairs(&t, 0.0, 4, true), seq);
+    let raw = tiled_pairs(&t, 0.0, 4, false);
     assert_eq!(
         raw.len(),
         8,
@@ -104,36 +157,22 @@ fn a_pair_straddling_one_boundary_is_emitted_exactly_once() {
 }
 
 #[test]
-fn a_pair_straddling_the_four_corner_tiles_is_emitted_exactly_once() {
-    // Diagonal neighbours of the (50, 50) corner: each query region
-    // covers all four tiles, so without the filter the cross pairs are
-    // reported four times over.
-    let mut t = PointTable::default();
-    t.push(48.0, 48.0);
-    t.push(52.0, 52.0);
-    let seq = sequential_pairs(&t, 12.0);
-    assert_eq!(seq.len(), 4);
-    assert_eq!(tiled_pairs(&t, 12.0, 4, true), seq);
-    let raw = tiled_pairs(&t, 12.0, 4, false);
-    assert_eq!(raw.len(), 16, "every pair visible in all four tiles");
-}
-
-#[test]
 fn a_point_exactly_on_a_tile_edge_is_owned_by_the_higher_tile_only() {
     // x = 50 sits exactly on the interior edge; the canonical-tile tie
     // goes to the higher-indexed tile (floor semantics), so only tile 1
-    // may emit pairs that match it.
+    // holds the point and may emit pairs that match it.
     let g = grid(4);
     let mut t = PointTable::default();
     let edge = t.push(50.0, 20.0);
     t.push(46.0, 20.0);
     assert_eq!(g.tile_of(50.0, 20.0), 1, "tie goes right");
+    assert_eq!(holders(&t, &g, edge), vec![1]);
 
     // Re-run the tiled join by hand, recording the emitting tile of every
-    // pair that has the edge point on its reference side.
+    // pair that matches the edge point.
     let space = space();
     let mut replicas = Vec::new();
-    replicate_by_extent(&t, &g, 10.0, &mut replicas);
+    replicate_by_extent(&t, &g, &mut replicas);
     let mut emitters = Vec::new();
     for (_, p) in t.iter() {
         let region = Rect::centered_square(p, 10.0).clipped_to(&space);
@@ -160,33 +199,24 @@ fn a_point_exactly_on_a_tile_edge_is_owned_by_the_higher_tile_only() {
 
 #[test]
 fn a_row_that_dies_vanishes_from_every_replica_set() {
-    // The churn scenario: a row at the four-tile corner is replicated
-    // everywhere, then tombstoned. The next partition must drop it from
-    // all four replica sets — exactly as a sequential rebuild forgets it
+    // The churn scenario: a row at the four-tile corner lives in one
+    // replica set (tile 3, by the tie rule), then is tombstoned. The next
+    // partition must drop it — exactly as a sequential rebuild forgets it
     // — and the surviving join must still match brute force.
     let g = grid(4);
     let mut t = PointTable::default();
     t.push(48.0, 48.0);
     let doomed = t.push(50.0, 50.0);
     t.push(52.0, 52.0);
-
-    let mut replicas = Vec::new();
-    replicate_by_extent(&t, &g, 10.0, &mut replicas);
-    let holders = replicas
-        .iter()
-        .filter(|r| r.to_global.contains(&doomed))
-        .count();
-    assert_eq!(holders, 4, "the corner row is replicated into every tile");
+    assert_eq!(holders(&t, &g, doomed), vec![3], "one replica set only");
 
     assert!(t.remove(doomed));
-    replicate_by_extent(&t, &g, 10.0, &mut replicas);
-    for (tid, r) in replicas.iter().enumerate() {
-        assert!(
-            !r.to_global.contains(&doomed),
-            "tombstoned row still replicated in tile {tid}"
-        );
-    }
+    assert!(
+        holders(&t, &g, doomed).is_empty(),
+        "tombstone still replicated"
+    );
     assert_eq!(tiled_pairs(&t, 10.0, 4, true), sequential_pairs(&t, 10.0));
+    assert_eq!(tiled_pairs(&t, 10.0, 4, false), sequential_pairs(&t, 10.0));
 }
 
 #[test]
@@ -318,10 +348,10 @@ proptest! {
         for i in (0..points.len()).step_by(5) {
             t.remove(i as EntryId);
         }
-        prop_assert_eq!(
-            tiled_pairs(&t, query_side, tiles, true),
-            sequential_pairs(&t, query_side)
-        );
+        let expect = sequential_pairs(&t, query_side);
+        prop_assert_eq!(tiled_pairs(&t, query_side, tiles, true), expect.clone());
+        // A point lives in its home tile only, so the filter never fires.
+        prop_assert_eq!(tiled_pairs(&t, query_side, tiles, false), expect);
     }
 }
 
