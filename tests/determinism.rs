@@ -314,6 +314,72 @@ const GOLDEN_BIPARTITE_CHECKSUM_SEED42: u64 = 0x19e0e6b6bb0038e7;
 const GOLDEN_BIPARTITE_PAIRS_SEED42: u64 = 3_081;
 const GOLDEN_BIPARTITE_QUERIES_SEED42: u64 = 502;
 
+#[test]
+fn batch_golden_checksum_is_stable_across_prs() {
+    // The point goldens above run only the grid. The batch category has
+    // its own executor and its own phase per exec mode (strip sharding,
+    // tiled joins that filter emitted pairs by reference point), so pin
+    // both batch techniques under every mode to the same absolute numbers
+    // on all three point setups: uniform, churn and bipartite.
+    let params = WorkloadParams {
+        num_points: 2_000,
+        ticks: MEASURED_TICKS,
+        space_side: 8_000.0,
+        seed: 42,
+        ..WorkloadParams::default()
+    };
+    let cfg = DriverConfig::new(params.ticks, 1);
+    for family in ["sweep", "twolayer"] {
+        for modifier in ["", "@par4", "@tiles4", "@tiles4@par2", "@tilesauto@par2"] {
+            let spec = format!("{family}{modifier}");
+            let build = || {
+                TechniqueSpec::parse(&spec)
+                    .unwrap()
+                    .build(params.space_side)
+            };
+
+            let uniform = build().run(&mut UniformWorkload::new(params), cfg);
+            assert_eq!(
+                (uniform.checksum, uniform.result_pairs),
+                (GOLDEN_CHECKSUM_SEED42, GOLDEN_PAIRS_SEED42),
+                "{spec}: uniform"
+            );
+
+            let mut churn = WorkloadSpec::parse("churn:uniform").unwrap().build(params);
+            let churn = build().run(&mut *churn, cfg);
+            assert_eq!(
+                (churn.checksum, churn.result_pairs),
+                (GOLDEN_CHURN_CHECKSUM_SEED42, GOLDEN_CHURN_PAIRS_SEED42),
+                "{spec}: churn"
+            );
+            assert_eq!(
+                (churn.removals, churn.inserts),
+                (GOLDEN_CHURN_REMOVALS_SEED42, GOLDEN_CHURN_INSERTS_SEED42),
+                "{spec}: churn"
+            );
+
+            let (mut r, mut s) = JoinSpec::parse("bipartite:uniformxgaussian:h3:ratio10")
+                .unwrap()
+                .build_pair(params)
+                .unwrap();
+            let bipartite = build().run_bipartite(&mut *r, &mut *s, cfg);
+            assert_eq!(
+                (
+                    bipartite.checksum,
+                    bipartite.result_pairs,
+                    bipartite.queries
+                ),
+                (
+                    GOLDEN_BIPARTITE_CHECKSUM_SEED42,
+                    GOLDEN_BIPARTITE_PAIRS_SEED42,
+                    GOLDEN_BIPARTITE_QUERIES_SEED42
+                ),
+                "{spec}: bipartite"
+            );
+        }
+    }
+}
+
 fn run_intersect_once(spec: &str) -> RunStats {
     let params = WorkloadParams {
         num_points: 2_000,
