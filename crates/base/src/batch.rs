@@ -4,56 +4,41 @@
 //! probe it once per query. The underlying study also evaluates
 //! *specialized join* techniques that consume the whole tick's query set
 //! at once (e.g., a forward plane sweep) and need no index at all. This
-//! trait captures that shape; `sj-sweep` implements it, and
-//! [`crate::driver::run_batch_join`] drives it through the same tick loop
-//! so results are directly comparable with the per-query techniques.
+//! trait captures that shape; `sj-sweep` and `sj-twolayer` implement it,
+//! and [`crate::driver::run_batch_join`] drives it through the same tick
+//! loop so results are directly comparable with the per-query techniques.
+//! Both categories stream: a join emits each pair into a sink, just as an
+//! index probe emits each match, and no pair buffer exists between the
+//! join and the checksum fold.
 
 use crate::geom::Rect;
 use crate::table::{entry_id, EntryId, ExtentTable, PointTable};
 
 /// A set-at-a-time spatial join: all of a tick's range queries against
 /// the current base table in one call.
+///
+/// Like the index category ([`crate::index::SpatialIndex::for_each_in`]),
+/// a join hands every pair to a caller-supplied sink instead of
+/// materializing a result set: the driver folds each pair into the
+/// checksum as it is emitted (DESIGN.md §5).
 pub trait BatchJoin {
     /// Display name for benchmark tables.
     fn name(&self) -> &str;
 
-    /// Append every `(querier, matching object)` pair to `out`, in no
+    /// Call `emit(querier, matching object)` once for every pair, in no
     /// particular order. `queries` carries `(querier id, region)` with
     /// closed-rectangle semantics, exactly as the per-query driver
-    /// produces them. Querier ids are opaque to the join — in a self-join
+    /// produces them. Querier ids are opaque to the join: in a self-join
     /// they happen to index `table`, in a bipartite join they index the
-    /// query relation instead (see [`BatchJoin::join_two`]), and under
+    /// query relation while `table` is the data relation, and under
     /// tiling they are positions in a tile's query list (see
     /// [`crate::par::tiled_batch_join`]).
     fn join(
         &mut self,
         table: &PointTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     );
-
-    /// The two-table (bipartite R ⋈ S) entry point: `queries` carries one
-    /// region per querier of the query relation `queriers` (R), joined
-    /// against the data relation `data` (S). Matching rows of `data` are
-    /// emitted as `(querier, data row)` pairs. The driver always goes
-    /// through this method — a self-join simply passes the same table
-    /// twice.
-    ///
-    /// The default forwards to [`BatchJoin::join`] over `data`: the query
-    /// regions are already materialized, so a technique that never
-    /// dereferences querier ids (both implementations in this workspace)
-    /// is bipartite-ready for free. Override it only if the algorithm
-    /// wants the querier positions themselves.
-    fn join_two(
-        &mut self,
-        queriers: &PointTable,
-        data: &PointTable,
-        queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
-    ) {
-        let _ = queriers;
-        self.join(data, queries, out);
-    }
 
     /// Whether this technique implements the **intersects** predicate
     /// over extent entries (see
@@ -64,8 +49,8 @@ pub trait BatchJoin {
         false
     }
 
-    /// The intersection-join entry point: append every `(querier, data
-    /// row)` pair whose rectangles intersect (closed semantics) to `out`,
+    /// The intersection-join entry point: call `emit(querier, data row)`
+    /// once for every pair whose rectangles intersect (closed semantics),
     /// in no particular order. `queries` carries `(querier id, query
     /// rectangle)` — in the driver's rect self-join the rectangle *is*
     /// the querier's own extent. Querier ids are opaque, exactly as in
@@ -76,7 +61,7 @@ pub trait BatchJoin {
         &mut self,
         _data: &ExtentTable,
         _queries: &[(EntryId, Rect)],
-        _out: &mut Vec<(EntryId, EntryId)>,
+        _emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
         panic!("{}: no intersects-predicate support", self.name());
     }
@@ -102,7 +87,7 @@ impl BatchJoin for NaiveBatchJoin {
         &mut self,
         table: &PointTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
         let xs = table.xs();
         let ys = table.ys();
@@ -110,7 +95,7 @@ impl BatchJoin for NaiveBatchJoin {
         for &(q, region) in queries {
             for i in 0..xs.len() {
                 if live[i] && region.contains_point(xs[i], ys[i]) {
-                    out.push((q, entry_id(i)));
+                    emit(q, entry_id(i));
                 }
             }
         }
@@ -124,7 +109,7 @@ impl BatchJoin for NaiveBatchJoin {
         &mut self,
         data: &ExtentTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
         let (x1s, y1s) = (data.x1s(), data.y1s());
         let (x2s, y2s) = (data.x2s(), data.y2s());
@@ -137,7 +122,7 @@ impl BatchJoin for NaiveBatchJoin {
                     && region.y1 <= y2s[i]
                     && y1s[i] <= region.y2
                 {
-                    out.push((q, entry_id(i)));
+                    emit(q, entry_id(i));
                 }
             }
         }
@@ -163,7 +148,7 @@ mod tests {
             (2u32, Rect::new(8.0, 8.0, 10.0, 10.0)),
         ];
         let mut out = Vec::new();
-        NaiveBatchJoin.join(&t, &queries, &mut out);
+        NaiveBatchJoin.join(&t, &queries, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
         assert_eq!(out, vec![(0, 0), (0, 1), (2, 2)]);
     }
@@ -176,43 +161,26 @@ mod tests {
         t.remove(0);
         let queries = vec![(9u32, Rect::new(0.0, 0.0, 5.0, 5.0))];
         let mut out = Vec::new();
-        NaiveBatchJoin.join(&t, &queries, &mut out);
+        NaiveBatchJoin.join(&t, &queries, &mut |q, r| out.push((q, r)));
         assert_eq!(out, vec![(9, 1)]);
     }
 
     #[test]
-    fn join_two_over_distinct_relations_probes_only_the_data_table() {
-        // R rows sit far outside every query region: only S (data) rows
-        // may appear on the right of a pair, and the querier ids pass
-        // through untouched even though they don't index S.
-        let mut r = PointTable::default();
-        r.push(1_000.0, 1_000.0);
-        r.push(2_000.0, 2_000.0);
+    fn a_bipartite_join_probes_only_the_data_table() {
+        // In a bipartite join the querier ids index the query relation,
+        // not `table`: ids 5 and 9 name no row of this two-row data table,
+        // and they must pass through untouched.
         let mut s = PointTable::default();
         s.push(1.0, 1.0);
         s.push(5.0, 5.0);
         let queries = vec![
-            (0u32, Rect::new(0.0, 0.0, 2.0, 2.0)),
-            (1u32, Rect::new(0.0, 0.0, 10.0, 10.0)),
+            (5u32, Rect::new(0.0, 0.0, 2.0, 2.0)),
+            (9u32, Rect::new(0.0, 0.0, 10.0, 10.0)),
         ];
         let mut out = Vec::new();
-        NaiveBatchJoin.join_two(&r, &s, &queries, &mut out);
+        NaiveBatchJoin.join(&s, &queries, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
-        assert_eq!(out, vec![(0, 0), (1, 0), (1, 1)]);
-    }
-
-    #[test]
-    fn join_two_with_the_same_table_twice_is_the_self_join() {
-        let mut t = PointTable::default();
-        t.push(1.0, 1.0);
-        t.push(5.0, 5.0);
-        let queries = vec![(0u32, Rect::new(0.0, 0.0, 6.0, 6.0))];
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        NaiveBatchJoin.join(&t, &queries, &mut a);
-        NaiveBatchJoin.join_two(&t, &t, &queries, &mut b);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        assert_eq!(out, vec![(5, 0), (9, 0), (9, 1)]);
     }
 
     #[test]
@@ -228,7 +196,7 @@ mod tests {
         ];
         let mut out = Vec::new();
         assert!(NaiveBatchJoin.supports_intersect());
-        NaiveBatchJoin.join_extents(&t, &queries, &mut out);
+        NaiveBatchJoin.join_extents(&t, &queries, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
         assert_eq!(out, vec![(7, 0), (7, 1), (8, 2)]);
     }
@@ -241,7 +209,7 @@ mod tests {
         t.remove(0);
         let queries = vec![(5u32, Rect::new(0.0, 0.0, 10.0, 10.0))];
         let mut out = Vec::new();
-        NaiveBatchJoin.join_extents(&t, &queries, &mut out);
+        NaiveBatchJoin.join_extents(&t, &queries, &mut |q, r| out.push((q, r)));
         assert_eq!(out, vec![(5, 1)]);
     }
 
@@ -249,11 +217,11 @@ mod tests {
     fn empty_inputs_yield_empty_join() {
         let t = PointTable::default();
         let mut out = Vec::new();
-        NaiveBatchJoin.join(&t, &[], &mut out);
+        NaiveBatchJoin.join(&t, &[], &mut |q, r| out.push((q, r)));
         assert!(out.is_empty());
         let mut t2 = PointTable::default();
         t2.push(1.0, 1.0);
-        NaiveBatchJoin.join(&t2, &[], &mut out);
+        NaiveBatchJoin.join(&t2, &[], &mut |q, r| out.push((q, r)));
         assert!(out.is_empty());
     }
 }

@@ -42,8 +42,10 @@
 //! rectangle workload spelled without a `query_side`; a blanket impl makes
 //! each one a `Workload<ExtentTable>`.
 
+use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
+use crate::batch::BatchJoin;
 use crate::geom::{Point, Rect, Vec2};
 use crate::index::SpatialIndex;
 use crate::par::{self, ExecMode};
@@ -367,13 +369,14 @@ trait TickExecutor<T: Shape> {
 
     /// Timed query phase: run every query of the tick and return its
     /// `(pairs, checksum)` delta, each pair folded via [`fold_pair`] from
-    /// 0 — no per-query result materialization. The loop adds the delta to
-    /// the running checksum with `wrapping_add`, which equals folding every
-    /// pair into it directly because the fold is a commutative wrapping
-    /// sum. Under [`ExecMode::Parallel`] the executor shards the phase
-    /// through [`crate::par`]; both categories merge per-worker partials
-    /// the same way, so the totals are bit-identical to the sequential
-    /// mode.
+    /// 0 as it is emitted — no result materialization in either category.
+    /// The loop adds the delta to the running checksum with
+    /// `wrapping_add`, which equals folding every pair into it directly
+    /// because the fold is a commutative wrapping sum. Both executors run
+    /// every mode through [`crate::par`]: [`ExecMode::Sequential`] is the
+    /// sharded phase with one shard ([`shards`]), and all modes merge
+    /// per-worker partials the same way, so the totals are bit-identical
+    /// across modes.
     fn query(&mut self, tick: &TickCtx<'_, T>, exec: ExecMode) -> (u64, u64);
 
     /// Index memory after the final build (0 for batch techniques).
@@ -382,6 +385,16 @@ trait TickExecutor<T: Shape> {
     /// Accumulated mini-join scheduler load metrics (`None` unless the run
     /// was partitioned and its scheduled phases saw work).
     fn tile_load(&self) -> Option<TileLoad>;
+}
+
+/// The shard count of the sharded query phase under `exec`: its threads
+/// under [`ExecMode::Parallel`], one otherwise — [`ExecMode::Sequential`]
+/// is the one-shard case, which runs on the calling thread (DESIGN.md §8).
+fn shards(exec: ExecMode) -> NonZeroUsize {
+    match exec {
+        ExecMode::Parallel { threads } => threads,
+        _ => NonZeroUsize::MIN,
+    }
 }
 
 /// One tick's query-phase inputs, as seen by a [`TickExecutor`]: the
@@ -561,33 +574,21 @@ impl<I: SpatialIndex + Sync + ?Sized, T: Shape> TickExecutor<T> for IndexExecuto
 
     fn query(&mut self, tick: &TickCtx<'_, T>, exec: ExecMode) -> (u64, u64) {
         match exec {
-            ExecMode::Sequential => {
-                let mut pairs = 0u64;
-                let mut checksum = 0u64;
-                for &q in tick.queriers {
-                    let region = tick.centers.query_region(q, tick.query_side, tick.space);
-                    tick.data.probe(&*self.index, &region, &mut |r| {
-                        pairs += 1;
-                        checksum = fold_pair(checksum, q, r);
-                    });
-                }
-                (pairs, checksum)
-            }
-            ExecMode::Parallel { threads } => par::shard_index_query(
-                &*self.index,
-                tick.data,
-                tick.centers,
-                tick.queriers,
-                tick.space,
-                tick.query_side,
-                threads,
-            ),
             ExecMode::Partitioned { .. } => par::tiled_index_query(
                 &mut self.tiles,
                 tick.centers,
                 tick.queriers,
                 tick.space,
                 tick.query_side,
+            ),
+            _ => par::shard_index_query(
+                &*self.index,
+                tick.data,
+                tick.centers,
+                tick.queriers,
+                tick.space,
+                tick.query_side,
+                shards(exec),
             ),
         }
     }
@@ -610,36 +611,39 @@ impl<I: SpatialIndex + Sync + ?Sized, T: Shape> TickExecutor<T> for IndexExecuto
 
 /// Executor for the specialized (set-at-a-time) join category: the tick's
 /// whole query set is assembled untimed, handed to the technique in one
-/// call, and the returned pair set is folded into the checksum. The timed
-/// phase covers the join itself plus the fold, mirroring the per-query
-/// executor where emission and folding are likewise inseparable.
-struct BatchExecutor<'a, J: crate::batch::BatchJoin + ?Sized, T> {
-    join: &'a mut J,
+/// call, and every pair the join emits is folded into the checksum in its
+/// sink. The timed phase covers the join and the fold, which are as
+/// inseparable here as in the per-query executor.
+///
+/// The technique itself only serves as the prototype the query phase
+/// forks ([`BatchJoin::fork`]): one fork per strip of the
+/// sharded phase (the sequential mode is one strip) and one per pool
+/// worker of the tiled phase.
+struct BatchExecutor<'a, J: BatchJoin + ?Sized, T> {
+    join: &'a J,
     queries: Vec<(EntryId, Rect)>,
-    pairs_buf: Vec<(EntryId, EntryId)>,
-    /// Parallel-mode worker forks and buffers, kept across ticks so
-    /// steady-state sharded joins fork and allocate nothing.
-    workers: Vec<par::BatchWorker>,
-    /// Tiled-mode worker forks, replicas and query assignments, likewise
+    /// Sharded-mode forks, kept across ticks so steady-state joins fork
+    /// and allocate nothing.
+    forks: Vec<Box<dyn BatchJoin + Send>>,
+    /// Tiled-mode forks, replicas and query assignments, likewise
     /// persistent. Unlike the index category the batch category has no
     /// build phase, so partitioning happens inside the timed query phase
     /// (it is part of the set-at-a-time join's cost).
     tiles: par::TileBatchPool<T>,
 }
 
-impl<'a, J: crate::batch::BatchJoin + ?Sized, T: Shape> BatchExecutor<'a, J, T> {
-    fn new(join: &'a mut J) -> Self {
+impl<'a, J: BatchJoin + ?Sized, T: Shape> BatchExecutor<'a, J, T> {
+    fn new(join: &'a J) -> Self {
         BatchExecutor {
             join,
             queries: Vec::new(),
-            pairs_buf: Vec::new(),
-            workers: Vec::new(),
+            forks: Vec::new(),
             tiles: par::TileBatchPool::default(),
         }
     }
 }
 
-impl<J: crate::batch::BatchJoin + ?Sized, T: Shape> TickExecutor<T> for BatchExecutor<'_, J, T> {
+impl<J: BatchJoin + ?Sized, T: Shape> TickExecutor<T> for BatchExecutor<'_, J, T> {
     fn prepare(&mut self, tick: &TickCtx<'_, T>) {
         self.queries.clear();
         for &q in tick.queriers {
@@ -650,31 +654,8 @@ impl<J: crate::batch::BatchJoin + ?Sized, T: Shape> TickExecutor<T> for BatchExe
 
     fn query(&mut self, tick: &TickCtx<'_, T>, exec: ExecMode) -> (u64, u64) {
         match exec {
-            ExecMode::Sequential => {
-                self.pairs_buf.clear();
-                tick.data.batch_join(
-                    &mut *self.join,
-                    tick.centers,
-                    &self.queries,
-                    &mut self.pairs_buf,
-                );
-                let mut checksum = 0u64;
-                for &(q, r) in &self.pairs_buf {
-                    checksum = fold_pair(checksum, q, r);
-                }
-                (self.pairs_buf.len() as u64, checksum)
-            }
-            ExecMode::Parallel { threads } => par::shard_batch_join(
-                &*self.join,
-                tick.centers,
-                tick.data,
-                &self.queries,
-                threads,
-                &mut self.workers,
-            ),
             ExecMode::Partitioned { tiles, workers } => par::tiled_batch_join(
-                &*self.join,
-                tick.centers,
+                self.join,
                 tick.data,
                 &self.queries,
                 tick.space,
@@ -682,6 +663,13 @@ impl<J: crate::batch::BatchJoin + ?Sized, T: Shape> TickExecutor<T> for BatchExe
                 tiles,
                 workers,
                 &mut self.tiles,
+            ),
+            _ => par::shard_batch_join(
+                self.join,
+                tick.data,
+                &self.queries,
+                shards(exec),
+                &mut self.forks,
             ),
         }
     }
@@ -737,14 +725,15 @@ pub fn run_bipartite_join<I: SpatialIndex + Sync + ?Sized>(
     )
 }
 
-/// Drive a set-at-a-time join technique ([`crate::batch::BatchJoin`])
+/// Drive a set-at-a-time join technique ([`BatchJoin`])
 /// through the same tick loop as [`run_join`]: identical workloads,
 /// identical phase semantics, directly comparable statistics. The query
 /// phase hands the tick's whole query set to the technique in one call
-/// (its cost covers any per-tick sorting the technique does); under
+/// (its cost covers any per-tick sorting the technique does) and folds
+/// each pair in the join's sink as it is emitted; under
 /// [`ExecMode::Parallel`] the set is partitioned into strips, each joined
-/// by a private fork of the technique ([`crate::batch::BatchJoin::fork`]).
-pub fn run_batch_join<W: Workload + ?Sized, J: crate::batch::BatchJoin + ?Sized>(
+/// by a private fork of the technique ([`BatchJoin::fork`]).
+pub fn run_batch_join<W: Workload + ?Sized, J: BatchJoin + ?Sized>(
     workload: &mut W,
     join: &mut J,
     cfg: DriverConfig,
@@ -754,10 +743,11 @@ pub fn run_batch_join<W: Workload + ?Sized, J: crate::batch::BatchJoin + ?Sized>
 
 /// The bipartite form of [`run_batch_join`]: the tick's whole query set —
 /// one region per live R querier, centred on R positions — is handed to
-/// the technique in one [`crate::batch::BatchJoin::join_two`] call against
-/// the data relation S. See [`run_bipartite_join`] for the relation
-/// semantics.
-pub fn run_bipartite_batch_join<J: crate::batch::BatchJoin + ?Sized>(
+/// the technique in one [`BatchJoin::join`] call over the
+/// data relation S. Querier ids are opaque to the join, so the R ids pass
+/// through to the sink untouched and no technique needs bipartite-specific
+/// code. See [`run_bipartite_join`] for the relation semantics.
+pub fn run_bipartite_batch_join<J: BatchJoin + ?Sized>(
     query_workload: &mut dyn Workload,
     data_workload: &mut dyn Workload,
     join: &mut J,
@@ -801,12 +791,9 @@ pub fn run_intersect_join<W: Workload<ExtentTable> + ?Sized, I: SpatialIndex + S
 
 /// Drive a set-at-a-time technique through the intersection self-join of
 /// [`run_intersect_join`]: the tick's whole query set goes to
-/// [`crate::batch::BatchJoin::join_extents`] in one call. Panics up front
+/// [`BatchJoin::join_extents`] in one call. Panics up front
 /// if the technique does not implement the predicate.
-pub fn run_intersect_batch_join<
-    W: Workload<ExtentTable> + ?Sized,
-    J: crate::batch::BatchJoin + ?Sized,
->(
+pub fn run_intersect_batch_join<W: Workload<ExtentTable> + ?Sized, J: BatchJoin + ?Sized>(
     workload: &mut W,
     join: &mut J,
     cfg: DriverConfig,

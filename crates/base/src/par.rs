@@ -338,19 +338,28 @@ impl PoolMetrics {
     }
 }
 
-/// Run `work` on every item on its own scoped thread and merge the
-/// `(pairs, checksum)` partials with `+` / `wrapping_add` (see the module
-/// docs for why that merge is exact).
+/// Run `work` on every item and merge the `(pairs, checksum)` partials
+/// with `+` / `wrapping_add` (see the module docs for why that merge is
+/// exact). The first item runs on the calling thread and every other item
+/// on its own scoped thread; a lone item opens no thread scope at all, so
+/// the one-shard (sequential) case spawns nothing and allocates nothing.
 fn fork_join<S: Send>(
     items: impl Iterator<Item = S>,
     work: impl Fn(S) -> (u64, u64) + Sync,
 ) -> (u64, u64) {
+    let mut items = items.peekable();
+    let Some(first) = items.next() else {
+        return (0, 0);
+    };
+    if items.peek().is_none() {
+        return work(first);
+    }
     let work = &work;
     std::thread::scope(|scope| {
         let handles: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
         handles
             .into_iter()
-            .fold((0u64, 0u64), |(pairs, checksum), h| {
+            .fold(work(first), |(pairs, checksum), h| {
                 let (p, c) = h.join().expect("query worker panicked");
                 (pairs + p, checksum.wrapping_add(c))
             })
@@ -429,54 +438,40 @@ pub fn shard_index_query<I: SpatialIndex + Sync + ?Sized, T: Shape>(
     })
 }
 
-/// Reusable per-worker state for [`shard_batch_join`]: a private fork of
-/// the technique ([`BatchJoin::fork`]) plus its output buffer. Callers
-/// keep the vector alive across ticks, so steady-state parallel joins
-/// fork and allocate nothing — mirroring the sequential executor's reused
-/// pair buffer, and keeping one-time setup cost out of the timed query
-/// phase after the first tick.
-pub struct BatchWorker {
-    join: Box<dyn BatchJoin + Send>,
-    out: Vec<(EntryId, EntryId)>,
-}
-
-/// The set-at-a-time category's parallel query phase: partition the tick's
-/// query set into contiguous strips and join each independently on its own
-/// [`BatchWorker`] (private scratch, shared read-only base table; `workers`
-/// grows on demand and is reused across calls). Returns `(pairs, checksum)`
-/// with the same delta semantics as [`shard_index_query`]. `queriers` and
-/// `data` are the two relation tables of [`Shape::batch_join`] — the
-/// same table twice for a self-join.
+/// The set-at-a-time category's sharded query phase: partition the tick's
+/// query set into contiguous strips and join each on its own fork of the
+/// technique ([`BatchJoin::fork`]: private scratch, shared read-only
+/// table), folding every pair in the join's sink. `forks` grows on demand
+/// and callers keep it across calls, so steady-state joins fork and
+/// allocate nothing. Returns `(pairs, checksum)` with the same delta
+/// semantics as [`shard_index_query`]; `data` is the table the queries
+/// probe (the data relation S of a bipartite join).
 ///
 /// Strips partition the query set, so the union of the strip joins is
-/// exactly the full join and the commutative checksum merge reproduces the
-/// sequential result bit for bit.
+/// exactly the full join and the commutative checksum merge reproduces
+/// the one-strip (sequential) result bit for bit.
 pub fn shard_batch_join<J: BatchJoin + ?Sized, T: Shape>(
     join: &J,
-    queriers: &T,
     data: &T,
     queries: &[(EntryId, Rect)],
     threads: NonZeroUsize,
-    workers: &mut Vec<BatchWorker>,
+    forks: &mut Vec<Box<dyn BatchJoin + Send>>,
 ) -> (u64, u64) {
     let chunk = chunk_size(queries.len(), threads);
     let strips = queries.chunks(chunk);
-    while workers.len() < strips.len() {
-        // Fork on the spawning thread; each worker owns its instance, so
+    while forks.len() < strips.len() {
+        // Fork on the calling thread; each strip owns its instance, so
         // `J` itself needs no `Sync`.
-        workers.push(BatchWorker {
-            join: join.fork(),
-            out: Vec::new(),
-        });
+        forks.push(join.fork());
     }
-    fork_join(strips.zip(workers.iter_mut()), |(strip, worker)| {
-        worker.out.clear();
-        data.batch_join(&mut *worker.join, queriers, strip, &mut worker.out);
+    fork_join(strips.zip(forks.iter_mut()), |(strip, fork)| {
+        let mut pairs = 0u64;
         let mut checksum = 0u64;
-        for &(q, r) in &worker.out {
+        data.batch_join(&mut **fork, strip, &mut |q, r| {
+            pairs += 1;
             checksum = fold_pair(checksum, q, r);
-        }
-        (worker.out.len() as u64, checksum)
+        });
+        (pairs, checksum)
     })
 }
 
@@ -494,8 +489,8 @@ struct TileIndexWorker {
 /// grid, per-tile data replicas, per-tile index forks, the mini-join
 /// queue buffer, and the scheduler's load accounting. Owned by the
 /// driver's index executor and kept across ticks, so steady-state tiled
-/// execution forks nothing and reuses every buffer — mirroring
-/// [`BatchWorker`] reuse in the sharded mode.
+/// execution forks nothing and reuses every buffer — mirroring the
+/// reused forks of the sharded mode.
 #[derive(Default)]
 pub struct TileIndexPool<T = PointTable> {
     grid: Option<TileGrid>,
@@ -570,18 +565,16 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
         .map(Mutex::new)
         .collect();
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..cap {
-            scope.spawn(|| loop {
-                let t = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(t) else { break };
-                let mut guard = item
-                    .lock()
-                    .expect("each tile is taken by exactly one worker, so no lock is poisoned");
-                let (worker, replica) = &mut *guard;
-                replica.table.build_index(&mut *worker.index);
-            });
+    // A build emits no pairs, so every partial is (0, 0).
+    fork_join(std::iter::repeat_n((), cap), |()| {
+        while let Some(item) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let mut guard = item
+                .lock()
+                .expect("each tile is taken by exactly one worker, so no lock is poisoned");
+            let (worker, replica) = &mut *guard;
+            replica.table.build_index(&mut *worker.index);
         }
+        (0, 0)
     });
 }
 
@@ -652,20 +645,13 @@ pub fn tiled_index_query<T: Shape>(
     )
 }
 
-/// One pool worker's state for the space-partitioned batch category: a
-/// private fork of the join plus its output buffer. Unlike the index path
-/// there is no per-tile mutable state — any worker serves any tile's
-/// chunk through its own fork, so the pool holds `cap` workers, not one
-/// per tile.
-struct TileBatchWorker {
-    join: Box<dyn BatchJoin + Send>,
-    out: Vec<(EntryId, EntryId)>,
-}
-
 /// Reusable state of the space-partitioned batch executor (see
 /// [`TileIndexPool`] for the reuse rationale): per-tile replicas and query
-/// assignments, the per-worker forks, the mini-join queue buffer, and the
-/// scheduler's load accounting.
+/// assignments, one fork of the join per pool worker, the mini-join queue
+/// buffer, and the scheduler's load accounting. Unlike the index path
+/// there is no per-tile mutable state — any worker serves any tile's chunk
+/// through its own fork, so the pool holds one fork per worker, not one
+/// per tile.
 ///
 /// Query assignments are stored per tile as `(local index, region)` with
 /// the matching global querier id in `tile_qids`: querier ids are opaque
@@ -678,7 +664,7 @@ pub struct TileBatchPool<T = PointTable> {
     replicas: Vec<TileReplica<T>>,
     tile_queries: Vec<Vec<(EntryId, Rect)>>,
     tile_qids: Vec<Vec<EntryId>>,
-    workers: Vec<TileBatchWorker>,
+    forks: Vec<Box<dyn BatchJoin + Send>>,
     chunks: Vec<MiniJoin>,
     metrics: PoolMetrics,
 }
@@ -699,16 +685,15 @@ impl<T> TileBatchPool<T> {
 /// populated tile; see the chunking comment in the body for why this
 /// category must not split below the tile), and drain the queue with a
 /// pool of scoped workers running each chunk's batch join on a private
-/// fork ([`BatchJoin::fork`]) over that tile's replica — then keep only
-/// the pairs whose reference point lies in the tile (the reference-point
-/// rule) and fold them under global handles. Everything — partitioning
-/// included — runs inside the timed query phase, consistent with the
-/// category's set-at-a-time cost model (per-tick sorting and partitioning
-/// are the technique's own cost).
+/// fork ([`BatchJoin::fork`]) over that tile's replica. The join's sink
+/// keeps only the pairs whose reference point lies in the tile (the
+/// reference-point rule) and folds them under global handles. Everything
+/// — partitioning included — runs inside the timed query phase,
+/// consistent with the category's set-at-a-time cost model (per-tick
+/// sorting and partitioning are the technique's own cost).
 #[allow(clippy::too_many_arguments)] // mirrors shard_batch_join plus the tile geometry
 pub fn tiled_batch_join<J: BatchJoin + ?Sized, T: Shape>(
     join: &J,
-    queriers: &T,
     data: &T,
     queries: &[(EntryId, Rect)],
     space: &Rect,
@@ -749,41 +734,33 @@ pub fn tiled_batch_join<J: BatchJoin + ?Sized, T: Shape>(
         &mut pool.chunks,
     );
     let cap = pool_cap(workers, grid.tiles(), pool.chunks.len());
-    while pool.workers.len() < cap {
-        pool.workers.push(TileBatchWorker {
-            join: join.fork(),
-            out: Vec::new(),
-        });
+    while pool.forks.len() < cap {
+        pool.forks.push(join.fork());
     }
     pool.metrics.begin(grid.tiles());
     let replicas: &[TileReplica<T>] = &pool.replicas;
     let tile_queries: &[Vec<(EntryId, Rect)>] = &pool.tile_queries;
     let tile_qids: &[Vec<EntryId>] = &pool.tile_qids;
     drain_mini_joins(
-        pool.workers.iter_mut().take(cap),
+        pool.forks.iter_mut().take(cap),
         &pool.chunks,
         &mut pool.metrics,
-        |worker, MiniJoin { tile, start, end }| {
+        |fork, MiniJoin { tile, start, end }| {
             let replica = &replicas[tile];
             let queries = &tile_queries[tile];
-            worker.out.clear();
-            replica.table.batch_join(
-                &mut *worker.join,
-                queriers,
-                &queries[start..end],
-                &mut worker.out,
-            );
             let (cx, cy) = replica.table.corners();
             let mut pairs = 0u64;
             let mut checksum = 0u64;
-            for &(qi, local) in &worker.out {
-                let (qi, l) = (qi as usize, local as usize);
-                let p = T::reference_point(&queries[qi].1, Point::new(cx[l], cy[l]));
-                if grid.tile_of(p.x, p.y) == tile {
-                    pairs += 1;
-                    checksum = fold_pair(checksum, tile_qids[tile][qi], replica.to_global[l]);
-                }
-            }
+            replica
+                .table
+                .batch_join(&mut ***fork, &queries[start..end], &mut |qi, local| {
+                    let (qi, l) = (qi as usize, local as usize);
+                    let p = T::reference_point(&queries[qi].1, Point::new(cx[l], cy[l]));
+                    if grid.tile_of(p.x, p.y) == tile {
+                        pairs += 1;
+                        checksum = fold_pair(checksum, tile_qids[tile][qi], replica.to_global[l]);
+                    }
+                });
             (pairs, checksum)
         },
     )
@@ -862,21 +839,14 @@ mod tests {
             })
             .collect();
         let mut out = Vec::new();
-        NaiveBatchJoin.join(&table, &queries, &mut out);
+        NaiveBatchJoin.join(&table, &queries, &mut |q, r| out.push((q, r)));
         let expect_pairs = out.len() as u64;
         let expect_checksum = out.iter().fold(0u64, |c, &(q, r)| fold_pair(c, q, r));
         // One scratch pool across all thread counts: reuse must not leak
         // state between calls.
-        let mut workers = Vec::new();
+        let mut forks = Vec::new();
         for n in [1, 2, 3, 7, 64] {
-            let got = shard_batch_join(
-                &NaiveBatchJoin,
-                &table,
-                &table,
-                &queries,
-                threads(n),
-                &mut workers,
-            );
+            let got = shard_batch_join(&NaiveBatchJoin, &table, &queries, threads(n), &mut forks);
             assert_eq!(got, (expect_pairs, expect_checksum), "threads = {n}");
         }
     }
@@ -891,14 +861,7 @@ mod tests {
             (0, 0)
         );
         assert_eq!(
-            shard_batch_join(
-                &NaiveBatchJoin,
-                &table,
-                &table,
-                &[],
-                threads(4),
-                &mut Vec::new()
-            ),
+            shard_batch_join(&NaiveBatchJoin, &table, &[], threads(4), &mut Vec::new()),
             (0, 0)
         );
     }
@@ -1023,14 +986,13 @@ mod tests {
             })
             .collect();
         let mut out = Vec::new();
-        NaiveBatchJoin.join(&table, &queries, &mut out);
+        NaiveBatchJoin.join(&table, &queries, &mut |q, r| out.push((q, r)));
         let expect_pairs = out.len() as u64;
         let expect_checksum = out.iter().fold(0u64, |c, &(q, r)| fold_pair(c, q, r));
         let mut pool = TileBatchPool::default();
         for n in [1usize, 2, 3, 6, 25, 64] {
             let got = tiled_batch_join(
                 &NaiveBatchJoin,
-                &table,
                 &table,
                 &queries,
                 &space,
@@ -1047,7 +1009,6 @@ mod tests {
             let got = tiled_batch_join(
                 &NaiveBatchJoin,
                 &table,
-                &table,
                 &queries,
                 &space,
                 query_side,
@@ -1063,7 +1024,6 @@ mod tests {
         }
         let got = tiled_batch_join(
             &NaiveBatchJoin,
-            &table,
             &table,
             &queries,
             &space,
@@ -1099,7 +1059,6 @@ mod tests {
         assert_eq!(
             tiled_batch_join(
                 &NaiveBatchJoin,
-                &table,
                 &table,
                 &[],
                 &space,
@@ -1183,19 +1142,12 @@ mod tests {
             .map(|q| (q, table.rect(q)))
             .collect();
         let mut out = Vec::new();
-        NaiveBatchJoin.join_extents(&table, &queries, &mut out);
+        NaiveBatchJoin.join_extents(&table, &queries, &mut |q, r| out.push((q, r)));
         let expect_pairs = out.len() as u64;
         let expect_checksum = out.iter().fold(0u64, |c, &(q, r)| fold_pair(c, q, r));
-        let mut workers = Vec::new();
+        let mut forks = Vec::new();
         for n in [1, 2, 3, 7, 64] {
-            let got = shard_batch_join(
-                &NaiveBatchJoin,
-                &table,
-                &table,
-                &queries,
-                threads(n),
-                &mut workers,
-            );
+            let got = shard_batch_join(&NaiveBatchJoin, &table, &queries, threads(n), &mut forks);
             assert_eq!(got, (expect_pairs, expect_checksum), "threads = {n}");
         }
     }
@@ -1274,7 +1226,7 @@ mod tests {
             .map(|q| (q, table.rect(q)))
             .collect();
         let mut out = Vec::new();
-        NaiveBatchJoin.join_extents(&table, &queries, &mut out);
+        NaiveBatchJoin.join_extents(&table, &queries, &mut |q, r| out.push((q, r)));
         let expect_pairs = out.len() as u64;
         let expect_checksum = out.iter().fold(0u64, |c, &(q, r)| fold_pair(c, q, r));
         let space = Rect::space(SIDE);
@@ -1282,7 +1234,6 @@ mod tests {
         for n in [1usize, 2, 3, 6, 25, 64] {
             let got = tiled_batch_join(
                 &NaiveBatchJoin,
-                &table,
                 &table,
                 &queries,
                 &space,
@@ -1296,7 +1247,6 @@ mod tests {
         for (tiles, workers) in [(4usize, 2usize), (16, 8), (64, 2)] {
             let got = tiled_batch_join(
                 &NaiveBatchJoin,
-                &table,
                 &table,
                 &queries,
                 &space,
@@ -1313,7 +1263,6 @@ mod tests {
         }
         let got = tiled_batch_join(
             &NaiveBatchJoin,
-            &table,
             &table,
             &queries,
             &space,
@@ -1337,14 +1286,7 @@ mod tests {
             (0, 0)
         );
         assert_eq!(
-            shard_batch_join(
-                &NaiveBatchJoin,
-                &table,
-                &table,
-                &[],
-                threads(4),
-                &mut Vec::new()
-            ),
+            shard_batch_join(&NaiveBatchJoin, &table, &[], threads(4), &mut Vec::new()),
             (0, 0)
         );
         let mut pool = TileIndexPool::default();
@@ -1357,7 +1299,6 @@ mod tests {
         assert_eq!(
             tiled_batch_join(
                 &NaiveBatchJoin,
-                &table,
                 &table,
                 &[],
                 &space,

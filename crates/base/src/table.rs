@@ -544,14 +544,13 @@ pub trait Shape: Table + Clone + std::fmt::Debug + Default + PartialEq + Sync {
         emit: &mut dyn FnMut(EntryId),
     );
 
-    /// Join `queries` against this table in one call. `queriers` is the
-    /// query relation the regions came from; querier ids are opaque.
+    /// Join `queries` against this table in one call, calling `emit`
+    /// for every `(querier, row)` pair; querier ids are opaque.
     fn batch_join<J: BatchJoin + ?Sized>(
         &self,
         join: &mut J,
-        queriers: &Self,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     );
 }
 
@@ -631,11 +630,10 @@ impl Shape for PointTable {
     fn batch_join<J: BatchJoin + ?Sized>(
         &self,
         join: &mut J,
-        queriers: &PointTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
-        join.join_two(queriers, self, queries, out);
+        join.join(self, queries, emit);
     }
 }
 
@@ -716,11 +714,10 @@ impl Shape for ExtentTable {
     fn batch_join<J: BatchJoin + ?Sized>(
         &self,
         join: &mut J,
-        _queriers: &ExtentTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
-        join.join_extents(self, queries, out);
+        join.join_extents(self, queries, emit);
     }
 }
 

@@ -126,9 +126,10 @@ impl Technique {
     /// planned live row, centred on that row), `data_workload` the data
     /// relation S (what indexes build over and joins probe). Same
     /// category dispatch and exec-mode promotion as [`Technique::run`];
-    /// index techniques need no per-implementation support — they build
-    /// over S and are probed from R — and batch techniques go through
-    /// [`sj_base::batch::BatchJoin::join_two`].
+    /// neither category needs per-implementation support: indexes build
+    /// over S and are probed from R, and batch techniques
+    /// ([`sj_base::batch::BatchJoin::join`]) join R's query regions
+    /// against S, with R's querier ids passed through as opaque handles.
     pub fn run_bipartite(
         &mut self,
         query_workload: &mut dyn Workload,

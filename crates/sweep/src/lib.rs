@@ -9,18 +9,24 @@
 //! Algorithm: sort the points by x and the queries by their left edge
 //! (`x1`); advance through the points in x order, activating every query
 //! whose interval has started and lazily retiring queries whose interval
-//! has ended; each point is tested against the active queries' y-ranges.
-//! With query windows of side `w` over a space of side `S`, the expected
-//! active-list size is `|Q|·w/S`, so the join costs
-//! `O(sort + |P|·|Q|·w/S)` — independent of any index tuning, which is
-//! what made it a robust competitor in the original study.
+//! has ended; each point is tested against the active queries' y-ranges,
+//! and each match goes straight to the caller's sink. With query windows
+//! of side `w` over a space of side `S`, the expected active-list size is
+//! `|Q|·w/S`, so the join costs `O(sort + |P|·|Q|·w/S)` — independent of
+//! any index tuning, which is what made it a robust competitor in the
+//! original study.
+//!
+//! The sweep orders the query *regions* and the swept table's points and
+//! never dereferences a querier id, so a bipartite R ⋈ S join is the same
+//! call with S as the table and R's regions as the queries.
 
 use sj_base::batch::BatchJoin;
 use sj_base::geom::Rect;
 use sj_base::table::{EntryId, PointTable};
 
 /// See crate docs. Scratch buffers are reused across ticks so steady-state
-/// joins allocate nothing.
+/// joins allocate nothing, and every pair goes straight to the caller's
+/// sink.
 ///
 /// ```
 /// use sj_base::batch::BatchJoin;
@@ -36,7 +42,7 @@ use sj_base::table::{EntryId, PointTable};
 ///     (8u32, Rect::new(0.0, 0.0, 600.0, 600.0)),
 /// ];
 /// let mut pairs = Vec::new();
-/// PlaneSweepJoin::new().join(&table, &queries, &mut pairs);
+/// PlaneSweepJoin::new().join(&table, &queries, &mut |q, r| pairs.push((q, r)));
 /// pairs.sort_unstable();
 /// assert_eq!(pairs, vec![(7, 0), (8, 0), (8, 1)]);
 /// ```
@@ -65,7 +71,7 @@ impl BatchJoin for PlaneSweepJoin {
         &mut self,
         table: &PointTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
         if queries.is_empty() || table.is_empty() {
             return;
@@ -115,27 +121,11 @@ impl BatchJoin for PlaneSweepJoin {
                     continue;
                 }
                 if py >= r.y1 && py <= r.y2 {
-                    out.push((queries[qi].0, pid));
+                    emit(queries[qi].0, pid);
                 }
                 i += 1;
             }
         }
-    }
-
-    /// Bipartite R ⋈ S: the sweep is already two-relation by construction
-    /// — it orders the materialized query *regions* and the data table's
-    /// points, never dereferencing a querier id — so the data relation is
-    /// simply whichever table is swept. Explicit (rather than inheriting
-    /// the trait default) to document that the technique is
-    /// bipartite-ready.
-    fn join_two(
-        &mut self,
-        _queriers: &PointTable,
-        data: &PointTable,
-        queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
-    ) {
-        self.join(data, queries, out);
     }
 
     fn fork(&self) -> Box<dyn BatchJoin + Send> {
@@ -179,7 +169,7 @@ mod tests {
         qs: &[(EntryId, Rect)],
     ) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
-        j.join(t, qs, &mut out);
+        j.join(t, qs, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
         out
     }
@@ -193,29 +183,6 @@ mod tests {
             sorted_join(&mut sweep, &t, &qs),
             sorted_join(&mut naive, &t, &qs)
         );
-    }
-
-    #[test]
-    fn bipartite_join_two_agrees_with_naive_over_distinct_relations() {
-        // R supplies the query set (its table never contributes result
-        // rows), S is swept: both implementations must find the same
-        // (r_querier, s_row) pairs.
-        let (r, qs) = random_setup(300, 150, 17);
-        let (s, _) = random_setup(900, 1, 18);
-        let run = |j: &mut dyn BatchJoin| {
-            let mut out = Vec::new();
-            j.join_two(&r, &s, &qs, &mut out);
-            out.sort_unstable();
-            out
-        };
-        let swept = run(&mut PlaneSweepJoin::new());
-        let naive = run(&mut NaiveBatchJoin);
-        assert!(!swept.is_empty());
-        assert_eq!(swept, naive);
-        // Every result row is an S handle (S is larger than R here, so a
-        // stray R-side emission would be caught by the pair set equality
-        // anyway; the explicit bound documents the invariant).
-        assert!(swept.iter().all(|&(_, row)| (row as usize) < s.len()));
     }
 
     #[test]
@@ -238,9 +205,9 @@ mod tests {
         let (t, qs) = random_setup(100, 10, 1);
         let mut sweep = PlaneSweepJoin::new();
         let mut out = Vec::new();
-        sweep.join(&t, &[], &mut out);
+        sweep.join(&t, &[], &mut |q, r| out.push((q, r)));
         assert!(out.is_empty());
-        sweep.join(&PointTable::default(), &qs, &mut out);
+        sweep.join(&PointTable::default(), &qs, &mut |q, r| out.push((q, r)));
         assert!(out.is_empty());
     }
 
@@ -255,7 +222,7 @@ mod tests {
         ];
         let mut sweep = PlaneSweepJoin::new();
         let mut out = Vec::new();
-        sweep.join(&t, &qs, &mut out);
+        sweep.join(&t, &qs, &mut |q, r| out.push((q, r)));
         assert_eq!(out.len(), 3);
     }
 
@@ -285,7 +252,7 @@ mod tests {
         let qs = vec![(3u32, Rect::new(5.0, 5.0, 5.0, 5.0)); 4];
         let mut sweep = PlaneSweepJoin::new();
         let mut out = Vec::new();
-        sweep.join(&t, &qs, &mut out);
+        sweep.join(&t, &qs, &mut |q, r| out.push((q, r)));
         assert_eq!(out.len(), 40);
     }
 }

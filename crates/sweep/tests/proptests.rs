@@ -36,10 +36,10 @@ fn run_case(points: Vec<(f32, f32)>, qs: Vec<(u32, f32, f32, f32, f32)>) {
         .map(|&(id, x, y, w, h)| (id, Rect::new(x, y, (x + w).min(SIDE), (y + h).min(SIDE))))
         .collect();
     let mut sweep_out = Vec::new();
-    PlaneSweepJoin::new().join(&t, &queries, &mut sweep_out);
+    PlaneSweepJoin::new().join(&t, &queries, &mut |q, r| sweep_out.push((q, r)));
     sweep_out.sort_unstable();
     let mut naive_out = Vec::new();
-    NaiveBatchJoin.join(&t, &queries, &mut naive_out);
+    NaiveBatchJoin.join(&t, &queries, &mut |q, r| naive_out.push((q, r)));
     naive_out.sort_unstable();
     assert_eq!(sweep_out, naive_out);
 }

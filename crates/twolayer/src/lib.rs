@@ -5,7 +5,9 @@
 //! join that partitions both relations over a uniform cell grid and —
 //! unlike classic PBSM-style replication joins — never produces a
 //! duplicate result pair, so no dedup pass (and no result sorting or
-//! hashing) is needed.
+//! hashing) is needed. Since no code needs a pair after it is emitted,
+//! each one goes straight to the caller's sink
+//! ([`BatchJoin::join`](sj_base::batch::BatchJoin::join)).
 //!
 //! ## The algebra
 //!
@@ -89,7 +91,8 @@ impl CellLists {
 }
 
 /// See crate docs. Scratch buffers are reused across ticks so
-/// steady-state joins allocate nothing.
+/// steady-state joins allocate nothing, and every pair goes straight to
+/// the caller's sink.
 ///
 /// ```
 /// use sj_base::batch::BatchJoin;
@@ -104,7 +107,7 @@ impl CellLists {
 /// // Self-join: each querier's region is its own extent.
 /// let queries: Vec<_> = (0..3u32).map(|i| (i, table.rect(i))).collect();
 /// let mut pairs = Vec::new();
-/// TwoLayerJoin::new().join_extents(&table, &queries, &mut pairs);
+/// TwoLayerJoin::new().join_extents(&table, &queries, &mut |q, r| pairs.push((q, r)));
 /// pairs.sort_unstable();
 /// assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 0), (1, 1), (2, 2)]);
 /// ```
@@ -146,9 +149,9 @@ impl TwoLayerJoin {
 
     /// Partition `self.s_rows` (data) and `queries` (query side) over a
     /// cell grid and execute the nine mini-joins per cell. Every
-    /// intersecting `(querier, data row)` pair is pushed exactly once;
-    /// `out` is append-only and never post-processed.
-    fn join_rows(&mut self, queries: &[(EntryId, Rect)], out: &mut Vec<(EntryId, EntryId)>) {
+    /// intersecting `(querier, data row)` pair is emitted exactly once,
+    /// so no pair needs to be kept, checked or deduplicated after `emit`.
+    fn join_rows(&mut self, queries: &[(EntryId, Rect)], emit: &mut dyn FnMut(EntryId, EntryId)) {
         if self.s_rows.is_empty() || queries.is_empty() {
             return;
         }
@@ -176,15 +179,15 @@ impl TwoLayerJoin {
         let x_ov = |r: &Rect, s: &Rect| r.x1 <= s.x2 && s.x1 <= r.x2;
         for cell in &self.parts[..tiles] {
             let (r, s) = (&cell.r, &cell.s);
-            mini(&r[A], &s[A], |a, b| a.intersects(b), out);
-            mini(&r[A], &s[B], |a, b| a.x1 <= b.x2 && y_ov(a, b), out);
-            mini(&r[A], &s[C], |a, b| a.y1 <= b.y2 && x_ov(a, b), out);
-            mini(&r[A], &s[D], |a, b| a.x1 <= b.x2 && a.y1 <= b.y2, out);
-            mini(&r[B], &s[A], |a, b| b.x1 <= a.x2 && y_ov(a, b), out);
-            mini(&r[B], &s[C], |a, b| b.x1 <= a.x2 && a.y1 <= b.y2, out);
-            mini(&r[C], &s[A], |a, b| x_ov(a, b) && b.y1 <= a.y2, out);
-            mini(&r[C], &s[B], |a, b| a.x1 <= b.x2 && b.y1 <= a.y2, out);
-            mini(&r[D], &s[A], |a, b| b.x1 <= a.x2 && b.y1 <= a.y2, out);
+            mini(&r[A], &s[A], |a, b| a.intersects(b), emit);
+            mini(&r[A], &s[B], |a, b| a.x1 <= b.x2 && y_ov(a, b), emit);
+            mini(&r[A], &s[C], |a, b| a.y1 <= b.y2 && x_ov(a, b), emit);
+            mini(&r[A], &s[D], |a, b| a.x1 <= b.x2 && a.y1 <= b.y2, emit);
+            mini(&r[B], &s[A], |a, b| b.x1 <= a.x2 && y_ov(a, b), emit);
+            mini(&r[B], &s[C], |a, b| b.x1 <= a.x2 && a.y1 <= b.y2, emit);
+            mini(&r[C], &s[A], |a, b| x_ov(a, b) && b.y1 <= a.y2, emit);
+            mini(&r[C], &s[B], |a, b| a.x1 <= b.x2 && b.y1 <= a.y2, emit);
+            mini(&r[D], &s[A], |a, b| b.x1 <= a.x2 && b.y1 <= a.y2, emit);
         }
     }
 }
@@ -224,12 +227,12 @@ fn mini<F: Fn(&Rect, &Rect) -> bool>(
     rs: &[(EntryId, Rect)],
     ss: &[(EntryId, Rect)],
     test: F,
-    out: &mut Vec<(EntryId, EntryId)>,
+    emit: &mut dyn FnMut(EntryId, EntryId),
 ) {
     for &(q, qr) in rs {
         for &(sid, sr) in ss {
             if test(&qr, &sr) {
-                out.push((q, sid));
+                emit(q, sid);
             }
         }
     }
@@ -265,14 +268,14 @@ impl BatchJoin for TwoLayerJoin {
         &mut self,
         table: &PointTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
         self.s_rows.clear();
         self.s_rows.reserve(table.live_len());
         for (id, p) in table.iter() {
             self.s_rows.push((id, Rect::new(p.x, p.y, p.x, p.y)));
         }
-        self.join_rows(queries, out);
+        self.join_rows(queries, emit);
     }
 
     fn supports_intersect(&self) -> bool {
@@ -283,14 +286,14 @@ impl BatchJoin for TwoLayerJoin {
         &mut self,
         data: &ExtentTable,
         queries: &[(EntryId, Rect)],
-        out: &mut Vec<(EntryId, EntryId)>,
+        emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
         self.s_rows.clear();
         self.s_rows.reserve(data.live_len());
         for (id, rect) in data.iter() {
             self.s_rows.push((id, rect));
         }
-        self.join_rows(queries, out);
+        self.join_rows(queries, emit);
     }
 
     fn fork(&self) -> Box<dyn BatchJoin + Send> {
@@ -335,7 +338,7 @@ mod tests {
     /// closed intersection predicate.
     fn brute_force(t: &ExtentTable, qs: &[(EntryId, Rect)]) -> Vec<(EntryId, EntryId)> {
         let mut out = Vec::new();
-        NaiveBatchJoin.join_extents(t, qs, &mut out);
+        NaiveBatchJoin.join_extents(t, qs, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
         out
     }
@@ -346,7 +349,7 @@ mod tests {
         let qs = self_join_queries(&t);
         let expected = brute_force(&t, &qs);
         let mut raw = Vec::new();
-        TwoLayerJoin::new().join_extents(&t, &qs, &mut raw);
+        TwoLayerJoin::new().join_extents(&t, &qs, &mut |q, r| raw.push((q, r)));
         // The no-dedup pin: the RAW emit count equals the pair count —
         // nothing was filtered, sorted, or uniqued after emission.
         assert_eq!(raw.len(), expected.len());
@@ -365,8 +368,11 @@ mod tests {
         let expected = brute_force(&t, &qs);
         for cells in [1usize, 2, 3, 7, 16, 64, 311] {
             let mut raw = Vec::new();
-            TwoLayerJoin::with_cells(NonZeroUsize::new(cells).unwrap())
-                .join_extents(&t, &qs, &mut raw);
+            TwoLayerJoin::with_cells(NonZeroUsize::new(cells).unwrap()).join_extents(
+                &t,
+                &qs,
+                &mut |q, r| raw.push((q, r)),
+            );
             assert_eq!(raw.len(), expected.len(), "cells={cells}");
             raw.sort_unstable();
             assert_eq!(raw, expected, "cells={cells}");
@@ -388,7 +394,11 @@ mod tests {
         let qs = self_join_queries(&t);
         let expected = brute_force(&t, &qs);
         let mut raw = Vec::new();
-        TwoLayerJoin::with_cells(NonZeroUsize::new(64).unwrap()).join_extents(&t, &qs, &mut raw);
+        TwoLayerJoin::with_cells(NonZeroUsize::new(64).unwrap()).join_extents(
+            &t,
+            &qs,
+            &mut |q, r| raw.push((q, r)),
+        );
         assert_eq!(raw.len(), expected.len());
         raw.sort_unstable();
         assert_eq!(raw, expected);
@@ -402,7 +412,7 @@ mod tests {
         t.push(Rect::new(0.0, 10.0, 10.0, 20.0)); // edge touches both
         let qs = self_join_queries(&t);
         let mut raw = Vec::new();
-        TwoLayerJoin::new().join_extents(&t, &qs, &mut raw);
+        TwoLayerJoin::new().join_extents(&t, &qs, &mut |q, r| raw.push((q, r)));
         raw.sort_unstable();
         assert_eq!(raw, brute_force(&t, &qs));
         // All three touch pairwise: 3 self-pairs + 6 ordered cross pairs.
@@ -418,7 +428,7 @@ mod tests {
         let qs = self_join_queries(&t);
         let expected = brute_force(&t, &qs);
         let mut raw = Vec::new();
-        TwoLayerJoin::new().join_extents(&t, &qs, &mut raw);
+        TwoLayerJoin::new().join_extents(&t, &qs, &mut |q, r| raw.push((q, r)));
         assert_eq!(raw.len(), expected.len());
         raw.sort_unstable();
         assert_eq!(raw, expected);
@@ -443,9 +453,9 @@ mod tests {
             })
             .collect();
         let mut raw = Vec::new();
-        TwoLayerJoin::new().join(&t, &qs, &mut raw);
+        TwoLayerJoin::new().join(&t, &qs, &mut |q, r| raw.push((q, r)));
         let mut expected = Vec::new();
-        NaiveBatchJoin.join(&t, &qs, &mut expected);
+        NaiveBatchJoin.join(&t, &qs, &mut |q, r| expected.push((q, r)));
         assert_eq!(raw.len(), expected.len());
         raw.sort_unstable();
         expected.sort_unstable();
@@ -458,7 +468,7 @@ mod tests {
         let t1 = random_extents(200, 41);
         let qs1 = self_join_queries(&t1);
         let mut out = Vec::new();
-        j.join_extents(&t1, &qs1, &mut out);
+        j.join_extents(&t1, &qs1, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
         assert_eq!(out, brute_force(&t1, &qs1));
         // A second, smaller join (fewer cells in use) must not see stale
@@ -466,7 +476,7 @@ mod tests {
         let t2 = random_extents(40, 42);
         let qs2 = self_join_queries(&t2);
         let mut out2 = Vec::new();
-        j.join_extents(&t2, &qs2, &mut out2);
+        j.join_extents(&t2, &qs2, &mut |q, r| out2.push((q, r)));
         out2.sort_unstable();
         assert_eq!(out2, brute_force(&t2, &qs2));
     }
@@ -479,7 +489,7 @@ mod tests {
         let t = random_extents(100, 51);
         let qs = self_join_queries(&t);
         let mut out = Vec::new();
-        f.join_extents(&t, &qs, &mut out);
+        f.join_extents(&t, &qs, &mut |q, r| out.push((q, r)));
         out.sort_unstable();
         assert_eq!(out, brute_force(&t, &qs));
     }
@@ -491,16 +501,16 @@ mod tests {
         j.join_extents(
             &ExtentTable::default(),
             &[(0, Rect::new(0.0, 0.0, 1.0, 1.0))],
-            &mut out,
+            &mut |q, r| out.push((q, r)),
         );
         assert!(out.is_empty());
         let t = random_extents(10, 61);
-        j.join_extents(&t, &[], &mut out);
+        j.join_extents(&t, &[], &mut |q, r| out.push((q, r)));
         assert!(out.is_empty());
         j.join(
             &PointTable::default(),
             &[(0, Rect::new(0.0, 0.0, 1.0, 1.0))],
-            &mut out,
+            &mut |q, r| out.push((q, r)),
         );
         assert!(out.is_empty());
     }

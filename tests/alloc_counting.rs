@@ -1,13 +1,15 @@
-//! Zero-allocation pin for the per-query hot path.
+//! Zero-allocation pin for the query phase of both join categories.
 //!
 //! The driver's query phase calls [`SpatialIndex::for_each_in`] thousands
 //! of times per tick; a single heap allocation in there (a traversal
 //! stack, a scratch `Vec`) is a hidden multiplier the phase timings then
-//! mis-attribute to the algorithm. This binary installs a counting global
+//! mis-attribute to the algorithm. A batch join runs once per tick but
+//! emits hundreds of thousands of pairs, so the same holds for its
+//! scratch state and its sink. This binary installs a counting global
 //! allocator (test-binary scoped — integration tests each get their own
 //! binary) and asserts that, after one warm-up pass, a full query batch
-//! over every registry index performs **zero** allocations on the
-//! querying thread.
+//! over every registry index, and a repeated join of every batch
+//! technique, performs **zero** allocations on the querying thread.
 //!
 //! The counter is thread-local, so concurrently running tests in this
 //! binary cannot pollute each other's counts.
@@ -174,6 +176,58 @@ fn query_phase_performs_zero_allocations_for_every_index() {
             queries.len()
         );
     }
+}
+
+/// Run one batch join through a sink that folds every pair, returning
+/// `(pairs, fold)` without allocating.
+fn fold_batch(join: impl FnOnce(&mut dyn FnMut(EntryId, EntryId))) -> (u64, u64) {
+    let (mut pairs, mut acc) = (0u64, 0u64);
+    join(&mut |q, r| {
+        pairs += 1;
+        acc = acc
+            .wrapping_mul(0x100_0000_01B3)
+            .wrapping_add(((q as u64) << 32 | r as u64) + 1);
+    });
+    (pairs, acc)
+}
+
+/// Run `join` once to warm its scratch state, then again under the
+/// counter: the repeat must fold the same pairs and allocate nothing.
+fn assert_steady_state_allocates_nothing(name: &str, mut join: impl FnMut() -> (u64, u64)) {
+    let warm = join();
+    let (allocs, cold) = allocations_during(&mut join);
+    assert_eq!(cold, warm, "{name}: non-deterministic join");
+    assert_ne!(cold.0, 0, "{name}: join matched nothing — weak test");
+    assert_eq!(
+        allocs, 0,
+        "{name}: {allocs} heap allocations in the steady state"
+    );
+}
+
+#[test]
+fn batch_joins_perform_zero_allocations_for_every_technique() {
+    let t = populated_table(3_000, 42);
+    let queries: Vec<(EntryId, Rect)> = (0..).zip(query_batch(200, 7)).collect();
+    let mut rects = ExtentTable::default();
+    for r in query_batch(3_000, 11) {
+        rects.push(r);
+    }
+    let rect_queries: Vec<(EntryId, Rect)> = rects.iter().take(200).collect();
+
+    let mut sweep = PlaneSweepJoin::new();
+    assert_steady_state_allocates_nothing("Plane Sweep", || {
+        fold_batch(|emit| sweep.join(&t, &queries, emit))
+    });
+    let mut two_layer = TwoLayerJoin::new();
+    assert_steady_state_allocates_nothing("Two-Layer, points", || {
+        fold_batch(|emit| two_layer.join(&t, &queries, emit))
+    });
+    assert_steady_state_allocates_nothing("Two-Layer, rectangles", || {
+        fold_batch(|emit| two_layer.join_extents(&rects, &rect_queries, emit))
+    });
+    assert_steady_state_allocates_nothing("Naive Nested Loop", || {
+        fold_batch(|emit| NaiveBatchJoin.join(&t, &queries, emit))
+    });
 }
 
 #[test]

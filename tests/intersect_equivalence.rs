@@ -261,7 +261,7 @@ fn twolayer_raw_emission_count_is_the_exact_pair_count_with_tombstones() {
     for cells in [1usize, 2, 7, 16, 311] {
         let mut join = TwoLayerJoin::with_cells(std::num::NonZeroUsize::new(cells).unwrap());
         let mut out = Vec::new();
-        join.join_extents(&table, &queries, &mut out);
+        join.join_extents(&table, &queries, &mut |q, r| out.push((q, r)));
         // The raw emission count IS the pair count: exactly-once by
         // construction, not by a dedup pass.
         assert_eq!(
@@ -294,7 +294,7 @@ fn degenerate_extents_reproduce_closed_boundary_ties() {
     let queries: Vec<(EntryId, Rect)> = vec![(a, table.rect(a))];
     let mut join = TwoLayerJoin::new();
     let mut out = Vec::new();
-    join.join_extents(&table, &queries, &mut out);
+    join.join_extents(&table, &queries, &mut |q, r| out.push((q, r)));
     out.sort_unstable();
     assert_eq!(out, vec![(a, a), (a, corner), (a, edge), (a, inside)]);
     assert!(!out.iter().any(|&(_, d)| d == outside));

@@ -427,7 +427,6 @@ proptest! {
                 tiled_batch_join(
                     &NaiveBatchJoin,
                     &t,
-                    &t,
                     &queries,
                     &space(),
                     0.0,
