@@ -36,19 +36,27 @@
 //!    bipartite R ⋈ S trace ([`Trace::query_rel`], recorded by
 //!    [`record_bipartite`]).
 //!
-//! A trace file is untrusted input, checked where it enters:
+//! A trace file is untrusted input, checked where it enters. Every check
+//! below turns what would be a replay panic (an index out of bounds, or a
+//! debug-only `Rect::new` assert) into `InvalidData` at load:
 //!
-//! - every length prefix is: readers reserve at most 65,536 elements up
+//! - every length prefix: readers reserve at most 65,536 elements up
 //!   front and grow as elements arrive, so a truncated or hostile file
 //!   ends in `UnexpectedEof` rather than one huge allocation;
-//! - a rectangle passes through [`Rect::try_new`], so an inverted or NaN
-//!   one is `InvalidData` instead of tripping a debug-only assert
-//!   downstream;
+//! - the space side and the query side must be finite and non-negative,
+//!   and a nested query relation must share its data relation's space
+//!   side (the driver runs both relations in one space);
+//! - every velocity, of an initial row, an arrival or a velocity update,
+//!   must be finite;
+//! - a point, initial or arriving, must lie in the closed space
+//!   `[0, space side]²`, which also rules out a NaN or infinite
+//!   coordinate: replay clips each point's query region to the space;
+//! - a rectangle must have finite corners and pass [`Rect::try_new`]. It
+//!   may overhang the space, because replay never clips a rectangle;
 //! - every querier, velocity-update and removal id must name a row that
 //!   exists at the start of its tick (the initial rows plus earlier
 //!   ticks' arrivals), and a querier must be live then — the
-//!   [`Workload::plan_tick`] contract. Anything else is `InvalidData`, so
-//!   replay can never index out of bounds.
+//!   [`Workload::plan_tick`] contract.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -73,7 +81,9 @@ pub trait TraceShape: Shape {
 
     fn write_row<W: Write>(w: &mut W, row: Self::Row) -> io::Result<()>;
 
-    fn read_row<R: Read>(r: &mut R) -> io::Result<Self::Row>;
+    /// Read one row of a relation whose data space is `space`, or
+    /// `InvalidData` for a row replay could not run.
+    fn read_row<R: Read>(r: &mut R, space: &Rect) -> io::Result<Self::Row>;
 }
 
 impl TraceShape for PointTable {
@@ -84,8 +94,16 @@ impl TraceShape for PointTable {
         write_f32(w, p.y)
     }
 
-    fn read_row<R: Read>(r: &mut R) -> io::Result<Point> {
-        Ok(Point::new(read_f32(r)?, read_f32(r)?))
+    /// A point must lie in the (closed) space, which also rules out a
+    /// NaN or infinite coordinate: replay clips a point's query region to
+    /// the space, and the clip of a region around an outside point inverts.
+    fn read_row<R: Read>(r: &mut R, space: &Rect) -> io::Result<Point> {
+        let (x, y) = (read_f32(r)?, read_f32(r)?);
+        if space.contains_point(x, y) {
+            Ok(Point::new(x, y))
+        } else {
+            Err(invalid(format!("point ({x}, {y}) outside the space")))
+        }
     }
 }
 
@@ -99,15 +117,20 @@ impl TraceShape for ExtentTable {
         Ok(())
     }
 
-    /// A rectangle read from untrusted trace bytes: [`Rect::try_new`]
-    /// rejects inverted or NaN corners as `InvalidData`.
-    fn read_row<R: Read>(r: &mut R) -> io::Result<Rect> {
-        let [x1, y1, x2, y2] = [read_f32(r)?, read_f32(r)?, read_f32(r)?, read_f32(r)?];
-        Rect::try_new(x1, y1, x2, y2).ok_or_else(|| {
-            invalid(format!(
-                "malformed rectangle in trace: ({x1}, {y1})–({x2}, {y2})"
-            ))
-        })
+    /// A rectangle read from untrusted trace bytes must have finite
+    /// corners and pass [`Rect::try_new`]; inverted, NaN or infinite
+    /// corners are `InvalidData`. It may overhang the space: replay never
+    /// clips a rectangle.
+    fn read_row<R: Read>(r: &mut R, _space: &Rect) -> io::Result<Rect> {
+        let c = [read_f32(r)?, read_f32(r)?, read_f32(r)?, read_f32(r)?];
+        let [x1, y1, x2, y2] = c;
+        Rect::try_new(x1, y1, x2, y2)
+            .filter(|_| c.iter().all(|v| v.is_finite()))
+            .ok_or_else(|| {
+                invalid(format!(
+                    "malformed rectangle in trace: ({x1}, {y1})–({x2}, {y2})"
+                ))
+            })
     }
 }
 
@@ -240,9 +263,8 @@ impl<T: TraceShape> Trace<T> {
     ///
     /// # Errors
     /// I/O errors, truncated data, and `InvalidData` for a bad magic
-    /// header, a shape tag other than `T`'s, a malformed rectangle, or an
-    /// id that breaks the [`Workload::plan_tick`] contract (see the
-    /// module docs).
+    /// header, a shape tag other than `T`'s, or a number or id replay
+    /// could not run (see the module docs for the full list).
     pub fn read_from<R: Read>(r: R) -> io::Result<Trace<T>> {
         let mut r = BufReader::new(r);
         let mut header = [0u8; 9];
@@ -265,16 +287,27 @@ impl<T: TraceShape> Trace<T> {
             1 => Some(Box::new(Self::read_body(&mut r)?)),
             b => return Err(invalid(format!("bad query-relation marker {b}"))),
         };
+        if let Some(rel) = &trace.query_rel {
+            // Bit equality: both sides are finite, and the driver demands
+            // the identical space.
+            if rel.space_side.to_bits() != trace.space_side.to_bits() {
+                return Err(invalid(format!(
+                    "query relation space side {} differs from {}",
+                    rel.space_side, trace.space_side
+                )));
+            }
+        }
         Ok(trace)
     }
 
-    /// One relation body (`query_rel` left `None`), checking every id
-    /// against the rows that exist, and are live, at the start of its
-    /// tick.
+    /// One relation body (`query_rel` left `None`), checking every number
+    /// replay uses and every id against the rows that exist, and are live,
+    /// at the start of its tick.
     fn read_body<R: Read>(r: &mut R) -> io::Result<Trace<T>> {
-        let space_side = read_f32(r)?;
-        let query_side = read_f32(r)?;
-        let init = read_rows::<T, R>(r)?;
+        let space_side = read_side(r, "space side")?;
+        let query_side = read_side(r, "query side")?;
+        let space = Rect::space(space_side);
+        let init = read_rows::<T, R>(r, &space)?;
         // Liveness of every row so far, one entry per row slot.
         let mut live = vec![true; init.len()];
         let (tick_count, mut ticks) = read_len(r)?;
@@ -292,13 +325,14 @@ impl<T: TraceShape> Trace<T> {
             let (nu, mut velocity_updates) = read_len(r)?;
             for _ in 0..nu {
                 let id = read_id(r, live.len(), tick, "velocity update")?;
-                velocity_updates.push((id, read_f32(r)?, read_f32(r)?));
+                let v = read_velocity(r)?;
+                velocity_updates.push((id, v.x, v.y));
             }
             let (nr, mut removals) = read_len(r)?;
             for _ in 0..nr {
                 removals.push(read_id(r, live.len(), tick, "removal")?);
             }
-            let inserts = read_rows::<T, R>(r)?;
+            let inserts = read_rows::<T, R>(r, &space)?;
             for &id in &removals {
                 live[id as usize] = false;
             }
@@ -456,13 +490,36 @@ fn write_rows<T: TraceShape, W: Write>(w: &mut W, rows: &[(T::Row, Vec2)]) -> io
     Ok(())
 }
 
-fn read_rows<T: TraceShape, R: Read>(r: &mut R) -> io::Result<Vec<(T::Row, Vec2)>> {
+fn read_rows<T: TraceShape, R: Read>(r: &mut R, space: &Rect) -> io::Result<Vec<(T::Row, Vec2)>> {
     let (n, mut rows) = read_len(r)?;
     for _ in 0..n {
-        let row = T::read_row(r)?;
-        rows.push((row, Vec2::new(read_f32(r)?, read_f32(r)?)));
+        let row = T::read_row(r, space)?;
+        rows.push((row, read_velocity(r)?));
     }
     Ok(rows)
+}
+
+/// Read a space or query side: a finite, non-negative length.
+fn read_side<R: Read>(r: &mut R, what: &str) -> io::Result<f32> {
+    let side = read_f32(r)?;
+    if side.is_finite() && side >= 0.0 {
+        Ok(side)
+    } else {
+        Err(invalid(format!("{what} {side} is not a finite length")))
+    }
+}
+
+/// Read a velocity, whose components must be finite.
+fn read_velocity<R: Read>(r: &mut R) -> io::Result<Vec2> {
+    let v = Vec2::new(read_f32(r)?, read_f32(r)?);
+    if v.x.is_finite() && v.y.is_finite() {
+        Ok(v)
+    } else {
+        Err(invalid(format!(
+            "velocity ({}, {}) is not finite",
+            v.x, v.y
+        )))
+    }
 }
 
 /// Read a length prefix: the element count, and a `Vec` with capacity for
@@ -754,16 +811,43 @@ mod tests {
         }
     }
 
+    /// A relation in a 100-side space with no rows and no ticks.
+    fn empty<T: Shape>() -> Trace<T> {
+        Trace {
+            space_side: 100.0,
+            query_side: 10.0,
+            init: Vec::new(),
+            ticks: Vec::new(),
+            final_checksum: 0,
+            query_rel: None,
+        }
+    }
+
+    /// Assert that `rel` loads (`ok`) or fails with `InvalidData`, both
+    /// as the only relation and as the nested query relation behind an
+    /// empty data relation in the same space.
+    fn assert_checked<T: TraceShape>(rel: Trace<T>, ok: bool, what: &str) {
+        let bipartite = Trace {
+            space_side: rel.space_side,
+            query_rel: Some(Box::new(rel.clone())),
+            ..empty()
+        };
+        for trace in [rel, bipartite] {
+            let read = Trace::<T>::read_from(bytes(&trace).as_slice());
+            match ok {
+                true => assert_eq!(read.unwrap(), trace, "{what}"),
+                false => assert_invalid(read, what),
+            }
+        }
+    }
+
     /// Assert that a trace with one initial row and `ticks` loads (`ok`)
-    /// or fails with `InvalidData`, for both shapes, both as the only
-    /// relation and as the nested query relation behind a quiet data
-    /// relation. The ticks carry `()` for arrival geometry; each shape
-    /// fills in its default row.
+    /// or fails with `InvalidData`, for both shapes (see
+    /// [`assert_checked`]). The ticks carry `()` for arrival geometry;
+    /// each shape fills in its default row.
     fn assert_ids_checked(ticks: &[TickActions<()>], ok: bool, what: &str) {
         fn check<T: TraceShape>(ticks: &[TickActions<()>], ok: bool, what: &str) {
             let rel = Trace::<T> {
-                space_side: 100.0,
-                query_side: 10.0,
                 init: vec![(T::Row::default(), Vec2::default())],
                 ticks: ticks
                     .iter()
@@ -774,21 +858,9 @@ mod tests {
                         inserts: vec![(T::Row::default(), Vec2::default()); t.inserts.len()],
                     })
                     .collect(),
-                final_checksum: 0,
-                query_rel: None,
+                ..empty()
             };
-            let bipartite = Trace {
-                ticks: vec![TickActions::default(); ticks.len()],
-                query_rel: Some(Box::new(rel.clone())),
-                ..rel.clone()
-            };
-            for trace in [rel, bipartite] {
-                let read = Trace::<T>::read_from(bytes(&trace).as_slice());
-                match ok {
-                    true => assert_eq!(read.unwrap(), trace, "{what}"),
-                    false => assert_invalid(read, what),
-                }
-            }
+            assert_checked(rel, ok, what);
         }
         check::<PointTable>(ticks, ok, what);
         check::<ExtentTable>(ticks, ok, what);
@@ -851,6 +923,179 @@ mod tests {
             ..TickActions::default()
         };
         assert_ids_checked(&[departs, after], false, "dead querier");
+    }
+
+    /// `row` moving at `v`, once as an initial row and once arriving in
+    /// the first tick.
+    fn placing<T: Shape>(row: T::Row, v: Vec2) -> [Trace<T>; 2] {
+        let arrival = TickActions {
+            inserts: vec![(row, v)],
+            ..TickActions::default()
+        };
+        [
+            Trace {
+                init: vec![(row, v)],
+                ..empty()
+            },
+            Trace {
+                ticks: vec![arrival],
+                ..empty()
+            },
+        ]
+    }
+
+    #[test]
+    fn a_non_finite_or_negative_space_side_is_rejected() {
+        for side in [f32::NAN, f32::INFINITY, -1.0] {
+            let points = Trace::<PointTable> {
+                space_side: side,
+                ..empty()
+            };
+            assert_checked(points, false, "points");
+            let rects = Trace::<ExtentTable> {
+                space_side: side,
+                ..empty()
+            };
+            assert_checked(rects, false, "rects");
+        }
+        let zero = Trace::<PointTable> {
+            space_side: 0.0,
+            ..empty()
+        };
+        assert_checked(zero, true, "a zero side");
+    }
+
+    #[test]
+    fn a_non_finite_or_negative_query_side_is_rejected() {
+        for side in [f32::NAN, f32::INFINITY, -1.0] {
+            let points = Trace::<PointTable> {
+                query_side: side,
+                ..empty()
+            };
+            assert_checked(points, false, "points");
+            let rects = Trace::<ExtentTable> {
+                query_side: side,
+                ..empty()
+            };
+            assert_checked(rects, false, "rects");
+        }
+        let zero = Trace::<PointTable> {
+            query_side: 0.0,
+            ..empty()
+        };
+        assert_checked(zero, true, "a zero side");
+    }
+
+    #[test]
+    fn a_non_finite_coordinate_is_rejected() {
+        let still = Vec2::default();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for p in [Point::new(bad, 5.0), Point::new(5.0, bad)] {
+                for trace in placing::<PointTable>(p, still) {
+                    assert_checked(trace, false, "point");
+                }
+            }
+            // Each corner coordinate in turn. An infinite one can make a
+            // well-ordered rectangle, which `Rect::try_new` accepts.
+            let unit = [0.0, 0.0, 1.0, 1.0];
+            for i in 0..4 {
+                let mut c = unit;
+                c[i] = bad;
+                let r = Rect {
+                    x1: c[0],
+                    y1: c[1],
+                    x2: c[2],
+                    y2: c[3],
+                };
+                for trace in placing::<ExtentTable>(r, still) {
+                    assert_checked(trace, false, "rect");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_velocity_is_rejected() {
+        let (p, r) = (Point::new(5.0, 5.0), Rect::new(5.0, 5.0, 6.0, 6.0));
+        /// An initial row whose velocity is set to `(vx, vy)` in the first
+        /// tick, and which queries in the second.
+        fn updating<T: Shape>(row: T::Row, vx: f32, vy: f32) -> Trace<T> {
+            let update = TickActions {
+                velocity_updates: vec![(0, vx, vy)],
+                ..TickActions::default()
+            };
+            let query = TickActions {
+                queriers: vec![0],
+                ..TickActions::default()
+            };
+            Trace {
+                init: vec![(row, Vec2::default())],
+                ticks: vec![update, query],
+                ..empty()
+            }
+        }
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for v in [Vec2::new(bad, 0.0), Vec2::new(0.0, bad)] {
+                for trace in placing::<PointTable>(p, v) {
+                    assert_checked(trace, false, "point");
+                }
+                for trace in placing::<ExtentTable>(r, v) {
+                    assert_checked(trace, false, "rect");
+                }
+                assert_checked(updating::<PointTable>(p, v.x, v.y), false, "point update");
+                assert_checked(updating::<ExtentTable>(r, v.x, v.y), false, "rect update");
+            }
+        }
+        let v = Vec2::new(-3.0, 2.0);
+        for trace in placing::<PointTable>(p, v) {
+            assert_checked(trace, true, "a finite point velocity");
+        }
+        assert_checked(
+            updating::<ExtentTable>(r, v.x, v.y),
+            true,
+            "a finite update",
+        );
+    }
+
+    #[test]
+    fn a_point_outside_the_space_is_rejected() {
+        let still = Vec2::default();
+        for p in [
+            Point::new(-0.5, 5.0),
+            Point::new(5.0, -0.5),
+            Point::new(100.5, 5.0),
+            Point::new(5.0, 100.5),
+        ] {
+            for trace in placing::<PointTable>(p, still) {
+                assert_checked(trace, false, "outside");
+            }
+        }
+        // The space is closed: its corners are inside.
+        for p in [Point::new(0.0, 0.0), Point::new(100.0, 100.0)] {
+            for trace in placing::<PointTable>(p, still) {
+                assert_checked(trace, true, "a corner");
+            }
+        }
+        // Replay never clips a rectangle, so one may overhang the space.
+        for trace in placing::<ExtentTable>(Rect::new(90.0, 90.0, 120.0, 120.0), still) {
+            assert_checked(trace, true, "an overhanging rect");
+        }
+    }
+
+    #[test]
+    fn a_query_relation_in_another_space_is_rejected() {
+        // The driver asserts that both relations share one space.
+        let trace = Trace::<PointTable> {
+            query_rel: Some(Box::new(Trace {
+                space_side: 50.0,
+                ..empty()
+            })),
+            ..empty()
+        };
+        assert_invalid(
+            Trace::<PointTable>::read_from(bytes(&trace).as_slice()),
+            "space",
+        );
     }
 
     #[test]
