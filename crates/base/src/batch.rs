@@ -7,9 +7,6 @@
 //! trait captures that shape; `sj-sweep` and `sj-twolayer` implement it,
 //! and [`crate::driver::run_batch_join`] drives it through the same tick
 //! loop so results are directly comparable with the per-query techniques.
-//! Both categories stream: a join emits each pair into a sink, just as an
-//! index probe emits each match, and no pair buffer exists between the
-//! join and the checksum fold.
 
 use crate::geom::Rect;
 use crate::table::{entry_id, EntryId, ExtentTable, PointTable};

@@ -613,12 +613,8 @@ impl<I: SpatialIndex + Sync + ?Sized, T: Shape> TickExecutor<T> for IndexExecuto
 /// whole query set is assembled untimed, handed to the technique in one
 /// call, and every pair the join emits is folded into the checksum in its
 /// sink. The timed phase covers the join and the fold, which are as
-/// inseparable here as in the per-query executor.
-///
-/// The technique itself only serves as the prototype the query phase
-/// forks ([`BatchJoin::fork`]): one fork per strip of the
-/// sharded phase (the sequential mode is one strip) and one per pool
-/// worker of the tiled phase.
+/// inseparable here as in the per-query executor. The technique is only
+/// the prototype of the forks ([`BatchJoin::fork`]) the phases run.
 struct BatchExecutor<'a, J: BatchJoin + ?Sized, T> {
     join: &'a J,
     queries: Vec<(EntryId, Rect)>,

@@ -11,14 +11,17 @@
 //! semantics are untouched.
 //!
 //! Two *query-sharding* strategies cover the paper's two join categories
-//! (DESIGN.md §8):
+//! (DESIGN.md §8). [`ExecMode::Sequential`] is either one with a single
+//! shard, so there is no separate sequential query loop:
 //!
 //! - [`shard_index_query`] — the per-query category: the tick's querier
 //!   list is split into `threads` contiguous chunks, each worker probes the
 //!   shared (immutable) index for its chunk;
 //! - [`shard_batch_join`] — the set-at-a-time category: the tick's query
-//!   set is split into strips, each worker runs a full sweep over its strip
+//!   set is split into strips, each worker runs a full join over its strip
 //!   on a private fork of the technique ([`BatchJoin::fork`]).
+//!
+//! Both fold each pair in a sink as it is emitted (DESIGN.md §5).
 //!
 //! A third mode partitions **space** instead of the query list
 //! ([`ExecMode::Partitioned`], DESIGN.md §13–14): the data space is tiled
@@ -58,6 +61,8 @@
 //!
 //! Workers run on [`std::thread::scope`]: no runtime dependency, no
 //! detached threads, borrows of the index and table flow straight in.
+//! The first work item runs on the calling thread, so one shard spawns
+//! nothing.
 //! Every thread spawn in the workspace lives in this module, and so does
 //! the scheduler's wall-clock sampling (the per-mini-join busy times
 //! behind [`crate::driver::TileLoad`]) — the only `Instant::now` sites
@@ -544,14 +549,11 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
     let grid = TileGrid::new(space, tiles.resolve(table, space, query_side));
     pool.grid = Some(grid);
     pool.pool_workers = workers;
-    while pool.workers.len() < grid.tiles() {
-        // Fork on the driver thread, first tiled build only.
-        pool.workers.push(TileIndexWorker {
-            index: proto.fork(),
-            queriers: Vec::new(),
-        });
-    }
-    pool.workers.truncate(grid.tiles());
+    // Fork on the driver thread, and only for tiles the pool lacks.
+    pool.workers.resize_with(grid.tiles(), || TileIndexWorker {
+        index: proto.fork(),
+        queriers: Vec::new(),
+    });
     replicate_by_extent(table, &grid, &mut pool.replicas);
     let cap = pool_cap(workers, grid.tiles(), grid.tiles());
     // Each build mutates its tile's fork, so the work items carry `&mut`
@@ -705,9 +707,7 @@ pub fn tiled_batch_join<J: BatchJoin + ?Sized, T: Shape>(
     let grid = TileGrid::new(space, tiles.resolve(data, space, query_side));
     replicate_by_extent(data, &grid, &mut pool.replicas);
     pool.tile_queries.resize_with(grid.tiles(), Vec::new);
-    pool.tile_queries.truncate(grid.tiles());
     pool.tile_qids.resize_with(grid.tiles(), Vec::new);
-    pool.tile_qids.truncate(grid.tiles());
     for (qs, ids) in pool.tile_queries.iter_mut().zip(&mut pool.tile_qids) {
         qs.clear();
         ids.clear();

@@ -13,7 +13,7 @@
 //!   index references through 4-byte [`table::EntryId`] handles;
 //! - [`index`] — the sink-based [`index::SpatialIndex`] trait plus the
 //!   ground-truth [`index::ScanIndex`];
-//! - [`batch`] — the set-at-a-time [`batch::BatchJoin`] trait;
+//! - [`batch`] — the sink-based set-at-a-time [`batch::BatchJoin`] trait;
 //! - [`driver`] — the tick loop (build → query → update) with per-phase
 //!   timing, reproducing the Sowell et al. framework the paper builds on;
 //! - [`par`] — the parallel query phase ([`par::ExecMode`]) selected via
@@ -57,6 +57,28 @@
 //! idx.query(&t, &Rect::new(0.0, 0.0, 5.0, 5.0), &mut hits);
 //! assert_eq!(hits, vec![0]);
 //! ```
+//!
+//! Batch joins stream the same way: [`batch::BatchJoin::join`] calls its
+//! sink once per `(querier, row)` pair and has no buffer-collecting
+//! adapter; a caller that wants the pairs pushes them itself:
+//!
+//! ```
+//! use sj_core::{BatchJoin, NaiveBatchJoin, PointTable, Rect};
+//!
+//! let mut t = PointTable::default();
+//! t.push(1.0, 1.0);
+//! t.push(9.0, 9.0);
+//! let queries = [(7, Rect::new(0.0, 0.0, 5.0, 5.0))];
+//!
+//! let mut pairs = Vec::new();
+//! NaiveBatchJoin.join(&t, &queries, &mut |q, r| pairs.push((q, r)));
+//! assert_eq!(pairs, vec![(7, 0)]);
+//! ```
+//!
+//! A custom `BatchJoin` written against the earlier buffer API migrates
+//! by taking `emit: &mut dyn FnMut(EntryId, EntryId)` where it took
+//! `out: &mut Vec<(EntryId, EntryId)>`: `out.push((q, r))` becomes
+//! `emit(q, r)`.
 
 pub use sj_base::{batch, driver, geom, index, par, rng, simd, stats, table, tile, trace};
 

@@ -7,7 +7,7 @@
 //! duplicate result pair, so no dedup pass (and no result sorting or
 //! hashing) is needed. Since no code needs a pair after it is emitted,
 //! each one goes straight to the caller's sink
-//! ([`BatchJoin::join`](sj_base::batch::BatchJoin::join)).
+//! ([`BatchJoin::join`]).
 //!
 //! ## The algebra
 //!

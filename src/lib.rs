@@ -168,6 +168,27 @@
 //! `for_each_in(&self, table, region, emit)` and replace each
 //! `out.push(id)` with `emit(id)`. Hand-maintained technique lists are
 //! superseded by [`technique::registry`].
+//!
+//! ### Batch joins are sinks too
+//!
+//! [`core::BatchJoin::join`] and `join_extents` call `emit(querier, row)`
+//! once per pair; the driver folds each pair as it is emitted, so no
+//! tick's pairs are buffered in any exec mode. A custom `BatchJoin`
+//! migrates by taking `emit: &mut dyn FnMut(EntryId, EntryId)` instead of
+//! `out: &mut Vec<(EntryId, EntryId)>`: `out.push((q, r))` becomes
+//! `emit(q, r)`. `join_two` is gone; a bipartite join calls `join` over
+//! the data relation.
+//!
+//! ```
+//! use spatial_joins::prelude::*;
+//!
+//! let mut table = PointTable::default();
+//! table.push(50.0, 50.0);
+//! let queries = [(3, Rect::new(0.0, 0.0, 100.0, 100.0))];
+//! let mut pairs = 0;
+//! PlaneSweepJoin::new().join(&table, &queries, &mut |_q, _r| pairs += 1);
+//! assert_eq!(pairs, 1);
+//! ```
 
 pub use sj_core as core;
 pub use sj_core::technique;
