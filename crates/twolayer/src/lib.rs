@@ -37,12 +37,17 @@
 //! (`BB, BD, CC, CD, DB, DC, DD`) are provably duplicates of a pair
 //! already reported elsewhere and are never executed.
 //!
-//! Better still, the class definitions make parts of the intersection
-//! test redundant. E.g. for `r ∈ A, s ∈ B`: `s` entered the cell from
-//! the left, so `s.x1 < cell.x1 ≤ r.x1 ≤ r.x2` and the test
-//! `s.x1 ≤ r.x2` always holds — only `r.x1 ≤ s.x2` and the y-overlap
-//! remain. Every non-AA mini-join drops at least one comparison this
-//! way; `DA` needs only two of the four.
+//! The classes also make parts of the intersection test redundant, and
+//! that is why one kernel serves all nine mini-joins. E.g. for
+//! `r ∈ A, s ∈ B`: `s`'s home column is earlier than `r`'s and the axis
+//! index is monotone, so `s.x1 < r.x1 ≤ r.x2` and the test `s.x1 ≤ r.x2`
+//! holds by construction. Every comparison a class-reduced test would
+//! drop holds this way, so for finite coordinates — all that
+//! `Rect::try_new` and trace loading admit — the full closed test gives
+//! the same answer as each reduced one. Each mini-join therefore runs its
+//! query replicas through the SIMD overlap kernel
+//! ([`sj_base::simd::filter_overlap_each`]) over the data replicas'
+//! columns.
 //!
 //! ## Both predicates
 //!
@@ -57,36 +62,98 @@ use std::num::NonZeroUsize;
 
 use sj_base::batch::BatchJoin;
 use sj_base::geom::Rect;
+use sj_base::simd::filter_overlap_each;
 use sj_base::table::{EntryId, ExtentTable, PointTable};
 use sj_base::tile::TileGrid;
 
-/// Class indices into a cell's per-class lists (see crate docs).
-const A: usize = 0;
-const B: usize = 1;
-const C: usize = 2;
-const D: usize = 3;
-
-/// Auto cell sizing: aim for this many data rows per cell. Mini-joins
-/// are nested loops, so cells stay small; correctness is independent of
-/// the choice (any monotone grid yields the same exactly-once output).
-const AUTO_TARGET_PER_CELL: usize = 64;
-/// Auto cell sizing: never more cells than this — beyond it the
-/// per-cell bookkeeping outweighs the shrinking mini-joins.
-const AUTO_MAX_CELLS: usize = 4096;
-
-/// One cell's partitioned view: the query-side (R) and data-side (S)
-/// rectangles replicated here, split by corner class.
-#[derive(Debug, Clone, Default)]
-struct CellLists {
-    r: [Vec<(EntryId, Rect)>; 4],
-    s: [Vec<(EntryId, Rect)>; 4],
+/// The nine executed `(query class, data class)` mini-joins, as class
+/// indices `A = 0b00`, `B = 0b01` (later column), `C = 0b10` (later row)
+/// and `D = 0b11`. A cell can own a pair only if some side's `x1` and
+/// some side's `y1` start in it, so no bit may be set on both sides; the
+/// seven pairings that fail (BB, BD, CC, CD, DB, DC, DD) are owned by an
+/// earlier cell and never run.
+fn pairings() -> impl Iterator<Item = (usize, usize)> {
+    (0..16).map(|p| (p / 4, p % 4)).filter(|&(r, s)| r & s == 0)
 }
 
-impl CellLists {
-    fn clear(&mut self) {
-        for v in self.r.iter_mut().chain(self.s.iter_mut()) {
-            v.clear();
+/// Auto cell sizing: aim for this many data rows per cell (eight AVX2
+/// blocks a kernel call). On `churn` (2-core Xeon VM) 128 rows cost ~9%
+/// of the query rate; 32 rows gained ~7% for ~8% more heap and more
+/// rectangle replicas. Correctness is independent of the choice (any
+/// monotone grid yields the same exactly-once output).
+const AUTO_TARGET_PER_CELL: usize = 64;
+/// Auto cell sizing: never more than this many cells per axis (4096 in
+/// all) — beyond it the per-cell bookkeeping outweighs the shrinking
+/// mini-joins.
+const AUTO_MAX_SIDE: usize = 64;
+
+/// One side's replicas in one flat structure-of-arrays buffer set,
+/// counting-sorted by bucket `cell * 4 + class`: bucket `b` is rows
+/// `start[b]..start[b + 1]` of every column. The buffers are reused
+/// across joins, so a join that needs no more room than an earlier one
+/// allocates nothing, whatever its grid.
+#[derive(Debug, Clone, Default)]
+struct Buckets {
+    start: Vec<usize>,
+    id: Vec<EntryId>,
+    x1: Vec<f32>,
+    y1: Vec<f32>,
+    x2: Vec<f32>,
+    y2: Vec<f32>,
+}
+
+impl Buckets {
+    /// Replicate every row of `rows()` into each cell of its cover,
+    /// classified by corner ownership relative to its home cell (the cell
+    /// of its lower-left corner): one pass counts each bucket, a second
+    /// places the replicas.
+    fn fill<I: Iterator<Item = (EntryId, Rect)>>(&mut self, grid: &TileGrid, rows: impl Fn() -> I) {
+        let nx = grid.nx();
+        let buckets_of = |rect: &Rect| {
+            let home = grid.tile_of(rect.x1, rect.y1);
+            let (hx, hy) = (home % nx, home / nx);
+            // The class bits of `pairings`.
+            let class = move |t: usize| (((t / nx > hy) as usize) << 1) | ((t % nx > hx) as usize);
+            grid.cover(rect).map(move |t| t * 4 + class(t))
+        };
+        let buckets = grid.tiles() * 4;
+        self.start.clear();
+        self.start.resize(buckets + 1, 0);
+        for (_, rect) in rows() {
+            for b in buckets_of(&rect) {
+                self.start[b + 1] += 1;
+            }
         }
+        for b in 1..=buckets {
+            self.start[b] += self.start[b - 1];
+        }
+        let len = self.start[buckets];
+        self.id.resize(len, 0);
+        for col in [&mut self.x1, &mut self.y1, &mut self.x2, &mut self.y2] {
+            col.resize(len, 0.0);
+        }
+        for (id, rect) in rows() {
+            for b in buckets_of(&rect) {
+                let i = self.start[b];
+                self.start[b] += 1;
+                self.id[i] = id;
+                self.x1[i] = rect.x1;
+                self.y1[i] = rect.y1;
+                self.x2[i] = rect.x2;
+                self.y2[i] = rect.y2;
+            }
+        }
+        // Placing advanced each bucket's start to its end, which is the
+        // next bucket's start: shift the offsets back by one.
+        self.start.rotate_right(1);
+        self.start[0] = 0;
+    }
+
+    /// Bucket `b`'s ids and its `[x1, y1, x2, y2]` columns.
+    fn bucket(&self, b: usize) -> (&[EntryId], [&[f32]; 4]) {
+        let rows = self.start[b]..self.start[b + 1];
+        let cols = [&self.x1, &self.y1, &self.x2, &self.y2].map(|c| &c[rows.clone()]);
+        (&self.id[rows], cols)
     }
 }
 
@@ -115,22 +182,29 @@ impl CellLists {
 pub struct TwoLayerJoin {
     /// Fixed cell count, or `None` for the auto rule.
     cells: Option<NonZeroUsize>,
-    /// Data-side rows as `(id, rect)` — points become degenerate rects.
-    s_rows: Vec<(EntryId, Rect)>,
-    /// Per-cell class lists, indexed by cell id; only the first
-    /// `grid.tiles()` entries are in use for any given join.
-    parts: Vec<CellLists>,
+    /// Query-side (R) replicas.
+    r: Buckets,
+    /// Data-side (S) replicas — points become degenerate rects.
+    s: Buckets,
 }
 
 impl TwoLayerJoin {
-    /// Auto-sized cell grid: aims for ~64 data rows per cell, capped at
-    /// 4096 cells. Correctness never depends on the granularity.
+    /// Auto-sized square cell grid: `k × k` cells with
+    /// `k = round(√(data rows / 64))` clamped to `1..=64`, so about 64
+    /// data rows per cell and at most 4096 cells. The grid is square at
+    /// every live count: factoring the cell count exactly, as
+    /// [`TwoLayerJoin::with_cells`] does, turns a prime count into a
+    /// `1 × N` strip grid whose cells span the whole space, and a query
+    /// there tests several times the candidates it does on a square grid.
+    /// Correctness never depends on the granularity.
     pub fn new() -> TwoLayerJoin {
         TwoLayerJoin::default()
     }
 
-    /// Fixed cell count — correctness is grid-independent, so this only
-    /// trades partitioning overhead against mini-join size.
+    /// Fixed cell count, factored exactly into the most nearly square
+    /// grid (a prime count gives a strip grid) — correctness is
+    /// grid-independent, so this only trades partitioning overhead
+    /// against mini-join size.
     pub fn with_cells(cells: NonZeroUsize) -> TwoLayerJoin {
         TwoLayerJoin {
             cells: Some(cells),
@@ -138,104 +212,64 @@ impl TwoLayerJoin {
         }
     }
 
-    /// The cell count for `data_rows` data rectangles.
-    fn cell_count(&self, data_rows: usize) -> NonZeroUsize {
-        match self.cells {
-            Some(n) => n,
-            None => NonZeroUsize::new((data_rows / AUTO_TARGET_PER_CELL).clamp(1, AUTO_MAX_CELLS))
-                .expect("clamp(1, ..) is non-zero"),
-        }
-    }
-
-    /// Partition `self.s_rows` (data) and `queries` (query side) over a
-    /// cell grid and execute the nine mini-joins per cell. Every
-    /// intersecting `(querier, data row)` pair is emitted exactly once,
-    /// so no pair needs to be kept, checked or deduplicated after `emit`.
-    fn join_rows(&mut self, queries: &[(EntryId, Rect)], emit: &mut dyn FnMut(EntryId, EntryId)) {
-        if self.s_rows.is_empty() || queries.is_empty() {
+    /// Partition `data()` (`data_rows` rows) and `queries` over a cell
+    /// grid and execute the nine mini-joins per cell. Every intersecting
+    /// `(querier, data row)` pair is emitted exactly once, so no pair
+    /// needs to be kept, checked or deduplicated after `emit`.
+    fn join_rows<I: Iterator<Item = (EntryId, Rect)>>(
+        &mut self,
+        data: impl Fn() -> I,
+        data_rows: usize,
+        queries: &[(EntryId, Rect)],
+        emit: &mut dyn FnMut(EntryId, EntryId),
+    ) {
+        if data_rows == 0 || queries.is_empty() {
             return;
         }
-        let bounds = match union_bounds(self.s_rows.iter().chain(queries).map(|&(_, r)| r)) {
-            Some(b) => b,
-            None => return,
+        let rects = data().chain(queries.iter().copied()).map(|(_, r)| r);
+        let Some(bounds) = union_bounds(rects) else {
+            return;
         };
-        let grid = TileGrid::new(&bounds, self.cell_count(self.s_rows.len()));
-        let tiles = grid.tiles();
-        for cell in self.parts.iter_mut() {
-            cell.clear();
-        }
-        if self.parts.len() < tiles {
-            self.parts.resize_with(tiles, CellLists::default);
-        }
+        let grid = match self.cells {
+            Some(n) => TileGrid::new(&bounds, n),
+            None => auto_grid(&bounds, data_rows),
+        };
+        self.s.fill(&grid, data);
+        self.r.fill(&grid, || queries.iter().copied());
 
-        partition(&grid, &self.s_rows, &mut self.parts, Side::Data);
-        partition(&grid, queries, &mut self.parts, Side::Query);
-
-        // The nine executed mini-joins with their reduced tests. The
-        // skipped class combinations (BB, BD, CC, CD, DB, DC, DD) are
-        // exactly those where the pair's reference point cannot lie in
-        // this cell — their pairs are owned by an earlier cell.
-        let y_ov = |r: &Rect, s: &Rect| r.y1 <= s.y2 && s.y1 <= r.y2;
-        let x_ov = |r: &Rect, s: &Rect| r.x1 <= s.x2 && s.x1 <= r.x2;
-        for cell in &self.parts[..tiles] {
-            let (r, s) = (&cell.r, &cell.s);
-            mini(&r[A], &s[A], |a, b| a.intersects(b), emit);
-            mini(&r[A], &s[B], |a, b| a.x1 <= b.x2 && y_ov(a, b), emit);
-            mini(&r[A], &s[C], |a, b| a.y1 <= b.y2 && x_ov(a, b), emit);
-            mini(&r[A], &s[D], |a, b| a.x1 <= b.x2 && a.y1 <= b.y2, emit);
-            mini(&r[B], &s[A], |a, b| b.x1 <= a.x2 && y_ov(a, b), emit);
-            mini(&r[B], &s[C], |a, b| b.x1 <= a.x2 && a.y1 <= b.y2, emit);
-            mini(&r[C], &s[A], |a, b| x_ov(a, b) && b.y1 <= a.y2, emit);
-            mini(&r[C], &s[B], |a, b| a.x1 <= b.x2 && b.y1 <= a.y2, emit);
-            mini(&r[D], &s[A], |a, b| b.x1 <= a.x2 && b.y1 <= a.y2, emit);
-        }
-    }
-}
-
-/// Which side of the join a partition pass feeds.
-#[derive(Clone, Copy)]
-enum Side {
-    Query,
-    Data,
-}
-
-/// Replicate every rectangle into each cell of its cover, classified by
-/// corner ownership relative to its home cell (the cell of its
-/// lower-left corner).
-fn partition(grid: &TileGrid, rows: &[(EntryId, Rect)], parts: &mut [CellLists], side: Side) {
-    let nx = grid.nx();
-    for &(id, rect) in rows {
-        let home = grid.tile_of(rect.x1, rect.y1);
-        let (hx, hy) = (home % nx, home / nx);
-        for t in grid.cover(&rect) {
-            let (tx, ty) = (t % nx, t / nx);
-            // A = 0b00, B = 0b01 (later column), C = 0b10 (later row),
-            // D = 0b11 — matching the class index constants.
-            let class = (((ty > hy) as usize) << 1) | ((tx > hx) as usize);
-            let lists = match side {
-                Side::Query => &mut parts[t].r,
-                Side::Data => &mut parts[t].s,
-            };
-            lists[class].push((id, rect));
-        }
-    }
-}
-
-/// One mini-join: nested loop with the combo's reduced predicate.
-#[inline]
-fn mini<F: Fn(&Rect, &Rect) -> bool>(
-    rs: &[(EntryId, Rect)],
-    ss: &[(EntryId, Rect)],
-    test: F,
-    emit: &mut dyn FnMut(EntryId, EntryId),
-) {
-    for &(q, qr) in rs {
-        for &(sid, sr) in ss {
-            if test(&qr, &sr) {
-                emit(q, sid);
+        for cell in 0..grid.tiles() {
+            for (rc, sc) in pairings() {
+                let (ids, [x1, y1, x2, y2]) = self.s.bucket(cell * 4 + sc);
+                if ids.is_empty() {
+                    continue;
+                }
+                let (qs, [qx1, qy1, qx2, qy2]) = self.r.bucket(cell * 4 + rc);
+                for (i, &q) in qs.iter().enumerate() {
+                    let region = Rect {
+                        x1: qx1[i],
+                        y1: qy1[i],
+                        x2: qx2[i],
+                        y2: qy2[i],
+                    };
+                    filter_overlap_each(x1, y1, x2, y2, &region, 0, &mut |j| {
+                        emit(q, ids[j as usize]);
+                    });
+                }
             }
         }
     }
+}
+
+/// The auto grid for `data_rows` data rows (see [`TwoLayerJoin::new`]).
+/// `k²` cells factor exactly into `k × k`, so `TileGrid::new` needs no
+/// other constructor.
+fn auto_grid(bounds: &Rect, data_rows: usize) -> TileGrid {
+    let cells = data_rows / AUTO_TARGET_PER_CELL;
+    let k = ((cells as f64).sqrt().round() as usize).clamp(1, AUTO_MAX_SIDE);
+    TileGrid::new(
+        bounds,
+        NonZeroUsize::new(k * k).expect("k is clamped to at least 1"),
+    )
 }
 
 /// The tight bounding box of all rectangles, or `None` when empty.
@@ -270,12 +304,12 @@ impl BatchJoin for TwoLayerJoin {
         queries: &[(EntryId, Rect)],
         emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
-        self.s_rows.clear();
-        self.s_rows.reserve(table.live_len());
-        for (id, p) in table.iter() {
-            self.s_rows.push((id, Rect::new(p.x, p.y, p.x, p.y)));
-        }
-        self.join_rows(queries, emit);
+        let points = || {
+            table
+                .iter()
+                .map(|(id, p)| (id, Rect::new(p.x, p.y, p.x, p.y)))
+        };
+        self.join_rows(points, table.live_len(), queries, emit);
     }
 
     fn supports_intersect(&self) -> bool {
@@ -288,12 +322,7 @@ impl BatchJoin for TwoLayerJoin {
         queries: &[(EntryId, Rect)],
         emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
-        self.s_rows.clear();
-        self.s_rows.reserve(data.live_len());
-        for (id, rect) in data.iter() {
-            self.s_rows.push((id, rect));
-        }
-        self.join_rows(queries, emit);
+        self.join_rows(|| data.iter(), data.live_len(), queries, emit);
     }
 
     fn fork(&self) -> Box<dyn BatchJoin + Send> {
@@ -361,21 +390,59 @@ mod tests {
         assert!(raw.windows(2).all(|w| w[0] != w[1]));
     }
 
+    /// Rects whose corners all lie on multiples of 125, so ties fall on
+    /// the cell edges of the 4 × 4 and 8 × 8 grids over `[0, 1000]²` (two
+    /// live space corners pin the union bounds there); zero-area points
+    /// and segments among them, and every 5th row tombstoned.
+    fn lattice_extents() -> ExtentTable {
+        let mut rng = Xoshiro256::seeded(29);
+        let mut at = |steps: usize| 125.0 * rng.range_usize(steps) as f32;
+        let mut t = ExtentTable::default();
+        t.push(Rect::new(0.0, 0.0, 0.0, 0.0));
+        t.push(Rect::new(SIDE, SIDE, SIDE, SIDE));
+        for _ in 2..300 {
+            let (x, y, w, h) = (at(9), at(9), at(3), at(3));
+            t.push(Rect::new(x, y, (x + w).min(SIDE), (y + h).min(SIDE)));
+        }
+        for i in (4..t.len() as u32).step_by(5) {
+            t.remove(i);
+        }
+        t
+    }
+
     #[test]
     fn exactly_once_holds_across_cell_granularities() {
-        let t = random_extents(250, 23);
-        let qs = self_join_queries(&t);
-        let expected = brute_force(&t, &qs);
-        for cells in [1usize, 2, 3, 7, 16, 64, 311] {
-            let mut raw = Vec::new();
-            TwoLayerJoin::with_cells(NonZeroUsize::new(cells).unwrap()).join_extents(
-                &t,
-                &qs,
-                &mut |q, r| raw.push((q, r)),
-            );
-            assert_eq!(raw.len(), expected.len(), "cells={cells}");
-            raw.sort_unstable();
-            assert_eq!(raw, expected, "cells={cells}");
+        for t in [random_extents(250, 23), lattice_extents()] {
+            let qs = self_join_queries(&t);
+            let expected = brute_force(&t, &qs);
+            assert!(expected.len() > qs.len(), "input too sparse to pin");
+            let fixed = [1usize, 2, 3, 7, 16, 64, 311].map(|n| {
+                let join = TwoLayerJoin::with_cells(NonZeroUsize::new(n).unwrap());
+                (format!("{n} cells"), join)
+            });
+            let auto = ("auto grid".to_string(), TwoLayerJoin::new());
+            for (grid, mut join) in fixed.into_iter().chain([auto]) {
+                let mut raw = Vec::new();
+                join.join_extents(&t, &qs, &mut |q, r| raw.push((q, r)));
+                assert_eq!(raw.len(), expected.len(), "{grid}");
+                raw.sort_unstable();
+                assert_eq!(raw, expected, "{grid}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_auto_grid_is_square_at_every_live_count() {
+        let bounds = Rect::new(0.0, 0.0, SIDE, SIDE);
+        // 769 · 64 rows ask for 769 cells, a prime that exact factoring
+        // turns into a 769 × 1 strip grid.
+        let grid = auto_grid(&bounds, 769 * 64);
+        assert_eq!((grid.nx(), grid.ny()), (28, 28));
+        let large = [4096 * 64, 4096 * 64 + 1, 5_000 * 64, 10_000_000];
+        for rows in (1..=5_000).chain(49_000..=51_000).chain(large) {
+            let k = (((rows / 64) as f64).sqrt().round() as usize).clamp(1, 64);
+            let grid = auto_grid(&bounds, rows);
+            assert_eq!((grid.nx(), grid.ny()), (k, k), "{rows} rows");
         }
     }
 

@@ -230,6 +230,27 @@ fn batch_joins_perform_zero_allocations_for_every_technique() {
     });
 }
 
+/// The churn case: after rows die, the auto grid picks fewer cells (7 × 7
+/// for 3,000 live rows, 6 × 6 for 2,400) and the replicas land in other
+/// buckets, yet the join still fits the room the larger one left.
+#[test]
+fn two_layer_join_allocates_nothing_when_the_live_count_shrinks() {
+    let mut t = populated_table(3_000, 42);
+    let queries: Vec<(EntryId, Rect)> = (0..).zip(query_batch(200, 7)).collect();
+    let mut two_layer = TwoLayerJoin::new();
+    fold_batch(|emit| two_layer.join(&t, &queries, emit));
+    for id in (0..3_000).step_by(5) {
+        t.remove(id);
+    }
+    let (allocs, (pairs, _)) =
+        allocations_during(|| fold_batch(|emit| two_layer.join(&t, &queries, emit)));
+    assert_ne!(pairs, 0, "join matched nothing — weak test");
+    assert_eq!(
+        allocs, 0,
+        "{allocs} heap allocations after the live count shrank"
+    );
+}
+
 #[test]
 fn the_counter_itself_works() {
     // Guard against the pin silently passing because counting broke.
