@@ -151,6 +151,12 @@ impl Rect {
         self.x1 <= other.x2 && other.x1 <= self.x2 && self.y1 <= other.y2 && other.y1 <= self.y2
     }
 
+    /// The overlap of `self` and `other`, `None` if they are disjoint.
+    pub fn intersection(&self, other: &Rect) -> Option<Rect> {
+        let (x1, y1) = (self.x1.max(other.x1), self.y1.max(other.y1));
+        Rect::try_new(x1, y1, self.x2.min(other.x2), self.y2.min(other.y2))
+    }
+
     /// Clip `self` to `bounds`. Panics in debug builds if they are disjoint.
     #[inline]
     pub fn clipped_to(&self, bounds: &Rect) -> Rect {

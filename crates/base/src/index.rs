@@ -96,6 +96,15 @@ pub trait SpatialIndex {
         panic!("{}: no intersects-predicate support", self.name());
     }
 
+    /// Fit this tile fork before a tiled build to `region`, its tile
+    /// clipped to its replica's bounding box, and `share`, the replica's
+    /// fraction of the tick's live rows. Rows may lie outside `region` (a
+    /// replicated rectangle's corner, a point `tile_of` and `tile_bounds`
+    /// round apart). `crate::par::tiled_index_build` calls it before every
+    /// tile build, as `@tilesauto` re-tiles every tick while forks
+    /// persist. The default keeps the sequential shape.
+    fn fit_tile(&mut self, _region: &Rect, _share: f64) {}
+
     /// An independent instance of this technique for a space-partitioned
     /// tile worker (see `crate::par::tiled_index_build`): same
     /// configuration and tuning parameters, fresh private state, nothing

@@ -530,8 +530,9 @@ impl<T> TileIndexPool<T> {
 /// The space-partitioned build phase of the per-query category: tile the
 /// space (resolving an adaptive [`Tiling`] from the live data), replicate
 /// the table's live rows into the tiles their own extent overlaps
-/// ([`replicate_by_extent`]), and (re)build every tile's private fork of
-/// `proto` over its replica. Builds are stolen tile-at-a-time by a pool of
+/// ([`replicate_by_extent`]), fit every tile's private fork of `proto` to
+/// its rows ([`SpatialIndex::fit_tile`]), and (re)build it over its
+/// replica. Builds are stolen tile-at-a-time by a pool of
 /// `min(workers, tiles)` scoped threads — a tile build needs `&mut` access
 /// to its fork, so tiles (not mini-joins) are the unit here, handed out by
 /// the same atomic-cursor discipline as the query phase. Runs inside the
@@ -555,6 +556,7 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
         queriers: Vec::new(),
     });
     replicate_by_extent(table, &grid, &mut pool.replicas);
+    let live = table.live_len().max(1) as f64;
     let cap = pool_cap(workers, grid.tiles(), grid.tiles());
     // Each build mutates its tile's fork, so the work items carry `&mut`
     // state behind per-tile mutexes: the cursor hands every index to
@@ -569,11 +571,18 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
     let cursor = AtomicUsize::new(0);
     // A build emits no pairs, so every partial is (0, 0).
     fork_join(std::iter::repeat_n((), cap), |()| {
-        while let Some(item) = items.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+        loop {
+            let t = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(t) else { break };
             let mut guard = item
                 .lock()
                 .expect("each tile is taken by exactly one worker, so no lock is poisoned");
             let (worker, replica) = &mut *guard;
+            // Fit the fork to the part of its tile its rows occupy.
+            let tile = grid.tile_bounds(t);
+            let occupied = replica.table.bounds().and_then(|b| b.intersection(&tile));
+            let share = replica.table.len() as f64 / live;
+            worker.index.fit_tile(&occupied.unwrap_or(tile), share);
             replica.table.build_index(&mut *worker.index);
         }
         (0, 0)

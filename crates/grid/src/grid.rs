@@ -7,6 +7,12 @@
 //! > linked list of buckets storing the points that fall within that cell.
 //! > The search algorithm must examine every cell that intersects the
 //! > query region." — paper §3, quoting the original study.
+//!
+//! A sequential grid keeps the paper's `cps × cps` directory over the
+//! whole space. A tile fork under `@tiles` is fitted to its own rows
+//! ([`SpatialIndex::fit_tile`]): about `cps² · share` square cells over
+//! the occupied part of its tile, for its share of the live rows, with
+//! open-ended edge cells.
 
 use sj_base::geom::Rect;
 use sj_base::index::SpatialIndex;
@@ -21,6 +27,14 @@ enum Store {
     Original(OriginalStore),
     Inline(InlineStore),
     InlineCoords(InlineCoordsStore),
+}
+
+/// One axis of the cell directory: cells `first..first + cells` of the
+/// lattice of `cell_size`-wide cells from 0.
+#[derive(Clone, Copy)]
+struct Axis {
+    first: u32,
+    cells: u32,
 }
 
 /// See module docs.
@@ -43,7 +57,16 @@ enum Store {
 /// ```
 pub struct SimpleGrid {
     cfg: GridConfig,
+    /// The side `new` was given; a fork starts over this whole space.
+    space_side: f32,
+    /// The directory: `x.cells × y.cells` square cells of side
+    /// `cell_size`. Sequentially that is `cps × cps` cells over the space;
+    /// [`SpatialIndex::fit_tile`] lays it over a tile fork's own rows.
+    x: Axis,
+    y: Axis,
     cell_size: f32,
+    /// Set by [`SpatialIndex::fit_tile`]: the edge cells are open-ended.
+    fitted: bool,
     store: Store,
     name: String,
     /// Extent store for the `intersects` predicate: each rectangle sits in
@@ -76,9 +99,17 @@ impl SimpleGrid {
             "Simple Grid [{:?}/{:?} bs={} cps={}]",
             cfg.layout, cfg.query_algo, cfg.bucket_size, cfg.cells_per_side
         );
+        let whole = Axis {
+            first: 0,
+            cells: cfg.cells_per_side,
+        };
         SimpleGrid {
             cfg,
+            space_side,
+            x: whole,
+            y: whole,
             cell_size: space_side / cfg.cells_per_side as f32,
+            fitted: false,
             store,
             name,
             ext_cells: Vec::new(),
@@ -103,35 +134,50 @@ impl SimpleGrid {
         &self.cfg
     }
 
+    /// The edge between cells `c − 1` and `c` along axis `a`. A fitted
+    /// fork's outer edges are infinite: rows outside its fitted region
+    /// clamp into the edge cells, so those are never reported wholesale.
     #[inline]
-    fn cps(&self) -> u32 {
-        self.cfg.cells_per_side
+    fn edge(&self, a: Axis, c: u32) -> f32 {
+        if self.fitted && c == 0 {
+            f32::NEG_INFINITY
+        } else if self.fitted && c == a.cells {
+            f32::INFINITY
+        } else {
+            (a.first + c) as f32 * self.cell_size
+        }
     }
 
-    /// Cell coordinate of a position along one axis. Positions sit in
-    /// `[0, side]`; the closed upper boundary maps into the last cell.
+    /// Cell coordinate of a position along axis `a`, clamped into its
+    /// cells. It agrees with [`Self::edge`], so every row lies within its
+    /// cell's edges and Algorithm 1's wholesale reports stay exact: where
+    /// every lattice edge `g · cell_size` is exact, `fl(v / cell_size) ≥
+    /// g` holds exactly when `v ≥ g · cell_size`. The workloads' spaces
+    /// make `side / 64` and its multiples exact, and `fit_tile` picks a
+    /// cell size that does so.
     #[inline]
-    fn cell_coord(&self, v: f32) -> u32 {
-        ((v / self.cell_size) as u32).min(self.cps() - 1)
+    fn cell_coord(&self, v: f32, a: Axis) -> u32 {
+        ((v / self.cell_size) as u32)
+            .saturating_sub(a.first)
+            .min(a.cells - 1)
     }
 
     /// Row-major cell index for a point.
     #[inline]
     fn cell_of(&self, x: f32, y: f32) -> usize {
-        let cx = self.cell_coord(x);
-        let cy = self.cell_coord(y);
-        (cy * self.cps() + cx) as usize
+        let cx = self.cell_coord(x, self.x);
+        let cy = self.cell_coord(y, self.y);
+        (cy * self.x.cells + cx) as usize
     }
 
     /// The closed rectangle covered by cell `(cx, cy)`.
     #[inline]
     fn cell_rect(&self, cx: u32, cy: u32) -> Rect {
-        let cs = self.cell_size;
         Rect::new(
-            cx as f32 * cs,
-            cy as f32 * cs,
-            (cx + 1) as f32 * cs,
-            (cy + 1) as f32 * cs,
+            self.edge(self.x, cx),
+            self.edge(self.y, cy),
+            self.edge(self.x, cx + 1),
+            self.edge(self.y, cy + 1),
         )
     }
 
@@ -139,7 +185,7 @@ impl SimpleGrid {
     /// `tr`. The timed [`SpatialIndex::build`] path calls this with
     /// [`NullTracer`], which compiles to the untraced loop.
     pub fn build_traced<T: Tracer>(&mut self, table: &PointTable, tr: &mut T) {
-        let ncells = (self.cps() * self.cps()) as usize;
+        let ncells = (self.x.cells * self.y.cells) as usize;
         let n = table.len();
         match &mut self.store {
             Store::Original(s) => s.reset(ncells, self.cfg.bucket_size, n),
@@ -182,18 +228,18 @@ impl SimpleGrid {
         match self.cfg.query_algo {
             QueryAlgo::FullScan => {
                 // Algorithm 1: examine every grid cell.
-                for cy in 0..self.cps() {
-                    for cx in 0..self.cps() {
+                for cy in 0..self.y.cells {
+                    for cx in 0..self.x.cells {
                         self.visit_cell(cx, cy, table, region, emit, tr);
                     }
                 }
             }
             QueryAlgo::RangeScan => {
                 // Algorithm 2: compute the overlapping cell range first.
-                let cx1 = self.cell_coord(region.x1.max(0.0));
-                let cx2 = self.cell_coord(region.x2.max(0.0));
-                let cy1 = self.cell_coord(region.y1.max(0.0));
-                let cy2 = self.cell_coord(region.y2.max(0.0));
+                let cx1 = self.cell_coord(region.x1, self.x);
+                let cx2 = self.cell_coord(region.x2, self.x);
+                let cy1 = self.cell_coord(region.y1, self.y);
+                let cy2 = self.cell_coord(region.y2, self.y);
                 tr.instr(8);
                 for cy in cy1..=cy2 {
                     for cx in cx1..=cx2 {
@@ -229,7 +275,7 @@ impl SimpleGrid {
         tr: &mut T,
     ) {
         let cell_rect = self.cell_rect(cx, cy);
-        let cell = (cy * self.cps() + cx) as usize;
+        let cell = (cy * self.x.cells + cx) as usize;
         tr.instr(6);
         if region.contains_rect(&cell_rect) {
             match &self.store {
@@ -279,9 +325,12 @@ impl SpatialIndex for SimpleGrid {
     }
 
     fn build_extents(&mut self, table: &ExtentTable) {
-        let ncells = (self.cps() * self.cps()) as usize;
-        self.ext_cells.resize_with(ncells, Vec::new);
-        self.ext_cells.truncate(ncells);
+        // Never shrink: cells past a refitted fork's count keep their
+        // capacity for the next larger one, and stay empty.
+        let ncells = (self.x.cells * self.y.cells) as usize;
+        if self.ext_cells.len() < ncells {
+            self.ext_cells.resize_with(ncells, Vec::new);
+        }
         for c in &mut self.ext_cells {
             c.clear();
         }
@@ -300,6 +349,12 @@ impl SpatialIndex for SimpleGrid {
             let cell = self.cell_of(x1s[i], y1s[i]);
             self.ext_cells[cell].push(entry_id(i));
         }
+        // Round both maxima up one ulp: a row's true width then lies
+        // strictly below `ext_max_w`, so `fl(region.x1 − ext_max_w) ≤ x1`
+        // for every row that reaches `region` (ditto y), though `x2 − x1`
+        // itself may have rounded down.
+        self.ext_max_w = self.ext_max_w.next_up();
+        self.ext_max_h = self.ext_max_h.next_up();
     }
 
     fn for_each_intersecting(
@@ -312,15 +367,15 @@ impl SpatialIndex for SimpleGrid {
         // region.x2] (ditto y), so its reference corner lies in the cells
         // covering that expanded range; candidates are then tested exactly
         // against the full geometry.
-        let cx1 = self.cell_coord((region.x1 - self.ext_max_w).max(0.0));
-        let cx2 = self.cell_coord(region.x2.max(0.0));
-        let cy1 = self.cell_coord((region.y1 - self.ext_max_h).max(0.0));
-        let cy2 = self.cell_coord(region.y2.max(0.0));
+        let cx1 = self.cell_coord(region.x1 - self.ext_max_w, self.x);
+        let cx2 = self.cell_coord(region.x2, self.x);
+        let cy1 = self.cell_coord(region.y1 - self.ext_max_h, self.y);
+        let cy2 = self.cell_coord(region.y2, self.y);
         let (x1s, y1s) = (table.x1s(), table.y1s());
         let (x2s, y2s) = (table.x2s(), table.y2s());
         for cy in cy1..=cy2 {
             for cx in cx1..=cx2 {
-                let cell = (cy * self.cps() + cx) as usize;
+                let cell = (cy * self.x.cells + cx) as usize;
                 for &id in &self.ext_cells[cell] {
                     let i = id as usize;
                     if region.x1 <= x2s[i]
@@ -354,11 +409,41 @@ impl SpatialIndex for SimpleGrid {
         store + ext
     }
 
+    /// Lay about `cps² · share` square cells over the region: `round(side
+    /// / c)` along each side, clamped into `1..=cps`, for the cell side `c`
+    /// that splits the region's area so. A square region gets `k × k`
+    /// cells with `k = clamp(round(cps · √share), 1, cps)`; uniform rows
+    /// get about the sequential cell size whatever the tile's shape, and
+    /// rows packed denser get finer cells. The cell size is rounded up to
+    /// 8 significant bits and kept above 1/65,535 of the region's farthest
+    /// coordinate, so every lattice edge `g · cell_size` up to the region
+    /// is exact (`g · m < 2²⁴` for `g ≤ 2¹⁶` and an 8-bit mantissa `m`).
+    fn fit_tile(&mut self, region: &Rect, share: f64) {
+        let cps = self.cfg.cells_per_side;
+        let (w, h) = (region.width(), region.height());
+        let c = (f64::from(w) * f64::from(h) / (f64::from(cps * cps) * share)).sqrt();
+        let n = |len: f32| ((f64::from(len) / c).round() as u32).clamp(1, cps) as f32;
+        let far = [region.x1, region.y1, region.x2, region.y2].map(f32::abs);
+        let side = (w / n(w))
+            .max(h / n(h))
+            .max(far.into_iter().fold(0.0, f32::max) / 65_535.0);
+        let cs = f32::from_bits((side.max(f32::MIN_POSITIVE).to_bits() + 0xFFFF) & !0xFFFF);
+        let axis = |lo: f32, hi: f32| {
+            let first = (lo / cs) as u32;
+            Axis {
+                first,
+                cells: (hi / cs) as u32 - first + 1,
+            }
+        };
+        (self.x, self.y) = (axis(region.x1, region.x2), axis(region.y1, region.y2));
+        self.cell_size = cs;
+        self.fitted = true;
+    }
+
     fn fork(&self) -> Box<dyn SpatialIndex + Send + Sync> {
-        // `cell_size` was derived as side / cps in `new`, so undo the
-        // division to reconstruct; the display name (which `at_stage`
-        // overrides) is carried over verbatim.
-        let mut g = SimpleGrid::new(self.cfg, self.cell_size * self.cfg.cells_per_side as f32);
+        // The display name (which `at_stage` overrides) is carried over
+        // verbatim.
+        let mut g = SimpleGrid::new(self.cfg, self.space_side);
         g.name.clone_from(&self.name);
         Box::new(g)
     }
@@ -369,6 +454,8 @@ mod tests {
     use super::*;
     use sj_base::index::ScanIndex;
     use sj_base::rng::Xoshiro256;
+    use sj_base::tile::{replicate_by_extent, TileGrid};
+    use std::num::NonZeroUsize;
 
     const SIDE: f32 = 1_000.0;
 
@@ -627,6 +714,205 @@ mod tests {
             sorted_intersecting(&g, &small, &Rect::new(0.0, 0.0, 5.0, 5.0)),
             Vec::<EntryId>::new()
         );
+    }
+
+    /// The extent grid over `rows`, queried with `region`, against a scan.
+    fn intersecting_with_scan(rows: &[Rect], region: Rect) -> (Vec<EntryId>, Vec<EntryId>) {
+        let mut t = ExtentTable::default();
+        for &r in rows {
+            t.push(r);
+        }
+        let mut g = SimpleGrid::tuned(SIDE);
+        g.build_extents(&t);
+        let scan = sorted_intersecting(&ScanIndex::new(), &t, &region);
+        (sorted_intersecting(&g, &t, &region), scan)
+    }
+
+    #[test]
+    fn extent_query_finds_a_row_whose_width_rounds_down() {
+        // 900 − prev(15.625) rounds down to 884.375, so an unrounded
+        // maximum starts the query at the cell of 900 − 884.375 = 15.625:
+        // cell 1 of the 15.625-wide cells, right of the row's cell 0.
+        let x1 = 15.625f32.next_down();
+        let rows = [
+            Rect::new(x1, 100.0, 900.0, 101.0),
+            Rect::new(500.0, 500.0, 510.0, 510.0),
+        ];
+        let (grid, scan) = intersecting_with_scan(&rows, Rect::new(900.0, 100.0, 901.0, 101.0));
+        assert_eq!(scan, vec![0]);
+        assert_eq!(grid, scan);
+    }
+
+    #[test]
+    fn extent_query_finds_a_row_whose_height_rounds_down() {
+        let y1 = 15.625f32.next_down();
+        let rows = [
+            Rect::new(100.0, y1, 101.0, 900.0),
+            Rect::new(500.0, 500.0, 510.0, 510.0),
+        ];
+        let (grid, scan) = intersecting_with_scan(&rows, Rect::new(100.0, 900.0, 101.0, 901.0));
+        assert_eq!(scan, vec![0]);
+        assert_eq!(grid, scan);
+    }
+
+    /// Cell edges of a fitted grid along x and y as the grid computes
+    /// them, outer edges included (those are infinite in `edge`).
+    fn finite_edges(g: &SimpleGrid) -> (Vec<f32>, Vec<f32>) {
+        let edges = |a: Axis| {
+            (0..=a.cells)
+                .map(|c| (a.first + c) as f32 * g.cell_size)
+                .collect()
+        };
+        (edges(g.x), edges(g.y))
+    }
+
+    #[test]
+    fn fitted_cells_split_the_region_by_its_share_of_the_rows() {
+        let fitted = |region: Rect, share: f64| {
+            let mut g = SimpleGrid::tuned(22_000.0);
+            g.fit_tile(&region, share);
+            (g.x.cells, g.y.cells, g.cell_size)
+        };
+        // A sixteenth of uniform rows in a sixteenth of the space, square
+        // or not, gets the sequential 343.75-unit cells, rounded up to 8
+        // significant bits.
+        assert_eq!(
+            fitted(Rect::new(0.0, 0.0, 5_500.0, 5_500.0), 1.0 / 16.0),
+            (16, 16, 344.0)
+        );
+        assert_eq!(
+            fitted(Rect::new(0.0, 0.0, 11_000.0, 5_500.0), 1.0 / 8.0),
+            (32, 16, 344.0)
+        );
+        // 40% of the rows in a tenth of the space: cells 2× finer.
+        let tenth = 22_000.0 / 10f32.sqrt();
+        assert_eq!(fitted(Rect::new(0.0, 0.0, tenth, tenth), 0.4).0, 40);
+        // No rows: one cell, and one past the lattice edge the region
+        // ends on. Rows on a line, or at one point: a strip, or one cell.
+        assert_eq!(
+            fitted(Rect::new(0.0, 0.0, 900.0, 900.0), 0.0),
+            (2, 2, 900.0)
+        );
+        assert_eq!(fitted(Rect::new(5.0, 0.0, 5.0, 900.0), 0.5).0, 1);
+        assert_eq!(fitted(Rect::new(5.0, 5.0, 5.0, 5.0), 0.5).0, 1);
+    }
+
+    #[test]
+    fn fitted_forks_agree_with_scan_on_tile_and_cell_edges() {
+        // A non-round side, so tile and cell edges round, and cell counts
+        // that are not powers of two. Each layout and query algorithm runs
+        // at cps = 64, so one share fits them all alike.
+        let side = 1_000.3;
+        let tiles = TileGrid::new(&Rect::space(side), NonZeroUsize::new(10).unwrap());
+        assert_eq!((tiles.nx(), tiles.ny()), (5, 2));
+        let tuned = GridConfig::tuned();
+        let configs = [
+            tuned,
+            GridConfig {
+                layout: Layout::Original,
+                query_algo: QueryAlgo::FullScan,
+                ..tuned
+            },
+            GridConfig {
+                layout: Layout::InlineCoords,
+                ..tuned
+            },
+        ];
+        // A square tile would get 13 × 13 and 40 × 40 cells; these are
+        // 200.06 × 500.15, and the lattice from 0 may add a column or row.
+        for (k, cells) in [(13.0, (8, 21)), (40.0, (25, 63))] {
+            let share = (k / 64.0f64).powi(2);
+            let fit = |cfg: GridConfig, region: &Rect| {
+                let mut g = SimpleGrid::new(cfg, side).fork();
+                g.fit_tile(region, share);
+                g
+            };
+            // Lattice rows on every tile edge and on every cell edge of
+            // every tile-fitted fork: points, zero-area rectangles, and
+            // rectangles that straddle tiles.
+            let (mut xs, mut ys) = (Vec::new(), Vec::new());
+            for t in 0..tiles.tiles() {
+                let b = tiles.tile_bounds(t);
+                let mut g = SimpleGrid::new(tuned, side);
+                g.fit_tile(&b, share);
+                let (nx, ny) = (g.x.cells, g.y.cells);
+                assert!(
+                    nx.abs_diff(cells.0) <= 1 && ny.abs_diff(cells.1) <= 1,
+                    "tile {t}: {nx} × {ny}"
+                );
+                let (ex, ey) = finite_edges(&g);
+                xs.extend(ex.into_iter().chain([b.x1, b.x2]));
+                ys.extend(ey.into_iter().chain([b.y1, b.y2]));
+            }
+            // And the float just below every x edge, which must stay left
+            // of it.
+            xs.extend(xs.clone().into_iter().map(f32::next_down));
+            for v in [&mut xs, &mut ys] {
+                v.retain(|c| (0.0..=side).contains(c));
+                v.sort_by(f32::total_cmp);
+                v.dedup();
+            }
+            let (mut points, mut rects) = (PointTable::default(), ExtentTable::default());
+            for (i, &x) in xs.iter().enumerate() {
+                for (j, &y) in ys.iter().enumerate() {
+                    points.push(x, y);
+                    rects.push(Rect::at_point(x, y));
+                    if (i + j) % 5 == 0 {
+                        let (x2, y2) =
+                            (xs[(i + 7).min(xs.len() - 1)], ys[(j + 4).min(ys.len() - 1)]);
+                        rects.push(Rect::new(x, y, x2, y2));
+                    }
+                }
+            }
+            let (mut point_reps, mut rect_reps) = (Vec::new(), Vec::new());
+            replicate_by_extent(&points, &tiles, &mut point_reps);
+            replicate_by_extent(&rects, &tiles, &mut rect_reps);
+            for t in 0..tiles.tiles() {
+                let (pt, rt) = (&point_reps[t].table, &rect_reps[t].table);
+                let b = tiles.tile_bounds(t);
+                // The tile itself, and an inner region that leaves many
+                // rows outside to clamp into the open edge cells.
+                let (w, h) = (b.width() / 4.0, b.height() / 4.0);
+                let inner = Rect::new(b.x1 + w, b.y1 + h, b.x2 - w, b.y2 - h);
+                for region in [b, inner] {
+                    let forks: Vec<_> = configs
+                        .iter()
+                        .map(|&cfg| {
+                            let mut g = fit(cfg, &region);
+                            g.build(pt);
+                            g.build_extents(rt);
+                            g
+                        })
+                        .collect();
+                    let mut g = SimpleGrid::new(tuned, side);
+                    g.fit_tile(&region, share);
+                    let (ex, ey) = finite_edges(&g);
+                    let mut queries = vec![Rect::space(side), region];
+                    for i in (0..ex.len()).step_by(3) {
+                        for j in (0..ey.len()).step_by(3) {
+                            for d in [0, 1, 4] {
+                                let (i2, j2) =
+                                    ((i + d).min(ex.len() - 1), (j + d).min(ey.len() - 1));
+                                queries.push(Rect::new(ex[i], ey[j], ex[i2], ey[j2]));
+                            }
+                        }
+                    }
+                    for q in &queries {
+                        let want_points = sorted_query(&ScanIndex::new(), pt, q);
+                        let want_rects = sorted_intersecting(&ScanIndex::new(), rt, q);
+                        for f in &forks {
+                            let tag = format!("{} tile {t} fitted to {region:?}", f.name());
+                            assert_eq!(sorted_query(&**f, pt, q), want_points, "{tag}: {q:?}");
+                            assert_eq!(
+                                sorted_intersecting(&**f, rt, q),
+                                want_rects,
+                                "{tag}: {q:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,13 @@ const BKT_NEXT: usize = 0;
 const BKT_LEN: usize = 1;
 const HEADER_SLOTS: usize = 2;
 
+/// Most buckets `rows` rows can take over `ncells` cells: one per full
+/// bucket, plus a partial one in each of at most `min(rows, ncells)`
+/// occupied cells. A small tile fork then holds no bucket per empty cell.
+fn max_buckets(rows: usize, bucket_size: u32, ncells: usize) -> usize {
+    rows / bucket_size.max(1) as usize + rows.min(ncells)
+}
+
 /// See module docs: the Figure 3b layout.
 #[derive(Clone, Debug, Default)]
 pub struct InlineStore {
@@ -44,8 +51,8 @@ impl InlineStore {
         self.cells.clear();
         self.cells.resize(ncells, NULL);
         self.buckets.clear();
-        let expected_buckets = expected_points / bucket_size.max(1) as usize + ncells;
-        self.buckets.reserve(expected_buckets * self.bucket_slots);
+        self.buckets
+            .reserve_exact(max_buckets(expected_points, bucket_size, ncells) * self.bucket_slots);
     }
 
     fn alloc_bucket(&mut self, next: u64) -> u64 {
@@ -202,8 +209,8 @@ impl InlineCoordsStore {
         self.cells.clear();
         self.cells.resize(ncells, NULL);
         self.buckets.clear();
-        let expected_buckets = expected_points / bucket_size.max(1) as usize + ncells;
-        self.buckets.reserve(expected_buckets * self.bucket_slots);
+        self.buckets
+            .reserve_exact(max_buckets(expected_points, bucket_size, ncells) * self.bucket_slots);
     }
 
     fn alloc_bucket(&mut self, next: u64) -> u64 {
@@ -311,6 +318,7 @@ impl InlineCoordsStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sj_base::table::entry_id;
     use sj_base::trace::{CountingTracer, NullTracer};
 
     fn table_of(points: &[(f32, f32)]) -> PointTable {
@@ -424,6 +432,26 @@ mod tests {
         let mut out = Vec::new();
         s.report_all(0, &mut |e| out.push(e), &mut NullTracer);
         assert_eq!(out.len(), 7);
+    }
+
+    #[test]
+    fn alternating_builds_reserve_the_bucket_bound_and_never_double() {
+        // A tile fork's rows vary a little tick to tick. Each build fills
+        // one cell per row, the worst case for the bound.
+        let bound = (4_096 + max_buckets(3_020, 20, 4_096) * (HEADER_SLOTS + 20)) * 8;
+        let mut s = InlineStore::default();
+        for rows in [3_000, 3_020, 3_000, 3_020, 3_000] {
+            s.reset(4_096, 20, rows);
+            for e in 0..rows {
+                s.insert(e, entry_id(e), &mut NullTracer);
+            }
+            assert_eq!(s.num_buckets(), rows);
+            assert!(
+                s.allocated_bytes() <= bound,
+                "{rows} rows: {} B over the 3,020-row bound of {bound} B",
+                s.allocated_bytes()
+            );
+        }
     }
 
     #[test]

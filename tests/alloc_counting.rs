@@ -251,6 +251,53 @@ fn two_layer_join_allocates_nothing_when_the_live_count_shrinks() {
     );
 }
 
+/// A tiled build refits every Simple Grid fork each tick. Refitted to the
+/// same region and share, a fork rebuilds into the arenas it already
+/// has; refitted to a smaller region with fewer cells and back, it does
+/// too once each shape has been built.
+#[test]
+fn refitted_grid_forks_rebuild_without_allocating() {
+    let points = populated_table(3_000, 42);
+    let mut rects = ExtentTable::default();
+    for r in query_batch(3_000, 11) {
+        rects.push(r);
+    }
+    let queries = query_batch(200, 7);
+    let mut fork = SimpleGrid::tuned(SIDE).fork();
+    let tile = Rect::new(0.0, 0.0, SIDE, SIDE / 2.0);
+    let smaller = Rect::new(100.0, 50.0, 400.0, 300.0);
+    let mut refit = |region: &Rect, share: f64| {
+        fork.fit_tile(region, share);
+        fork.build(&points);
+        fork.build_extents(&rects);
+        // Order-free folds: the directory decides the order of the hits.
+        let mut hits = 0u64;
+        fork.for_each_intersecting(&rects, &Rect::space(SIDE), &mut |_| hits += 1);
+        let mut fold = (0u64, 0u64);
+        for (qi, q) in (0u64..).zip(&queries) {
+            fork.for_each_in(&points, q, &mut |id| {
+                fold.0 += 1;
+                fold.1 = fold.1.wrapping_add(qi << 32 | u64::from(id));
+            });
+        }
+        (hits, fold)
+    };
+    let want = refit(&tile, 0.4);
+    assert_eq!(want.0, 3_000, "the fork lost a rectangle");
+    let (allocs, got) = allocations_during(|| refit(&tile, 0.4));
+    assert_eq!(got, want, "refitting to the same tile moved the join");
+    assert_eq!(allocs, 0, "{allocs} allocations refitting to the same tile");
+    refit(&smaller, 0.05);
+    refit(&tile, 0.4);
+    let (allocs, got) = allocations_during(|| (refit(&smaller, 0.05), refit(&tile, 0.4)));
+    assert_eq!(got.1, want, "a smaller region and back moved the join");
+    assert_eq!(got.0, want, "the smaller region moved the join");
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations refitting to a smaller region and back"
+    );
+}
+
 #[test]
 fn the_counter_itself_works() {
     // Guard against the pin silently passing because counting broke.

@@ -433,6 +433,42 @@ const GOLDEN_INTERSECT_PAIRS_SEED42: u64 = 30_525;
 const GOLDEN_INTERSECT_QUERIES_SEED42: u64 = 5_041;
 const GOLDEN_INTERSECT_UPDATES_SEED42: u64 = 5_054;
 
+fn run_hotspot_once(spec: &str) -> RunStats {
+    let params = WorkloadParams {
+        num_points: 12_000,
+        ticks: MEASURED_TICKS,
+        seed: 42,
+        ..WorkloadParams::default()
+    };
+    let mut workload = WorkloadSpec::parse("gaussian:h10").unwrap().build(params);
+    let mut tech = TechniqueSpec::parse(spec).unwrap().build(params.space_side);
+    tech.run(&mut *workload, DriverConfig::new(params.ticks, 1))
+}
+
+#[test]
+fn hotspot_golden_checksum_is_stable_across_prs() {
+    // The tiled point goldens above run uniform rows, which fill every
+    // tile alike. The `hotspot` benchmark's shape (12,000 points around
+    // ten Gaussian hotspots in Table 1's space) gives every tile fork its
+    // own share of the rows and its own part of the tile to cover, so pin
+    // the grid there too, sequential, tiled and adaptive, to one constant.
+    for modifier in ["", "@tiles16@par2", "@tilesauto@par2"] {
+        let spec = format!("grid:inline{modifier}");
+        let stats = run_hotspot_once(&spec);
+        assert_eq!(
+            (stats.checksum, stats.result_pairs),
+            (GOLDEN_HOTSPOT_CHECKSUM_SEED42, GOLDEN_HOTSPOT_PAIRS_SEED42),
+            "{spec}"
+        );
+    }
+}
+
+/// Goldens of `run_hotspot_once` (gaussian:h10, seed 42, 12,000 points,
+/// side 22,000, 5 measured ticks after 1 warmup). Same re-pinning policy
+/// as the goldens above.
+const GOLDEN_HOTSPOT_CHECKSUM_SEED42: u64 = 0x574c2aba8fca6c8e;
+const GOLDEN_HOTSPOT_PAIRS_SEED42: u64 = 1_332_113;
+
 #[test]
 fn checksum_is_independent_of_result_order() {
     // The R-tree and the grid enumerate results in very different orders;

@@ -91,3 +91,29 @@ fn capacity_accounting_covers_rebuilds_over_shrinking_tables() {
         }
     }
 }
+
+#[test]
+fn fitted_tile_forks_hold_about_the_sequential_footprint() {
+    // Each tile fork fits its directory to its rows, so at 20k uniform
+    // points the 16 forks of `grid:inline@tiles16@par2` hold about the
+    // sequential grid's cells between them. Forks that each kept the
+    // whole-space 64 × 64 directory reported 18.7× the sequential
+    // footprint in `BENCH_10.json` (17.38 against 0.93 MB).
+    let params = WorkloadParams {
+        num_points: 20_000,
+        ticks: 2,
+        seed: 42,
+        ..WorkloadParams::default()
+    };
+    let index_bytes = |spec: &str| {
+        let mut tech = TechniqueSpec::parse(spec).unwrap().build(params.space_side);
+        let cfg = DriverConfig::new(params.ticks, 1);
+        tech.run(&mut UniformWorkload::new(params), cfg).index_bytes
+    };
+    let sequential = index_bytes("grid:inline");
+    let tiled = index_bytes("grid:inline@tiles16@par2");
+    assert!(
+        tiled as f64 <= 1.5 * sequential as f64,
+        "16 tile forks hold {tiled} B against {sequential} B sequentially"
+    );
+}
