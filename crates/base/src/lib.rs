@@ -13,6 +13,7 @@
 //! - [`index`] — the sink-based [`index::SpatialIndex`] trait plus the
 //!   ground-truth [`index::ScanIndex`];
 //! - [`batch`] — the set-at-a-time [`batch::BatchJoin`] trait;
+//! - [`bucket`] — the flat cell store: ids counting-sorted into buckets;
 //! - [`driver`] — the tick loop (build → query → update) with per-phase
 //!   timing, reproducing the Sowell et al. framework the paper builds on;
 //! - [`par`] — the non-sequential query phases ([`par::ExecMode`]: sharded
@@ -26,6 +27,7 @@
 //! - [`stats`] — numeric summaries for the benchmark harness.
 
 pub mod batch;
+pub mod bucket;
 pub mod driver;
 pub mod geom;
 pub mod index;

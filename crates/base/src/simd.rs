@@ -1,18 +1,26 @@
-//! Vectorized range filtering over structure-of-arrays coordinates.
+//! Vectorized range and overlap filtering over structure-of-arrays
+//! coordinates.
 //!
 //! The paper's closing argument — implementation dominates in main
 //! memory — invites one more step it does not take: data-parallel
-//! filtering. A contiguous slice of x/y columns can be tested against a
+//! filtering. A contiguous slice of columns can be tested against a
 //! rectangle 8 lanes at a time with AVX2 where the CPU has it (detected
 //! once at runtime), 4 lanes with SSE2 otherwise (unconditionally
 //! available on x86_64); other architectures use an unrolled scalar loop
-//! that LLVM auto-vectorizes. The `VecSearchJoin` technique in
-//! `sj-binsearch` builds on this; the ablation bench quantifies the gain.
+//! that LLVM auto-vectorizes. The kernels and their users:
+//!
+//! - [`filter_range`] and [`filter_range_gather_each`], points in a
+//!   region: `VecSearchJoin` in `sj-binsearch` and the quadtree's leaves;
+//! - [`filter_overlap_each`], rectangles over contiguous columns: the
+//!   scan's extent path and `twolayer`'s buckets;
+//! - [`gather_overlap_each`], rectangles read through a slice of row
+//!   ids: the Simple Grid's extent path, one call per cell row.
 //!
 //! All widths are bit-identical by construction — the same ordered-quiet
-//! `>= / <=` lane compares as the scalar `Rect::contains_point`, with
-//! candidates emitted in index order via the compare movemask — and the
-//! tests assert it on boundary ties, NaN lanes, and random columns.
+//! `>= / <=` lane compares as the scalar `Rect::contains_point` and
+//! `Rect::intersects`, with candidates emitted in order via the compare
+//! movemask — and the tests assert it on boundary ties, NaN lanes, and
+//! random columns.
 
 use crate::geom::Rect;
 use crate::table::{entry_id, EntryId};
@@ -478,6 +486,112 @@ pub unsafe fn filter_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
     }
 }
 
+/// Call `emit` with every id in `ids`, in order, whose rectangle in the
+/// columns `[x1, y1, x2, y2]` intersects `region`: the closed test of
+/// [`filter_overlap_each`], read through the ids. The AVX2 width gathers
+/// the coordinates of 8 ids at a time straight from the columns; x86
+/// without AVX2 (SSE2 has no gather) and other architectures run the
+/// scalar width. Ids may repeat and come in any order.
+///
+/// # Panics
+/// Panics at the first id that is out of bounds of any column, after
+/// emitting the hits before it, in every width.
+pub fn gather_overlap_each<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 4],
+    ids: &[EntryId],
+    region: &Rect,
+    emit: &mut F,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { gather_overlap_each_avx2(cols, ids, region, emit) };
+    }
+    gather_overlap_each_scalar(cols, ids, region, emit);
+}
+
+/// Portable width of [`gather_overlap_each`]; slice indexing panics on a
+/// bad id.
+pub fn gather_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 4],
+    ids: &[EntryId],
+    region: &Rect,
+    emit: &mut F,
+) {
+    let [x1s, y1s, x2s, y2s] = cols;
+    for &id in ids {
+        let i = id as usize;
+        if overlaps(x1s[i], y1s[i], x2s[i], y2s[i], region) {
+            emit(id);
+        }
+    }
+}
+
+/// AVX2 width of [`gather_overlap_each`]: each block of 8 ids is checked
+/// against the shortest column's length (one unsigned max and compare),
+/// then four gathers feed the lane test of [`filter_overlap_each_avx2`].
+/// A block holding a bad id, the tail, and columns longer than `i32::MAX`
+/// rows (gather indices are signed 32-bit) take the scalar width.
+///
+/// # Safety
+/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub unsafe fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 4],
+    ids: &[EntryId],
+    region: &Rect,
+    emit: &mut F,
+) {
+    use std::arch::x86_64::{
+        _mm256_and_ps, _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_i32gather_ps, _mm256_loadu_si256,
+        _mm256_max_epu32, _mm256_movemask_epi8, _mm256_movemask_ps, _mm256_set1_epi32,
+        _mm256_set1_ps, _CMP_GE_OQ, _CMP_LE_OQ,
+    };
+
+    let n = cols.iter().map(|c| c.len()).fold(usize::MAX, usize::min);
+    let Some(last) = n.checked_sub(1).and_then(|l| i32::try_from(l).ok()) else {
+        return gather_overlap_each_scalar(cols, ids, region, emit);
+    };
+    let [x1s, y1s, x2s, y2s] = cols.map(<[f32]>::as_ptr);
+    let blocks = ids.chunks_exact(8);
+    let tail = blocks.remainder();
+    // SAFETY: caller verified AVX2. Each load reads one 8-id block. A
+    // block is gathered only once every id in it is at most `last = n −
+    // 1 ≤ i32::MAX`, so each lane is a non-negative index below `n`, and
+    // scaled by 4 it addresses an `f32` inside every column (none is
+    // shorter than `n`).
+    unsafe {
+        let max_id = _mm256_set1_epi32(last);
+        let qx1 = _mm256_set1_ps(region.x1);
+        let qx2 = _mm256_set1_ps(region.x2);
+        let qy1 = _mm256_set1_ps(region.y1);
+        let qy2 = _mm256_set1_ps(region.y2);
+        for block in blocks {
+            let v = _mm256_loadu_si256(block.as_ptr().cast());
+            let in_bounds = _mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id);
+            if _mm256_movemask_epi8(in_bounds) != -1 {
+                gather_overlap_each_scalar(cols, block, region, emit);
+                continue;
+            }
+            let in_x = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(x1s, v), qx2),
+                _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(x2s, v), qx1),
+            );
+            let in_y = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(y1s, v), qy2),
+                _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(y2s, v), qy1),
+            );
+            let mut mask = _mm256_movemask_ps(_mm256_and_ps(in_x, in_y)) as u32;
+            while mask != 0 {
+                emit(block[mask.trailing_zeros() as usize]);
+                mask &= mask - 1;
+            }
+        }
+    }
+    gather_overlap_each_scalar(cols, tail, region, emit);
+}
+
 /// [`filter_overlap_each`] collecting into a `Vec` (test and bench
 /// convenience, mirroring [`filter_range`]).
 pub fn filter_overlap(
@@ -824,5 +938,126 @@ mod tests {
         }
         assert_eq!(got, expect);
         assert!(!got.is_empty());
+    }
+
+    type RectCols = (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>);
+
+    /// The oracle: [`Rect::intersects`] on each id's row, in id order.
+    fn intersecting_ids(cols: &RectCols, ids: &[EntryId], region: &Rect) -> Vec<EntryId> {
+        let (x1s, y1s, x2s, y2s) = cols;
+        let row = |i: usize| Rect {
+            x1: x1s[i],
+            y1: y1s[i],
+            x2: x2s[i],
+            y2: y2s[i],
+        };
+        let hit = |id: &EntryId| region.intersects(&row(*id as usize));
+        ids.iter().copied().filter(hit).collect()
+    }
+
+    /// Each width of [`gather_overlap_each`] this CPU runs, by name, with
+    /// what it emitted before returning or panicking, and whether it
+    /// panicked.
+    fn gather_widths(
+        cols: &RectCols,
+        ids: &[EntryId],
+        region: &Rect,
+    ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
+        type Width = fn([&[f32]; 4], &[EntryId], &Rect, &mut dyn FnMut(EntryId));
+        let mut widths: Vec<(&str, Width)> = vec![
+            ("dispatched", |c, ids, r, e| {
+                gather_overlap_each(c, ids, r, e)
+            }),
+            ("scalar", |c, ids, r, e| {
+                gather_overlap_each_scalar(c, ids, r, e)
+            }),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            widths.push(("avx2", |c, ids, r, e| {
+                // SAFETY: detection checked above.
+                unsafe { gather_overlap_each_avx2(c, ids, r, e) }
+            }));
+        }
+        let cols = [&cols.0[..], &cols.1, &cols.2, &cols.3];
+        widths
+            .into_iter()
+            .map(|(name, width)| {
+                let mut out = Vec::new();
+                let run =
+                    std::panic::AssertUnwindSafe(|| width(cols, ids, region, &mut |e| out.push(e)));
+                let panicked = std::panic::catch_unwind(run).is_err();
+                (name, out, panicked)
+            })
+            .collect()
+    }
+
+    /// Id slices of every length 0–17 over `n` rows: ascending, and drawn
+    /// at random (unsorted, with repeats).
+    fn id_slices(n: usize, seed: u64) -> Vec<Vec<EntryId>> {
+        let mut rng = Xoshiro256::seeded(seed);
+        let mut slices = Vec::new();
+        for len in 0..=17 {
+            slices.push((0..len).map(|i| entry_id(i % n)).collect());
+            slices.push((0..len).map(|_| entry_id(rng.range_usize(n))).collect());
+        }
+        slices
+    }
+
+    #[test]
+    fn gather_overlap_widths_match_rect_intersects_through_the_ids() {
+        let mut random = random_rect_cols(40, 13);
+        for (i, col) in [&mut random.0, &mut random.1, &mut random.2, &mut random.3]
+            .into_iter()
+            .enumerate()
+        {
+            col[7 * i + 3] = f32::NAN;
+        }
+        let inputs = [
+            (boundary_rect_cols(), Rect::new(100.0, 100.0, 200.0, 200.0)),
+            (random, Rect::new(111.0, 222.0, 666.5, 888.25)),
+        ];
+        let mut hits = 0;
+        for (seed, (cols, region)) in (1..).zip(&inputs) {
+            for ids in id_slices(cols.0.len(), seed) {
+                let want = intersecting_ids(cols, &ids, region);
+                hits += want.len();
+                for (width, got, panicked) in gather_widths(cols, &ids, region) {
+                    assert!(!panicked, "{width} panicked on {ids:?}");
+                    assert_eq!(got, want, "{width} on {ids:?}");
+                }
+            }
+        }
+        assert!(hits > 100, "too few hits to pin the widths: {hits}");
+    }
+
+    #[test]
+    fn gather_overlap_panics_on_an_id_out_of_bounds_in_every_width() {
+        let cols = random_rect_cols(12, 5);
+        let region = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        // The bad id inside the first block, inside a later block, and in
+        // the tail; each width emits the hits before it, then panics.
+        for (len, at) in [(8, 5), (17, 13), (11, 9), (1, 0)] {
+            let mut ids: Vec<EntryId> = (0..len).map(|i| entry_id(i % 12)).collect();
+            ids[at] = 12;
+            let want = intersecting_ids(&cols, &ids[..at], &region);
+            for (width, got, panicked) in gather_widths(&cols, &ids, &region) {
+                assert!(panicked, "{width}: id 12 of 12 rows at {at} of {len}");
+                assert_eq!(got, want, "{width}: hits before the bad id");
+            }
+        }
+        let empty: RectCols = Default::default();
+        for (width, _, panicked) in gather_widths(&empty, &[0], &region) {
+            assert!(panicked, "{width}: id 0 of no rows");
+        }
+        // A column one row short: its last row is out of bounds too.
+        let mut short = cols.clone();
+        short.3.pop();
+        let ids: Vec<EntryId> = (0..12).collect();
+        let want = intersecting_ids(&cols, &ids[..11], &region);
+        for (width, got, panicked) in gather_widths(&short, &ids, &region) {
+            assert!(panicked, "{width}: id 11 of a column of 11");
+            assert_eq!(got, want, "{width}: hits before the short row");
+        }
     }
 }

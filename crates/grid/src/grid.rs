@@ -14,8 +14,10 @@
 //! the occupied part of its tile, for its share of the live rows, with
 //! open-ended edge cells.
 
+use sj_base::bucket::BucketSort;
 use sj_base::geom::Rect;
 use sj_base::index::SpatialIndex;
+use sj_base::simd::gather_overlap_each;
 use sj_base::table::{entry_id, EntryId, ExtentTable, PointTable};
 use sj_base::trace::{NullTracer, Tracer};
 
@@ -69,14 +71,17 @@ pub struct SimpleGrid {
     fitted: bool,
     store: Store,
     name: String,
-    /// Extent store for the `intersects` predicate: each rectangle sits in
-    /// the cell of its **reference corner** (lower-left `(x1, y1)`), so no
-    /// rect is stored twice. Queries compensate by expanding their search
-    /// range down/left by the largest extent seen at build
-    /// (`ext_max_w`/`ext_max_h`) — any rect overlapping the query must
-    /// have its reference corner inside that expanded range. Empty unless
-    /// [`SpatialIndex::build_extents`] ran.
-    ext_cells: Vec<Vec<EntryId>>,
+    /// Extent store for the `intersects` predicate: the live row ids,
+    /// counting-sorted by the cell of their **reference corner**
+    /// (lower-left `(x1, y1)`), so no rect is stored twice. The sort is
+    /// row-major, so the cells `cx1..=cx2` of one cell row are one slice,
+    /// filtered by one [`gather_overlap_each`] call straight from the
+    /// table's columns; ids only, 4 B a row, no coordinate copies.
+    /// Queries compensate by expanding their search range down/left by the
+    /// largest extent seen at build (`ext_max_w`/`ext_max_h`) — any rect
+    /// overlapping the query must have its reference corner inside that
+    /// expanded range. Empty unless [`SpatialIndex::build_extents`] ran.
+    ext: BucketSort,
     ext_max_w: f32,
     ext_max_h: f32,
 }
@@ -112,7 +117,7 @@ impl SimpleGrid {
             fitted: false,
             store,
             name,
-            ext_cells: Vec::new(),
+            ext: BucketSort::default(),
             ext_max_w: 0.0,
             ext_max_h: 0.0,
         }
@@ -325,36 +330,28 @@ impl SpatialIndex for SimpleGrid {
     }
 
     fn build_extents(&mut self, table: &ExtentTable) {
-        // Never shrink: cells past a refitted fork's count keep their
-        // capacity for the next larger one, and stay empty.
-        let ncells = (self.x.cells * self.y.cells) as usize;
-        if self.ext_cells.len() < ncells {
-            self.ext_cells.resize_with(ncells, Vec::new);
+        let [x1s, y1s, x2s, y2s] = [table.x1s(), table.y1s(), table.x2s(), table.y2s()];
+        let (live, all_live) = (table.live_mask(), table.all_live());
+        let rows = || (0..x1s.len()).filter(|&i| all_live || live[i]);
+        let mut ext = std::mem::take(&mut self.ext);
+        let cell = |i: usize| self.cell_of(x1s[i], y1s[i]);
+        let (mut max_w, mut max_h) = (0.0f32, 0.0f32);
+        let keys = rows().map(|i| {
+            max_w = max_w.max(x2s[i] - x1s[i]);
+            max_h = max_h.max(y2s[i] - y1s[i]);
+            cell(i)
+        });
+        ext.count((self.x.cells * self.y.cells) as usize, keys);
+        for i in rows() {
+            ext.place(cell(i), entry_id(i));
         }
-        for c in &mut self.ext_cells {
-            c.clear();
-        }
-        self.ext_max_w = 0.0;
-        self.ext_max_h = 0.0;
-        let (x1s, y1s) = (table.x1s(), table.y1s());
-        let (x2s, y2s) = (table.x2s(), table.y2s());
-        let live = table.live_mask();
-        let all_live = table.all_live();
-        for i in 0..x1s.len() {
-            if !all_live && !live[i] {
-                continue;
-            }
-            self.ext_max_w = self.ext_max_w.max(x2s[i] - x1s[i]);
-            self.ext_max_h = self.ext_max_h.max(y2s[i] - y1s[i]);
-            let cell = self.cell_of(x1s[i], y1s[i]);
-            self.ext_cells[cell].push(entry_id(i));
-        }
+        self.ext = ext;
         // Round both maxima up one ulp: a row's true width then lies
         // strictly below `ext_max_w`, so `fl(region.x1 − ext_max_w) ≤ x1`
         // for every row that reaches `region` (ditto y), though `x2 − x1`
         // itself may have rounded down.
-        self.ext_max_w = self.ext_max_w.next_up();
-        self.ext_max_h = self.ext_max_h.next_up();
+        self.ext_max_w = max_w.next_up();
+        self.ext_max_h = max_h.next_up();
     }
 
     fn for_each_intersecting(
@@ -366,47 +363,30 @@ impl SpatialIndex for SimpleGrid {
         // Any rect intersecting `region` has x1 ∈ [region.x1 − max_w,
         // region.x2] (ditto y), so its reference corner lies in the cells
         // covering that expanded range; candidates are then tested exactly
-        // against the full geometry.
-        let cx1 = self.cell_coord(region.x1 - self.ext_max_w, self.x);
-        let cx2 = self.cell_coord(region.x2, self.x);
+        // against the full geometry, one cell row at a time.
+        let cx1 = self.cell_coord(region.x1 - self.ext_max_w, self.x) as usize;
+        let cx2 = self.cell_coord(region.x2, self.x) as usize;
         let cy1 = self.cell_coord(region.y1 - self.ext_max_h, self.y);
         let cy2 = self.cell_coord(region.y2, self.y);
-        let (x1s, y1s) = (table.x1s(), table.y1s());
-        let (x2s, y2s) = (table.x2s(), table.y2s());
+        let cols = [table.x1s(), table.y1s(), table.x2s(), table.y2s()];
         for cy in cy1..=cy2 {
-            for cx in cx1..=cx2 {
-                let cell = (cy * self.x.cells + cx) as usize;
-                for &id in &self.ext_cells[cell] {
-                    let i = id as usize;
-                    if region.x1 <= x2s[i]
-                        && x1s[i] <= region.x2
-                        && region.y1 <= y2s[i]
-                        && y1s[i] <= region.y2
-                    {
-                        emit(id);
-                    }
-                }
-            }
+            let row = (cy * self.x.cells) as usize;
+            let ids = &self.ext.ids()[self.ext.slots(row + cx1..=row + cx2)];
+            gather_overlap_each(cols, ids, region, emit);
         }
     }
 
     fn memory_bytes(&self) -> usize {
         // Allocated-capacity convention (see the trait docs); the paper's
         // live-structure arithmetic stays available as
-        // [`SimpleGrid::live_bytes`]. The extent directory counts only
-        // when an extent build populated it.
-        let ext: usize = self.ext_cells.capacity() * std::mem::size_of::<Vec<EntryId>>()
-            + self
-                .ext_cells
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<EntryId>())
-                .sum::<usize>();
+        // [`SimpleGrid::live_bytes`]. The extent store counts only when an
+        // extent build populated it.
         let store = match &self.store {
             Store::Original(s) => s.allocated_bytes(),
             Store::Inline(s) => s.allocated_bytes(),
             Store::InlineCoords(s) => s.allocated_bytes(),
         };
-        store + ext
+        store + self.ext.allocated_bytes()
     }
 
     /// Lay about `cps² · share` square cells over the region: `round(side

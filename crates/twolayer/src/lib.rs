@@ -47,7 +47,8 @@
 //! the same answer as each reduced one. Each mini-join therefore runs its
 //! query replicas through the SIMD overlap kernel
 //! ([`sj_base::simd::filter_overlap_each`]) over the data replicas'
-//! columns.
+//! columns: flat buckets counting-sorted by the store the Simple Grid's
+//! extent path shares ([`sj_base::bucket::BucketSort`]).
 //!
 //! ## Both predicates
 //!
@@ -61,6 +62,7 @@
 use std::num::NonZeroUsize;
 
 use sj_base::batch::BatchJoin;
+use sj_base::bucket::BucketSort;
 use sj_base::geom::Rect;
 use sj_base::simd::filter_overlap_each;
 use sj_base::table::{EntryId, ExtentTable, PointTable};
@@ -87,15 +89,14 @@ const AUTO_TARGET_PER_CELL: usize = 64;
 /// mini-joins.
 const AUTO_MAX_SIDE: usize = 64;
 
-/// One side's replicas in one flat structure-of-arrays buffer set,
-/// counting-sorted by bucket `cell * 4 + class`: bucket `b` is rows
-/// `start[b]..start[b + 1]` of every column. The buffers are reused
-/// across joins, so a join that needs no more room than an earlier one
-/// allocates nothing, whatever its grid.
+/// One side's replicas in one flat structure-of-arrays buffer set: the
+/// ids counting-sorted by bucket `cell * 4 + class` ([`BucketSort`]),
+/// with the `x1`, `y1`, `x2`, `y2` columns written at the same slots.
+/// The buffers are reused across joins, so a join that needs no more
+/// room than an earlier one allocates nothing, whatever its grid.
 #[derive(Debug, Clone, Default)]
 struct Buckets {
-    start: Vec<usize>,
-    id: Vec<EntryId>,
+    sort: BucketSort,
     x1: Vec<f32>,
     y1: Vec<f32>,
     x2: Vec<f32>,
@@ -116,44 +117,27 @@ impl Buckets {
             let class = move |t: usize| (((t / nx > hy) as usize) << 1) | ((t % nx > hx) as usize);
             grid.cover(rect).map(move |t| t * 4 + class(t))
         };
-        let buckets = grid.tiles() * 4;
-        self.start.clear();
-        self.start.resize(buckets + 1, 0);
-        for (_, rect) in rows() {
-            for b in buckets_of(&rect) {
-                self.start[b + 1] += 1;
-            }
-        }
-        for b in 1..=buckets {
-            self.start[b] += self.start[b - 1];
-        }
-        let len = self.start[buckets];
-        self.id.resize(len, 0);
+        let keys = rows().flat_map(|(_, rect)| buckets_of(&rect));
+        let len = self.sort.count(grid.tiles() * 4, keys);
         for col in [&mut self.x1, &mut self.y1, &mut self.x2, &mut self.y2] {
             col.resize(len, 0.0);
         }
         for (id, rect) in rows() {
             for b in buckets_of(&rect) {
-                let i = self.start[b];
-                self.start[b] += 1;
-                self.id[i] = id;
+                let i = self.sort.place(b, id);
                 self.x1[i] = rect.x1;
                 self.y1[i] = rect.y1;
                 self.x2[i] = rect.x2;
                 self.y2[i] = rect.y2;
             }
         }
-        // Placing advanced each bucket's start to its end, which is the
-        // next bucket's start: shift the offsets back by one.
-        self.start.rotate_right(1);
-        self.start[0] = 0;
     }
 
     /// Bucket `b`'s ids and its `[x1, y1, x2, y2]` columns.
     fn bucket(&self, b: usize) -> (&[EntryId], [&[f32]; 4]) {
-        let rows = self.start[b]..self.start[b + 1];
+        let rows = self.sort.slots(b..=b);
         let cols = [&self.x1, &self.y1, &self.x2, &self.y2].map(|c| &c[rows.clone()]);
-        (&self.id[rows], cols)
+        (&self.sort.ids()[rows], cols)
     }
 }
 

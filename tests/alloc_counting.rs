@@ -143,11 +143,12 @@ fn all_indexes() -> Vec<Box<dyn SpatialIndex>> {
     indexes
 }
 
-/// Fold emitted ids into a checksum without allocating.
-fn run_batch(idx: &dyn SpatialIndex, t: &PointTable, queries: &[Rect]) -> u64 {
+/// Fold the ids `probe` emits for each query into a checksum without
+/// allocating.
+fn fold_probes(queries: &[Rect], mut probe: impl FnMut(&Rect, &mut dyn FnMut(EntryId))) -> u64 {
     let mut acc = 0u64;
     for q in queries {
-        idx.for_each_in(t, q, &mut |id| {
+        probe(q, &mut |id| {
             acc = acc
                 .wrapping_mul(0x100_0000_01B3)
                 .wrapping_add(id as u64 + 1);
@@ -156,10 +157,31 @@ fn run_batch(idx: &dyn SpatialIndex, t: &PointTable, queries: &[Rect]) -> u64 {
     acc
 }
 
+fn run_batch(idx: &dyn SpatialIndex, t: &PointTable, queries: &[Rect]) -> u64 {
+    fold_probes(queries, |q, emit| idx.for_each_in(t, q, emit))
+}
+
+fn run_extent_batch(idx: &dyn SpatialIndex, t: &ExtentTable, queries: &[Rect]) -> u64 {
+    fold_probes(queries, |q, emit| idx.for_each_intersecting(t, q, emit))
+}
+
+/// Both categories' probes: `for_each_in` over points for every index,
+/// and `for_each_intersecting` over rectangles for every index that
+/// supports it, also after a rebuild over the rectangles with every 5th
+/// row tombstoned.
 #[test]
 fn query_phase_performs_zero_allocations_for_every_index() {
     let t = populated_table(3_000, 42);
     let queries = query_batch(200, 7);
+    let mut rects = ExtentTable::default();
+    for r in query_batch(3_000, 11) {
+        rects.push(r);
+    }
+    let mut thinned = rects.clone();
+    for id in (0..3_000).step_by(5) {
+        thinned.remove(id);
+    }
+    let mut extent_indexes = 0;
     for mut idx in all_indexes() {
         idx.build(&t);
         // Warm-up: the contract is zero *steady-state* allocations; any
@@ -175,7 +197,40 @@ fn query_phase_performs_zero_allocations_for_every_index() {
             idx.name(),
             queries.len()
         );
+        if !idx.supports_intersect() {
+            continue;
+        }
+        extent_indexes += 1;
+        idx.build_extents(&rects);
+        let warm = run_extent_batch(idx.as_ref(), &rects, &queries);
+        let (allocs, cold) =
+            allocations_during(|| run_extent_batch(idx.as_ref(), &rects, &queries));
+        assert_eq!(cold, warm, "{}: non-deterministic extent batch", idx.name());
+        assert_ne!(cold, 0, "{}: extent batch matched nothing", idx.name());
+        assert_eq!(
+            allocs,
+            0,
+            "{}: {allocs} heap allocations across {} extent queries",
+            idx.name(),
+            queries.len()
+        );
+        let (allocs, thin) = allocations_during(|| {
+            idx.build_extents(&thinned);
+            run_extent_batch(idx.as_ref(), &thinned, &queries)
+        });
+        assert_ne!(thin, 0, "{}: thinned batch matched nothing", idx.name());
+        assert_eq!(
+            allocs,
+            0,
+            "{}: {allocs} heap allocations rebuilding over tombstoned rects and probing",
+            idx.name()
+        );
     }
+    assert_eq!(
+        extent_indexes,
+        1 + Stage::ALL.len(),
+        "the scan and every grid stage"
+    );
 }
 
 /// Run one batch join through a sink that folds every pair, returning

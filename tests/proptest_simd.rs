@@ -1,14 +1,17 @@
 //! Property-based equivalence of the SIMD filter widths.
 //!
-//! The vectorized range filters ([`spatial_joins::core::simd`]) dispatch
-//! at runtime between scalar, SSE2, and AVX2 code. Their contract is
+//! The vectorized filters ([`spatial_joins::core::simd`]) dispatch at
+//! runtime between scalar, SSE2, and AVX2 code. Their contract is
 //! *bit-identical* output: same candidates, same order, for any column
 //! contents — including the boundary ties where `>=`-vs-`>` mistakes
 //! hide. Coordinates are drawn from a small lattice around the query
 //! edges so a large fraction of points land exactly on them.
 
 use proptest::prelude::*;
-use spatial_joins::core::simd::{filter_range, filter_range_gather, filter_range_scalar};
+use spatial_joins::core::simd::{
+    filter_range, filter_range_gather, filter_range_scalar, gather_overlap_each,
+    gather_overlap_each_scalar,
+};
 use spatial_joins::prelude::*;
 
 /// The query region every case tests against; points are generated to
@@ -27,6 +30,48 @@ fn arb_edge_coord() -> impl Strategy<Value = f32> {
 fn arb_cols() -> impl Strategy<Value = Vec<(f32, f32)>> {
     // Lengths straddle the 8-lane AVX2 and 4-lane SSE2 block boundaries.
     prop::collection::vec((arb_edge_coord(), arb_edge_coord()), 0..70)
+}
+
+/// Rectangle rows on the edge lattice, NaN corners among them; `x1 > x2`
+/// rows too, which no table holds but the kernels must still agree on.
+fn arb_rect_rows() -> impl Strategy<Value = Vec<[f32; 4]>> {
+    let coord = prop::sample::select(vec![
+        100.0f32,
+        200.0,
+        99.999,
+        200.001,
+        150.0,
+        0.0,
+        300.0,
+        f32::NAN,
+    ]);
+    let row = (coord.clone(), coord.clone(), coord.clone(), coord)
+        .prop_map(|(x1, y1, x2, y2)| [x1, y1, x2, y2]);
+    prop::collection::vec(row, 1..40)
+}
+
+/// The dispatched and the scalar width of [`gather_overlap_each`] over
+/// `rows`, with the row ids `picks` (taken modulo the row count, so
+/// unsorted and repeated), and `Rect::intersects` read through the same
+/// ids.
+fn gather_against_intersects(rows: &[[f32; 4]], picks: &[usize]) -> [Vec<EntryId>; 3] {
+    let col = |k: usize| rows.iter().map(|r| r[k]).collect::<Vec<f32>>();
+    let (x1s, y1s, x2s, y2s) = (col(0), col(1), col(2), col(3));
+    let ids: Vec<EntryId> = picks.iter().map(|&p| (p % rows.len()) as EntryId).collect();
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    let cols = [&x1s[..], &y1s, &x2s, &y2s];
+    let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
+    gather_overlap_each(cols, &ids, &region, &mut |e| dispatched.push(e));
+    gather_overlap_each_scalar(cols, &ids, &region, &mut |e| scalar.push(e));
+    let row = |id: EntryId| {
+        let [x1, y1, x2, y2] = rows[id as usize];
+        Rect { x1, y1, x2, y2 }
+    };
+    let want = ids
+        .into_iter()
+        .filter(|&id| region.intersects(&row(id)))
+        .collect();
+    [dispatched, scalar, want]
 }
 
 proptest! {
@@ -56,6 +101,58 @@ proptest! {
         }
         prop_assert_eq!(dispatched, naive);
     }
+
+    #[test]
+    fn dispatched_gather_overlap_matches_rect_intersects_through_the_ids(
+        rows in arb_rect_rows(),
+        // 0–17 ids: no block, one block, two blocks, and every tail.
+        picks in prop::collection::vec(0usize..64, 0..18),
+    ) {
+        let [dispatched, scalar, want] = gather_against_intersects(&rows, &picks);
+        prop_assert_eq!(&dispatched, &want);
+        prop_assert_eq!(&scalar, &want);
+    }
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn gather_overlap_panics_on_an_id_equal_to_the_column_length() {
+    let cols = vec![150.0f32; 9];
+    let mut ids: Vec<EntryId> = (0..9).collect();
+    ids[4] = 9;
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    gather_overlap_each([&cols; 4], &ids, &region, &mut |_| {});
+}
+
+/// The dispatched width (AVX2 where the CPU has it) against the scalar
+/// width on a dense tie lattice, for every prefix of an unsorted id list
+/// that names every row twice.
+#[test]
+fn dispatched_gather_overlap_agrees_with_scalar_on_a_dense_tie_lattice() {
+    // Every row with corners in {edge, just outside, interior, NaN}.
+    let vals = [100.0f32, 200.0, 99.999, 200.001, 150.0, f32::NAN];
+    let (mut x1s, mut y1s, mut x2s, mut y2s) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for &a in &vals {
+        for &b in &vals {
+            x1s.push(a);
+            y1s.push(b);
+            x2s.push(b);
+            y2s.push(a);
+        }
+    }
+    let n = x1s.len() as EntryId;
+    let ids: Vec<EntryId> = (0..n).rev().chain((0..n).map(|i| i * 5 % n)).collect();
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    let cols = [&x1s[..], &y1s, &x2s, &y2s];
+    let mut hits = 0;
+    for len in 0..=ids.len() {
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        gather_overlap_each(cols, &ids[..len], &region, &mut |e| got.push(e));
+        gather_overlap_each_scalar(cols, &ids[..len], &region, &mut |e| want.push(e));
+        assert_eq!(got, want, "first {len} ids");
+        hits += want.len();
+    }
+    assert!(hits > 0, "the lattice holds no hit");
 }
 
 /// On x86_64 CPUs with AVX2, pin all three widths against each other
