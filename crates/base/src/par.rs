@@ -36,7 +36,8 @@
 //!
 //! Every phase here is generic over the entry table ([`Shape`]): points
 //! and rectangles run the same scheduler, and the shape supplies only its
-//! query regions, its reference point and its index/join methods.
+//! query regions, whether a tile reports a candidate
+//! ([`Shape::tile_reports`]) and its index/join methods.
 //!
 //! Tiled execution is scheduled in two levels (the rest of the Tsitsigkos &
 //! Mamoulis design): each tile's work list is decomposed into fixed-size
@@ -77,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use crate::batch::BatchJoin;
 use crate::driver::{fold_pair, TileLoad};
-use crate::geom::{Point, Rect};
+use crate::geom::Rect;
 use crate::index::SpatialIndex;
 use crate::table::{entry_id, EntryId, PointTable, Shape};
 use crate::tile::{
@@ -595,11 +596,11 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
 /// shared queue with a pool of scoped workers — each steals the next chunk
 /// via an atomic cursor, probes that tile's private index, and keeps a
 /// `(querier, row)` hit only if the candidate's reference point lies in
-/// the chunk's tile (the reference-point rule — see [`crate::tile`] for
-/// the exactness proof). Emitted rows are translated back to global
-/// handles through the replica map, so the folded `(pairs, checksum)`
-/// delta is bit-identical to the sequential fold regardless of which
-/// worker ran which chunk.
+/// the chunk's tile ([`Shape::tile_reports`], the reference-point rule —
+/// see [`crate::tile`] for the exactness proof; a point always passes).
+/// Emitted rows are translated back to global handles through the replica
+/// map, so the folded `(pairs, checksum)` delta is bit-identical to the
+/// sequential fold regardless of which worker ran which chunk.
 pub fn tiled_index_query<T: Shape>(
     pool: &mut TileIndexPool<T>,
     centers: &T,
@@ -635,19 +636,14 @@ pub fn tiled_index_query<T: Shape>(
         |_, MiniJoin { tile, start, end }| {
             let worker = &workers[tile];
             let replica = &replicas[tile];
-            let (cx, cy) = replica.table.corners();
             let mut pairs = 0u64;
             let mut checksum = 0u64;
             for &q in &worker.queriers[start..end] {
                 let region = centers.query_region(q, query_side, space);
                 replica.table.probe(&*worker.index, &region, &mut |local| {
-                    let l = local as usize;
-                    // Reference-point rule: only the tile holding the
-                    // candidate's reference point reports it.
-                    let p = T::reference_point(&region, Point::new(cx[l], cy[l]));
-                    if grid.tile_of(p.x, p.y) == tile {
+                    if replica.table.tile_reports(local, &region, &grid, tile) {
                         pairs += 1;
-                        checksum = fold_pair(checksum, q, replica.to_global[l]);
+                        checksum = fold_pair(checksum, q, replica.global(local));
                     }
                 });
             }
@@ -697,8 +693,8 @@ impl<T> TileBatchPool<T> {
 /// category must not split below the tile), and drain the queue with a
 /// pool of scoped workers running each chunk's batch join on a private
 /// fork ([`BatchJoin::fork`]) over that tile's replica. The join's sink
-/// keeps only the pairs whose reference point lies in the tile (the
-/// reference-point rule) and folds them under global handles. Everything
+/// keeps only the pairs whose reference point lies in the tile
+/// ([`Shape::tile_reports`]) and folds them under global handles. Everything
 /// — partitioning included — runs inside the timed query phase,
 /// consistent with the category's set-at-a-time cost model (per-tick
 /// sorting and partitioning are the technique's own cost).
@@ -757,17 +753,18 @@ pub fn tiled_batch_join<J: BatchJoin + ?Sized, T: Shape>(
         |fork, MiniJoin { tile, start, end }| {
             let replica = &replicas[tile];
             let queries = &tile_queries[tile];
-            let (cx, cy) = replica.table.corners();
             let mut pairs = 0u64;
             let mut checksum = 0u64;
             replica
                 .table
                 .batch_join(&mut ***fork, &queries[start..end], &mut |qi, local| {
-                    let (qi, l) = (qi as usize, local as usize);
-                    let p = T::reference_point(&queries[qi].1, Point::new(cx[l], cy[l]));
-                    if grid.tile_of(p.x, p.y) == tile {
+                    let qi = qi as usize;
+                    if replica
+                        .table
+                        .tile_reports(local, &queries[qi].1, &grid, tile)
+                    {
                         pairs += 1;
-                        checksum = fold_pair(checksum, tile_qids[tile][qi], replica.to_global[l]);
+                        checksum = fold_pair(checksum, tile_qids[tile][qi], replica.global(local));
                     }
                 });
             (pairs, checksum)

@@ -14,16 +14,24 @@
 //! - [`filter_overlap_each`], rectangles over contiguous columns: the
 //!   scan's extent path and `twolayer`'s buckets;
 //! - [`gather_overlap_each`], rectangles read through a slice of row
-//!   ids: the Simple Grid's extent path, one call per cell row.
+//!   ids: the Simple Grid's extent path, one call per cell row;
+//! - [`gather_range_each`], points read through a slice of `u64` entry
+//!   slots: the Simple Grid's inline buckets (Figure 3b), one call per
+//!   bucket a query filters.
 //!
-//! All widths are bit-identical by construction — the same ordered-quiet
+//! The two gather kernels share one AVX2 block loop and fall back to
+//! their scalar widths on x86 without AVX2 (SSE2 has no gather). All
+//! widths are bit-identical by construction — the same ordered-quiet
 //! `>= / <=` lane compares as the scalar `Rect::contains_point` and
 //! `Rect::intersects`, with candidates emitted in order via the compare
 //! movemask — and the tests assert it on boundary ties, NaN lanes, and
 //! random columns.
 
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64::{__m256, __m256i};
+
 use crate::geom::Rect;
-use crate::table::{entry_id, EntryId};
+use crate::table::{entry_id, entry_id_u64, EntryId};
 
 /// Append `base + i` for every `i` with `(xs[i], ys[i])` inside `region`
 /// (closed semantics). `xs` and `ys` must have equal lengths.
@@ -531,7 +539,8 @@ pub fn gather_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
 /// against the shortest column's length (one unsigned max and compare),
 /// then four gathers feed the lane test of [`filter_overlap_each_avx2`].
 /// A block holding a bad id, the tail, and columns longer than `i32::MAX`
-/// rows (gather indices are signed 32-bit) take the scalar width.
+/// rows (gather indices are signed 32-bit) take the scalar width. The
+/// block loop is shared with [`gather_range_each_avx2`].
 ///
 /// # Safety
 /// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
@@ -544,52 +553,217 @@ pub unsafe fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     use std::arch::x86_64::{
-        _mm256_and_ps, _mm256_cmp_ps, _mm256_cmpeq_epi32, _mm256_i32gather_ps, _mm256_loadu_si256,
-        _mm256_max_epu32, _mm256_movemask_epi8, _mm256_movemask_ps, _mm256_set1_epi32,
-        _mm256_set1_ps, _CMP_GE_OQ, _CMP_LE_OQ,
+        _mm256_and_ps, _mm256_cmp_ps, _mm256_i32gather_ps, _mm256_loadu_si256, _mm256_set1_ps,
+        _CMP_GE_OQ, _CMP_LE_OQ,
     };
 
-    let n = cols.iter().map(|c| c.len()).fold(usize::MAX, usize::min);
-    let Some(last) = n.checked_sub(1).and_then(|l| i32::try_from(l).ok()) else {
-        return gather_overlap_each_scalar(cols, ids, region, emit);
-    };
+    let rows = cols.iter().map(|c| c.len()).fold(usize::MAX, usize::min);
     let [x1s, y1s, x2s, y2s] = cols.map(<[f32]>::as_ptr);
-    let blocks = ids.chunks_exact(8);
-    let tail = blocks.remainder();
-    // SAFETY: caller verified AVX2. Each load reads one 8-id block. A
-    // block is gathered only once every id in it is at most `last = n −
-    // 1 ≤ i32::MAX`, so each lane is a non-negative index below `n`, and
-    // scaled by 4 it addresses an `f32` inside every column (none is
-    // shorter than `n`).
+    let qx1 = _mm256_set1_ps(region.x1);
+    let qx2 = _mm256_set1_ps(region.x2);
+    let qy1 = _mm256_set1_ps(region.y1);
+    let qy2 = _mm256_set1_ps(region.y2);
+    // SAFETY: caller verified AVX2. `lanes` reads the 32 bytes of one
+    // block of 8 ids. `hits` gathers only lanes below `rows`, which the
+    // block loop checks first, and every column holds `rows` rows.
     unsafe {
-        let max_id = _mm256_set1_epi32(last);
-        let qx1 = _mm256_set1_ps(region.x1);
-        let qx2 = _mm256_set1_ps(region.x2);
-        let qy1 = _mm256_set1_ps(region.y1);
-        let qy2 = _mm256_set1_ps(region.y2);
-        for block in blocks {
-            let v = _mm256_loadu_si256(block.as_ptr().cast());
-            let in_bounds = _mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id);
-            if _mm256_movemask_epi8(in_bounds) != -1 {
-                gather_overlap_each_scalar(cols, block, region, emit);
-                continue;
-            }
-            let in_x = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(x1s, v), qx2),
-                _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(x2s, v), qx1),
-            );
-            let in_y = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(y1s, v), qy2),
-                _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(y2s, v), qy1),
-            );
-            let mut mask = _mm256_movemask_ps(_mm256_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                emit(block[mask.trailing_zeros() as usize]);
-                mask &= mask - 1;
-            }
+        gather_each_avx2(
+            rows,
+            ids,
+            |block| Some(_mm256_loadu_si256(block.as_ptr().cast())),
+            |v| {
+                let in_x = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(x1s, v), qx2),
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(x2s, v), qx1),
+                );
+                let in_y = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(y1s, v), qy2),
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(y2s, v), qy1),
+                );
+                _mm256_and_ps(in_x, in_y)
+            },
+            |ids, emit| gather_overlap_each_scalar(cols, ids, region, emit),
+            emit,
+        )
+    }
+}
+
+/// The block loop of the AVX2 gather kernels, over ids of type `S`
+/// (`EntryId`s, or the grid's `u64` bucket slots) naming rows of columns
+/// that each hold at least `rows` rows. `lanes` reads a block of 8 ids as
+/// `u32` lanes, or returns `None` if one does not fit in 32 bits. A block
+/// whose lanes all lie below `rows` (one unsigned max and compare) goes
+/// to `hits`, which gathers the lanes' coordinates and returns the lane
+/// test as a compare mask, and its hits are emitted in block order. A block
+/// holding a bad id, the tail, and columns longer than `i32::MAX` rows
+/// (gather indices are signed 32-bit) take `scalar`, the scalar width,
+/// which panics at the first bad id after emitting the hits before it.
+///
+/// # Safety
+/// The CPU must support AVX2, `lanes` must read no more than its block,
+/// and `hits` must read only the rows its lanes name, given lanes below
+/// `rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn gather_each_avx2<S, F>(
+    rows: usize,
+    ids: &[S],
+    lanes: impl Fn(&[S; 8]) -> Option<__m256i>,
+    hits: impl Fn(__m256i) -> __m256,
+    scalar: impl Fn(&[S], &mut F),
+    emit: &mut F,
+) where
+    S: Copy + Into<u64>,
+    F: FnMut(EntryId) + ?Sized,
+{
+    use std::arch::x86_64::{
+        _mm256_cmpeq_epi32, _mm256_max_epu32, _mm256_movemask_epi8, _mm256_movemask_ps,
+        _mm256_set1_epi32,
+    };
+
+    let Some(last) = rows.checked_sub(1).and_then(|l| i32::try_from(l).ok()) else {
+        return scalar(ids, emit);
+    };
+    let max_id = _mm256_set1_epi32(last);
+    let (blocks, tail) = ids.as_chunks::<8>();
+    for block in blocks {
+        let Some(v) = lanes(block).filter(|&v| {
+            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id)) == -1
+        }) else {
+            scalar(block, emit);
+            continue;
+        };
+        // Every lane is at most `last = rows − 1 ≤ i32::MAX`, so it is a
+        // non-negative gather index below `rows`.
+        let mut mask = _mm256_movemask_ps(hits(v)) as u32;
+        while mask != 0 {
+            emit(entry_id_u64(block[mask.trailing_zeros() as usize].into()));
+            mask &= mask - 1;
         }
     }
-    gather_overlap_each_scalar(cols, tail, region, emit);
+    scalar(tail, emit);
+}
+
+/// Call `emit` with every slot in `slots`, in order, whose point in the
+/// columns `[x, y]` lies inside `region`: the closed test of
+/// [`Rect::contains_point`], read through the slots. A slot is a row id
+/// widened to 8 bytes, the entry slot of the Simple Grid's inline
+/// buckets. The AVX2 width gathers the coordinates of 8 slots at a time
+/// straight from the columns; x86 without AVX2 and other architectures
+/// run the scalar width. Slots may repeat and come in any order.
+///
+/// # Panics
+/// Panics at the first slot that is out of bounds of a column or above
+/// [`EntryId::MAX`], after emitting the hits before it, in every width.
+pub fn gather_range_each<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 2],
+    slots: &[u64],
+    region: &Rect,
+    emit: &mut F,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { gather_range_each_avx2(cols, slots, region, emit) };
+    }
+    gather_range_each_scalar(cols, slots, region, emit);
+}
+
+/// Portable width of [`gather_range_each`], and the reference of the
+/// others: a slot above [`EntryId::MAX`] fails the conversion and a slot
+/// past a column fails the slice index, either one panicking.
+pub fn gather_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 2],
+    slots: &[u64],
+    region: &Rect,
+    emit: &mut F,
+) {
+    let [xs, ys] = cols;
+    for &slot in slots {
+        let Ok(id) = EntryId::try_from(slot) else {
+            panic!("slot {slot} is not an EntryId");
+        };
+        let i = id as usize;
+        if region.contains_point(xs[i], ys[i]) {
+            emit(id);
+        }
+    }
+}
+
+/// AVX2 width of [`gather_range_each`], on the block loop of
+/// [`gather_overlap_each_avx2`]: each block of 8 slots is narrowed to
+/// `u32` lanes and checked against the shorter column's length, then two
+/// gathers feed the lane test of [`filter_range_avx2`]. A block holding a
+/// slot above [`EntryId::MAX`] or past a column, the tail, and columns
+/// longer than `i32::MAX` rows take the scalar width.
+///
+/// # Safety
+/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+pub unsafe fn gather_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 2],
+    slots: &[u64],
+    region: &Rect,
+    emit: &mut F,
+) {
+    use std::arch::x86_64::{
+        _mm256_and_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps,
+        _mm256_i32gather_ps, _mm256_loadu_si256, _mm256_or_si256, _mm256_permute4x64_epi64,
+        _mm256_set1_epi64x, _mm256_set1_ps, _mm256_shuffle_ps, _mm256_testz_si256, _CMP_GE_OQ,
+        _CMP_LE_OQ,
+    };
+
+    let rows = cols[0].len().min(cols[1].len());
+    let [xs, ys] = cols.map(<[f32]>::as_ptr);
+    let high_halves = _mm256_set1_epi64x(!0xFFFF_FFFF);
+    let qx1 = _mm256_set1_ps(region.x1);
+    let qx2 = _mm256_set1_ps(region.x2);
+    let qy1 = _mm256_set1_ps(region.y1);
+    let qy2 = _mm256_set1_ps(region.y2);
+    // SAFETY: caller verified AVX2. `lanes` reads the 64 bytes of one
+    // block of 8 slots, as two loads of 4. `hits` gathers only lanes below
+    // `rows`, which the block loop checks first, and both columns hold
+    // `rows` rows.
+    unsafe {
+        gather_each_avx2(
+            rows,
+            slots,
+            |block| {
+                let lo = _mm256_loadu_si256(block.as_ptr().cast());
+                let hi = _mm256_loadu_si256(block[4..].as_ptr().cast());
+                if _mm256_testz_si256(_mm256_or_si256(lo, hi), high_halves) == 0 {
+                    return None;
+                }
+                // The low halves are the even `u32`s: per 128-bit lane the
+                // shuffle takes slots (0, 1, 4, 5) and (2, 3, 6, 7), and the
+                // 64-bit permute puts the pairs back in slot order.
+                let even = _mm256_shuffle_ps::<0b10_00_10_00>(
+                    _mm256_castsi256_ps(lo),
+                    _mm256_castsi256_ps(hi),
+                );
+                Some(_mm256_permute4x64_epi64::<0b11_01_10_00>(
+                    _mm256_castps_si256(even),
+                ))
+            },
+            |v| {
+                let x = _mm256_i32gather_ps::<4>(xs, v);
+                let y = _mm256_i32gather_ps::<4>(ys, v);
+                let in_x = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(x, qx1),
+                    _mm256_cmp_ps::<_CMP_LE_OQ>(x, qx2),
+                );
+                let in_y = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(y, qy1),
+                    _mm256_cmp_ps::<_CMP_LE_OQ>(y, qy2),
+                );
+                _mm256_and_ps(in_x, in_y)
+            },
+            |slots, emit| gather_range_each_scalar(cols, slots, region, emit),
+            emit,
+        )
+    }
 }
 
 /// [`filter_overlap_each`] collecting into a `Vec` (test and bench
@@ -955,16 +1129,37 @@ mod tests {
         ids.iter().copied().filter(hit).collect()
     }
 
-    /// Each width of [`gather_overlap_each`] this CPU runs, by name, with
-    /// what it emitted before returning or panicking, and whether it
-    /// panicked.
+    /// One width of a gather kernel over `N` columns and ids of type `S`.
+    type Width<const N: usize, S> = fn([&[f32]; N], &[S], &Rect, &mut dyn FnMut(EntryId));
+
+    /// Each width in `widths`, by name, with what it emitted before
+    /// returning or panicking, and whether it panicked.
+    fn run_widths<const N: usize, S>(
+        widths: Vec<(&'static str, Width<N, S>)>,
+        cols: [&[f32]; N],
+        ids: &[S],
+        region: &Rect,
+    ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
+        widths
+            .into_iter()
+            .map(|(name, width)| {
+                let mut out = Vec::new();
+                let run =
+                    std::panic::AssertUnwindSafe(|| width(cols, ids, region, &mut |e| out.push(e)));
+                let panicked = std::panic::catch_unwind(run).is_err();
+                (name, out, panicked)
+            })
+            .collect()
+    }
+
+    /// Each width of [`gather_overlap_each`] this CPU runs (see
+    /// [`run_widths`]).
     fn gather_widths(
         cols: &RectCols,
         ids: &[EntryId],
         region: &Rect,
     ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
-        type Width = fn([&[f32]; 4], &[EntryId], &Rect, &mut dyn FnMut(EntryId));
-        let mut widths: Vec<(&str, Width)> = vec![
+        let mut widths: Vec<(&str, Width<4, EntryId>)> = vec![
             ("dispatched", |c, ids, r, e| {
                 gather_overlap_each(c, ids, r, e)
             }),
@@ -980,16 +1175,7 @@ mod tests {
             }));
         }
         let cols = [&cols.0[..], &cols.1, &cols.2, &cols.3];
-        widths
-            .into_iter()
-            .map(|(name, width)| {
-                let mut out = Vec::new();
-                let run =
-                    std::panic::AssertUnwindSafe(|| width(cols, ids, region, &mut |e| out.push(e)));
-                let panicked = std::panic::catch_unwind(run).is_err();
-                (name, out, panicked)
-            })
-            .collect()
+        run_widths(widths, cols, ids, region)
     }
 
     /// Id slices of every length 0–17 over `n` rows: ascending, and drawn
@@ -1057,6 +1243,94 @@ mod tests {
         let want = intersecting_ids(&cols, &ids[..11], &region);
         for (width, got, panicked) in gather_widths(&short, &ids, &region) {
             assert!(panicked, "{width}: id 11 of a column of 11");
+            assert_eq!(got, want, "{width}: hits before the short row");
+        }
+    }
+
+    /// The oracle of [`gather_range_each`]: [`Rect::contains_point`] on
+    /// each slot's row, in slot order.
+    fn contained_slots(xs: &[f32], ys: &[f32], slots: &[u64], region: &Rect) -> Vec<EntryId> {
+        let ids = slots.iter().map(|&s| entry_id_u64(s));
+        ids.filter(|&id| region.contains_point(xs[id as usize], ys[id as usize]))
+            .collect()
+    }
+
+    /// Each width of [`gather_range_each`] this CPU runs (see
+    /// [`run_widths`]).
+    fn range_widths(
+        xs: &[f32],
+        ys: &[f32],
+        slots: &[u64],
+        region: &Rect,
+    ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
+        let mut widths: Vec<(&str, Width<2, u64>)> = vec![
+            ("dispatched", |c, s, r, e| gather_range_each(c, s, r, e)),
+            ("scalar", |c, s, r, e| gather_range_each_scalar(c, s, r, e)),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            widths.push(("avx2", |c, s, r, e| {
+                // SAFETY: detection checked above.
+                unsafe { gather_range_each_avx2(c, s, r, e) }
+            }));
+        }
+        run_widths(widths, [xs, ys], slots, region)
+    }
+
+    #[test]
+    fn gather_range_widths_match_contains_point_through_the_slots() {
+        let (mut xs, mut ys) = random_cols(40, 17);
+        xs[3] = f32::NAN;
+        ys[10] = f32::NAN;
+        (xs[20], ys[20]) = (f32::NAN, f32::NAN);
+        let inputs = [
+            (boundary_cols(), Rect::new(100.0, 100.0, 200.0, 200.0)),
+            ((xs, ys), Rect::new(111.0, 222.0, 666.5, 888.25)),
+        ];
+        let mut hits = 0;
+        for (seed, ((xs, ys), region)) in (1..).zip(&inputs) {
+            for ids in id_slices(xs.len(), seed) {
+                let slots: Vec<u64> = ids.into_iter().map(u64::from).collect();
+                let want = contained_slots(xs, ys, &slots, region);
+                hits += want.len();
+                for (width, got, panicked) in range_widths(xs, ys, &slots, region) {
+                    assert!(!panicked, "{width} panicked on {slots:?}");
+                    assert_eq!(got, want, "{width} on {slots:?}");
+                }
+            }
+        }
+        assert!(hits > 100, "too few hits to pin the widths: {hits}");
+    }
+
+    #[test]
+    fn gather_range_panics_on_a_bad_slot_in_every_width() {
+        let (xs, ys) = random_cols(12, 5);
+        let region = Rect::new(0.0, 0.0, 1000.0, 1000.0);
+        // A slot one past the rows, slots whose low half names a real row
+        // but whose high half is set, and the largest slot; each in the
+        // first and second load of a block, in a later block, and in the
+        // tail. Every width emits the hits before it, then panics.
+        let bad = [12, 1 << 32, (1 << 32) + 3, u64::MAX];
+        for slot in bad {
+            for (len, at) in [(16, 2), (8, 5), (17, 13), (11, 9), (1, 0)] {
+                let mut slots: Vec<u64> = (0..len).map(|i| i % 12).collect();
+                slots[at] = slot;
+                let want = contained_slots(&xs, &ys, &slots[..at], &region);
+                assert!(!want.is_empty() || at == 0);
+                for (width, got, panicked) in range_widths(&xs, &ys, &slots, &region) {
+                    assert!(panicked, "{width}: slot {slot} at {at} of {len}");
+                    assert_eq!(got, want, "{width}: hits before slot {slot}");
+                }
+            }
+        }
+        for (width, _, panicked) in range_widths(&[], &[], &[0], &region) {
+            assert!(panicked, "{width}: slot 0 of no rows");
+        }
+        // A y column one row short: its last row is out of bounds too.
+        let slots: Vec<u64> = (0..12).collect();
+        let want = contained_slots(&xs, &ys, &slots[..11], &region);
+        for (width, got, panicked) in range_widths(&xs, &ys[..11], &slots, &region) {
+            assert!(panicked, "{width}: slot 11 of a column of 11");
             assert_eq!(got, want, "{width}: hits before the short row");
         }
     }

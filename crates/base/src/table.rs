@@ -32,6 +32,7 @@ use std::num::NonZeroUsize;
 use crate::batch::BatchJoin;
 use crate::geom::{Point, Rect, Vec2};
 use crate::index::SpatialIndex;
+use crate::tile::TileGrid;
 
 /// Handle of an object in the base table (the Rust analogue of the C++
 /// framework's `Point*`).
@@ -39,12 +40,13 @@ pub type EntryId = u32;
 
 /// Narrow a row index to an [`EntryId`].
 ///
-/// This is the single sanctioned `usize -> EntryId` conversion: every
-/// other module goes through here (enforced by sj-lint's `entry-id-cast`
-/// rule), so the debug-checked narrowing lives in exactly one place. A
-/// table can in principle outgrow `u32::MAX` rows long before the cast
-/// site notices; the `debug_assert!` turns that silent wrap into a test
-/// failure.
+/// This is the sanctioned `usize -> EntryId` conversion of the hot loops:
+/// every other module goes through here (enforced by sj-lint's
+/// `entry-id-cast` rule), so the narrowing lives in one place. It is
+/// checked in debug builds only. That suffices for a row index below a
+/// table's `len()`, because the tables mint every row's handle through
+/// `mint_entry_id`, which checks in release builds too: no table holds a
+/// row whose index does not fit.
 #[inline]
 pub fn entry_id(index: usize) -> EntryId {
     debug_assert!(
@@ -52,6 +54,19 @@ pub fn entry_id(index: usize) -> EntryId {
         "row index {index} overflows EntryId"
     );
     index as EntryId
+}
+
+/// The handle of a new row at `index`, checked in every build. The
+/// tables call it where a row is born ([`PointTable::push`],
+/// [`ExtentTable::push`]), so a release build refuses row 2³² instead of
+/// wrapping it to id 0 and silently joining the wrong rows.
+///
+/// # Panics
+/// Panics if `index` exceeds [`EntryId::MAX`].
+fn mint_entry_id(index: usize) -> EntryId {
+    EntryId::try_from(index).unwrap_or_else(|_| {
+        panic!("row {index} overflows EntryId: a table holds at most 2^32 rows")
+    })
 }
 
 /// Unpack an [`EntryId`] stored widened in a `u64` slot (the grid
@@ -141,7 +156,7 @@ impl PointTable {
 
     /// Append a (live) row and return its handle.
     pub fn push(&mut self, x: f32, y: f32) -> EntryId {
-        let id = entry_id(self.xs.len());
+        let id = mint_entry_id(self.xs.len());
         self.xs.push(x);
         self.ys.push(y);
         self.live.push(true);
@@ -325,7 +340,7 @@ impl ExtentTable {
 
     /// Append a (live) rectangle row and return its handle.
     pub fn push(&mut self, r: Rect) -> EntryId {
-        let id = entry_id(self.x1s.len());
+        let id = mint_entry_id(self.x1s.len());
         self.x1s.push(r.x1);
         self.y1s.push(r.y1);
         self.x2s.push(r.x2);
@@ -479,8 +494,8 @@ impl Table for ExtentTable {
 /// - the row's **own extent**, which tiling replicates it by and movement
 ///   keeps the size of ([`Shape::extent`], [`Shape::size`],
 ///   [`Shape::move_to`]);
-/// - the **reference point** of an emitted candidate, whose canonical tile
-///   alone reports it ([`Shape::corners`], [`Shape::reference_point`]);
+/// - whether a tile reports a candidate, by the reference-point rule
+///   ([`Shape::tile_reports`]);
 /// - the `@tilesauto` tile count ([`Shape::auto_tile_count`]);
 /// - which [`SpatialIndex`] and [`BatchJoin`] methods serve the shape.
 ///
@@ -516,18 +531,14 @@ pub trait Shape: Table + Clone + std::fmt::Debug + Default + PartialEq + Sync {
     /// does not need.
     fn query_region(&self, q: EntryId, query_side: f32, space: &Rect) -> Rect;
 
-    /// Each row's lower-left corner, as an x column and a y column. The
-    /// tiled paths read a candidate's corner from here, with the columns
-    /// taken once per mini-join rather than once per candidate.
-    fn corners(&self) -> (&[f32], &[f32]);
-
-    /// The point that decides which tile reports the candidate of a query
-    /// over `region` and a row with lower-left corner `corner`: the corner
-    /// `(max(region.x1, corner.x), max(region.y1, corner.y))` of the
-    /// pair's intersection. Both sides of the pair are resident in that
-    /// point's tile, and no other tile holds it, so each pair is reported
-    /// once (see [`crate::tile`]).
-    fn reference_point(region: &Rect, corner: Point) -> Point;
+    /// Whether tile `tile` of `grid` reports the candidate `row`, a row of
+    /// this table (the tile's replica) that matched a query over `region`.
+    /// The tile that reports it holds the pair's reference point, the
+    /// corner `(max(region.x1, x1), max(region.y1, y1))` of the pair's
+    /// intersection. Both sides of the pair are resident in that tile, and
+    /// no other tile holds the point, so each pair is reported once (see
+    /// [`crate::tile`]). The tiled paths call it once per candidate.
+    fn tile_reports(&self, row: EntryId, region: &Rect, grid: &TileGrid, tile: usize) -> bool;
 
     /// The `@tilesauto` tile count for this table.
     fn auto_tile_count(&self, space: &Rect, query_side: f32) -> NonZeroUsize;
@@ -593,18 +604,19 @@ impl Shape for PointTable {
         Rect::centered_square(self.point(q), query_side).clipped_to(space)
     }
 
+    /// Always. A matched point lies inside the region, so the reference
+    /// point is the point itself, and a point is replicated into that
+    /// point's canonical tile only: every candidate of the tile's replica
+    /// passes, and the test would cost a corner load and two float
+    /// divisions per candidate (DESIGN.md §15).
     #[inline]
-    fn corners(&self) -> (&[f32], &[f32]) {
-        (self.xs(), self.ys())
-    }
-
-    /// The point itself. An emitted point lies inside the region, where
-    /// the corner maximum equals it; skipping the two `max`es matters
-    /// because this runs once per candidate of every tile fork
-    /// (DESIGN.md §15).
-    #[inline]
-    fn reference_point(_region: &Rect, corner: Point) -> Point {
-        corner
+    fn tile_reports(&self, row: EntryId, _region: &Rect, grid: &TileGrid, tile: usize) -> bool {
+        debug_assert_eq!(
+            grid.tile_of(self.x(row), self.y(row)),
+            tile,
+            "point {row} is resident outside its canonical tile"
+        );
+        true
     }
 
     fn auto_tile_count(&self, space: &Rect, query_side: f32) -> NonZeroUsize {
@@ -682,13 +694,9 @@ impl Shape for ExtentTable {
     }
 
     #[inline]
-    fn corners(&self) -> (&[f32], &[f32]) {
-        (self.x1s(), self.y1s())
-    }
-
-    #[inline]
-    fn reference_point(region: &Rect, corner: Point) -> Point {
-        Point::new(region.x1.max(corner.x), region.y1.max(corner.y))
+    fn tile_reports(&self, row: EntryId, region: &Rect, grid: &TileGrid, tile: usize) -> bool {
+        let i = row as usize;
+        grid.tile_of(region.x1.max(self.x1s[i]), region.y1.max(self.y1s[i])) == tile
     }
 
     fn auto_tile_count(&self, _space: &Rect, _query_side: f32) -> NonZeroUsize {
@@ -848,6 +856,18 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.point(a), Point::new(1.0, 2.0));
         assert_eq!(t.point(b), Point::new(3.0, 4.0));
+    }
+
+    #[test]
+    fn minting_accepts_every_entry_id_up_to_the_last() {
+        assert_eq!(mint_entry_id(0), 0);
+        assert_eq!(mint_entry_id(EntryId::MAX as usize), EntryId::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows EntryId")]
+    fn minting_refuses_the_row_past_the_last_entry_id() {
+        mint_entry_id(EntryId::MAX as usize + 1);
     }
 
     #[test]

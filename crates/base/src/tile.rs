@@ -18,7 +18,7 @@
 //! **reference-point rule** makes the union exact: tile `T` emits a
 //! candidate `(q, r)` only if the corner `(max(q.x1, r.x1), max(q.y1,
 //! r.y1))` of the pair's intersection lies in `T`
-//! ([`Shape::reference_point`]). Coverage and uniqueness both follow from
+//! ([`Shape::tile_reports`]). Coverage and uniqueness both follow from
 //! one fact — the per-axis tile index is a monotone function of the
 //! coordinate, so `axis_index(max(a, b)) = max(axis_index(a),
 //! axis_index(b))`:
@@ -30,8 +30,9 @@
 //!
 //! A point is the zero-area rectangle at its coordinates, so for a point
 //! `r` inside `q`'s region the corner is `r` itself, whose tile is the
-//! only one holding `r`: the filter always passes for points and matters
-//! only for rectangles, whose replicas would otherwise double-report.
+//! only one holding `r`: the filter always passes for points, so the
+//! point paths skip it, and it matters only for rectangles, whose
+//! replicas would otherwise double-report.
 //!
 //! Checksums are unperturbed because each pair is emitted exactly once with
 //! its *global* ids ([`TileReplica::to_global`]) and the driver's checksum

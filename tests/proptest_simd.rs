@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use spatial_joins::core::simd::{
     filter_range, filter_range_gather, filter_range_scalar, gather_overlap_each,
-    gather_overlap_each_scalar,
+    gather_overlap_each_scalar, gather_range_each, gather_range_each_scalar,
 };
 use spatial_joins::prelude::*;
 
@@ -32,10 +32,9 @@ fn arb_cols() -> impl Strategy<Value = Vec<(f32, f32)>> {
     prop::collection::vec((arb_edge_coord(), arb_edge_coord()), 0..70)
 }
 
-/// Rectangle rows on the edge lattice, NaN corners among them; `x1 > x2`
-/// rows too, which no table holds but the kernels must still agree on.
-fn arb_rect_rows() -> impl Strategy<Value = Vec<[f32; 4]>> {
-    let coord = prop::sample::select(vec![
+/// A coordinate of the edge lattice, or NaN.
+fn arb_lattice_coord() -> impl Strategy<Value = f32> + Clone {
+    prop::sample::select(vec![
         100.0f32,
         200.0,
         99.999,
@@ -44,10 +43,35 @@ fn arb_rect_rows() -> impl Strategy<Value = Vec<[f32; 4]>> {
         0.0,
         300.0,
         f32::NAN,
-    ]);
+    ])
+}
+
+/// Rectangle rows on the edge lattice, NaN corners among them; `x1 > x2`
+/// rows too, which no table holds but the kernels must still agree on.
+fn arb_rect_rows() -> impl Strategy<Value = Vec<[f32; 4]>> {
+    let coord = arb_lattice_coord();
     let row = (coord.clone(), coord.clone(), coord.clone(), coord)
         .prop_map(|(x1, y1, x2, y2)| [x1, y1, x2, y2]);
     prop::collection::vec(row, 1..40)
+}
+
+/// The dispatched and the scalar width of [`gather_range_each`] over
+/// `points`, with the slots `picks` (taken modulo the row count, so
+/// unsorted and repeated), and `Rect::contains_point` read through the
+/// same slots.
+fn gather_against_contains_point(points: &[(f32, f32)], picks: &[usize]) -> [Vec<EntryId>; 3] {
+    let (xs, ys): (Vec<f32>, Vec<f32>) = points.iter().copied().unzip();
+    let slots: Vec<u64> = picks.iter().map(|&p| (p % points.len()) as u64).collect();
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
+    gather_range_each([&xs, &ys], &slots, &region, &mut |e| dispatched.push(e));
+    gather_range_each_scalar([&xs, &ys], &slots, &region, &mut |e| scalar.push(e));
+    let want = slots
+        .into_iter()
+        .filter(|&s| region.contains_point(xs[s as usize], ys[s as usize]))
+        .map(|s| s as EntryId)
+        .collect();
+    [dispatched, scalar, want]
 }
 
 /// The dispatched and the scalar width of [`gather_overlap_each`] over
@@ -112,6 +136,38 @@ proptest! {
         prop_assert_eq!(&dispatched, &want);
         prop_assert_eq!(&scalar, &want);
     }
+
+    #[test]
+    fn dispatched_gather_range_matches_contains_point_through_the_slots(
+        points in prop::collection::vec((arb_lattice_coord(), arb_lattice_coord()), 1..40),
+        // 0–17 slots: no block, one block, two blocks, and every tail.
+        picks in prop::collection::vec(0usize..64, 0..18),
+    ) {
+        let [dispatched, scalar, want] = gather_against_contains_point(&points, &picks);
+        prop_assert_eq!(&dispatched, &want);
+        prop_assert_eq!(&scalar, &want);
+    }
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn gather_range_panics_on_a_slot_equal_to_the_column_length() {
+    let cols = vec![150.0f32; 9];
+    let mut slots: Vec<u64> = (0..9).collect();
+    slots[4] = 9;
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    gather_range_each([&cols, &cols], &slots, &region, &mut |_| {});
+}
+
+/// A slot whose low half names a real row: narrowing it would join row 0.
+#[test]
+#[should_panic(expected = "is not an EntryId")]
+fn gather_range_panics_on_a_slot_above_the_largest_entry_id() {
+    let cols = vec![150.0f32; 9];
+    let mut slots: Vec<u64> = (0..9).collect();
+    slots[4] = 1 << 32;
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    gather_range_each([&cols, &cols], &slots, &region, &mut |_| {});
 }
 
 #[test]

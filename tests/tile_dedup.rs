@@ -12,7 +12,8 @@
 //! four tiles, points landing exactly on tile edges (the boundary-tie
 //! lattice idiom from `proptest_simd.rs`: closed-rect ties are where
 //! `>=`-vs-`>` mistakes hide), and a churn step where a row dies out of
-//! the replica set that held it.
+//! the replica set that held it. The lattice proptests also drive the real
+//! tiled executors, whose point paths skip the filter.
 
 use std::num::NonZeroUsize;
 
@@ -77,9 +78,9 @@ fn tiled_pairs<T: Shape>(
         for tid in grid.cover(&region) {
             let r = &replicas[tid];
             for local in live_ids(&r.table) {
-                let e = r.table.extent(local);
-                let p = T::reference_point(&region, Point::new(e.x1, e.y1));
-                if e.intersects(&region) && (!dedup || grid.tile_of(p.x, p.y) == tid) {
+                if r.table.extent(local).intersects(&region)
+                    && (!dedup || r.table.tile_reports(local, &region, &grid, tid))
+                {
                     out.push((a, r.global(local)));
                 }
             }
@@ -349,9 +350,50 @@ proptest! {
             t.remove(i as EntryId);
         }
         let expect = sequential_pairs(&t, query_side);
-        prop_assert_eq!(tiled_pairs(&t, query_side, tiles, true), expect.clone());
+        prop_assert_eq!(&tiled_pairs(&t, query_side, tiles, true), &expect);
         // A point lives in its home tile only, so the filter never fires.
-        prop_assert_eq!(tiled_pairs(&t, query_side, tiles, false), expect);
+        prop_assert_eq!(&tiled_pairs(&t, query_side, tiles, false), &expect);
+        // The real executors on the same ties. Their point paths skip the
+        // filter; the debug build asserts every candidate is resident in
+        // its canonical tile.
+        let expect = (
+            expect.len() as u64,
+            expect.iter().fold(0, |acc, &(a, b)| fold_pair(acc, a, b)),
+        );
+        let queriers: Vec<EntryId> = t.iter().map(|(id, _)| id).collect();
+        let queries: Vec<(EntryId, Rect)> = queriers
+            .iter()
+            .map(|&q| (q, t.query_region(q, query_side, &space())))
+            .collect();
+        let n = |k: usize| NonZeroUsize::new(k).unwrap();
+        let (grid, scan) = (SimpleGrid::tuned(SIDE), ScanIndex::new());
+        let indexes: [(&str, &dyn SpatialIndex); 2] = [("grid", &grid), ("scan", &scan)];
+        for (tiles, workers) in [(tiles, None), (4, Some(n(2))), (16, Some(n(3)))] {
+            let tiling = Tiling::Fixed(n(tiles));
+            for (name, proto) in indexes {
+                let mut pool = TileIndexPool::default();
+                tiled_index_build(proto, &t, &space(), query_side, tiling, workers, &mut pool);
+                prop_assert_eq!(
+                    tiled_index_query(&mut pool, &t, &queriers, &space(), query_side),
+                    expect,
+                    "{} forks, tiles = {}, workers = {:?}", name, tiles, workers
+                );
+            }
+            prop_assert_eq!(
+                tiled_batch_join(
+                    &NaiveBatchJoin,
+                    &t,
+                    &queries,
+                    &space(),
+                    query_side,
+                    tiling,
+                    workers,
+                    &mut TileBatchPool::default(),
+                ),
+                expect,
+                "batch path, tiles = {}, workers = {:?}", tiles, workers
+            );
+        }
     }
 }
 
