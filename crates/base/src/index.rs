@@ -137,22 +137,13 @@ impl SpatialIndex for ScanIndex {
     fn build(&mut self, _table: &PointTable) {}
 
     fn for_each_in(&self, table: &PointTable, region: &Rect, emit: &mut dyn FnMut(EntryId)) {
-        let xs = table.xs();
-        let ys = table.ys();
-        if table.all_live() {
-            for i in 0..xs.len() {
-                if region.contains_point(xs[i], ys[i]) {
-                    emit(entry_id(i));
-                }
-            }
-        } else {
-            // Churn workloads leave tombstones in the table; a scan is the
-            // one "index" that sees them and must filter.
-            let live = table.live_mask();
-            for i in 0..xs.len() {
-                if live[i] && region.contains_point(xs[i], ys[i]) {
-                    emit(entry_id(i));
-                }
+        // The scan is the ground truth the kernels are tested against, so
+        // it runs no kernel: one scalar loop, which also skips the
+        // tombstones churn workloads leave in the table.
+        let (xs, ys, live) = (table.xs(), table.ys(), table.live_mask());
+        for i in 0..xs.len() {
+            if live[i] && region.contains_point(xs[i], ys[i]) {
+                emit(entry_id(i));
             }
         }
     }
@@ -169,31 +160,18 @@ impl SpatialIndex for ScanIndex {
         region: &Rect,
         emit: &mut dyn FnMut(EntryId),
     ) {
-        if table.all_live() {
-            // Churn-free tables go through the SIMD overlap kernel — the
-            // extent counterpart of the point scan's column filter.
-            crate::simd::filter_overlap_each(
-                table.x1s(),
-                table.y1s(),
-                table.x2s(),
-                table.y2s(),
-                region,
-                0,
-                emit,
-            );
-        } else {
-            let (x1s, y1s) = (table.x1s(), table.y1s());
-            let (x2s, y2s) = (table.x2s(), table.y2s());
-            let live = table.live_mask();
-            for i in 0..x1s.len() {
-                if live[i]
-                    && region.x1 <= x2s[i]
-                    && x1s[i] <= region.x2
-                    && region.y1 <= y2s[i]
-                    && y1s[i] <= region.y2
-                {
-                    emit(entry_id(i));
-                }
+        let (x1s, y1s) = (table.x1s(), table.y1s());
+        let (x2s, y2s) = (table.x2s(), table.y2s());
+        let live = table.live_mask();
+        for i in 0..x1s.len() {
+            let row = Rect {
+                x1: x1s[i],
+                y1: y1s[i],
+                x2: x2s[i],
+                y2: y2s[i],
+            };
+            if live[i] && region.intersects(&row) {
+                emit(entry_id(i));
             }
         }
     }

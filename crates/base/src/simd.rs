@@ -3,503 +3,140 @@
 //!
 //! The paper's closing argument — implementation dominates in main
 //! memory — invites one more step it does not take: data-parallel
-//! filtering. A contiguous slice of columns can be tested against a
-//! rectangle 8 lanes at a time with AVX2 where the CPU has it (detected
-//! once at runtime), 4 lanes with SSE2 otherwise (unconditionally
-//! available on x86_64); other architectures use an unrolled scalar loop
-//! that LLVM auto-vectorizes. The kernels and their users:
+//! filtering. The module holds four kernels, points or rectangles, read
+//! from contiguous columns beside an id column or through a slice of ids.
+//! Each calls `emit` with the ids of the matching rows, in input order.
+//! The kernels and their users:
 //!
-//! - [`filter_range`] and [`filter_range_gather_each`], points in a
-//!   region: `VecSearchJoin` in `sj-binsearch` and the quadtree's leaves;
-//! - [`filter_overlap_each`], rectangles over contiguous columns: the
-//!   scan's extent path and `twolayer`'s buckets;
+//! - [`filter_range_each`], points in a region, row `i` of the columns
+//!   standing for `ids[i]`: `VecSearchJoin` in `sj-binsearch` and the
+//!   quadtree's leaves;
+//! - [`filter_overlap_each`], rectangles over contiguous columns the same
+//!   way: `twolayer`'s buckets, one call per query replica;
 //! - [`gather_overlap_each`], rectangles read through a slice of row
 //!   ids: the Simple Grid's extent path, one call per cell row;
 //! - [`gather_range_each`], points read through a slice of `u64` entry
 //!   slots: the Simple Grid's inline buckets (Figure 3b), one call per
 //!   bucket a query filters.
 //!
-//! The two gather kernels share one AVX2 block loop and fall back to
-//! their scalar widths on x86 without AVX2 (SSE2 has no gather). All
-//! widths are bit-identical by construction — the same ordered-quiet
-//! `>= / <=` lane compares as the scalar `Rect::contains_point` and
-//! `Rect::intersects`, with candidates emitted in order via the compare
-//! movemask — and the tests assert it on boundary ties, NaN lanes, and
-//! random columns.
+//! Each kernel is a dispatcher and a scalar width. The dispatcher runs a
+//! private AVX2 width, 8 rows at a time, where the CPU has AVX2 (detected
+//! once at runtime; the detection macro caches its answer, so a call pays
+//! one load and a predictable branch). x86 without AVX2 and other
+//! architectures run the scalar width, which the tests also use as the
+//! reference. The AVX2 widths share one lane test per predicate (`Lanes`)
+//! and one block loop per access pattern: unaligned loads from the columns
+//! (`filter_each_avx2`), or gathers through ids checked against the
+//! columns' length (`gather_each_avx2`). All widths are bit-identical by
+//! construction — the lane tests are the ordered-quiet `>=`/`<=` compares
+//! of [`Rect::contains_point`] and [`Rect::intersects`], false on NaN, and
+//! hits are emitted in order via the compare movemask — and the tests
+//! assert it on boundary ties, NaN lanes and every tail length.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{__m256, __m256i};
 
 use crate::geom::Rect;
-use crate::table::{entry_id, entry_id_u64, EntryId};
+use crate::table::EntryId;
 
-/// Append `base + i` for every `i` with `(xs[i], ys[i])` inside `region`
-/// (closed semantics). `xs` and `ys` must have equal lengths.
+/// Call `emit` with `ids[i]`, in order, for every row `i` whose point in
+/// the columns `[x, y]` lies inside `region`: the closed test of
+/// [`Rect::contains_point`]. This is the shape of a secondary index whose
+/// coordinate copies are sorted in another order than the base table.
 ///
 /// # Panics
-/// Panics if the slices have different lengths.
-pub fn filter_range(xs: &[f32], ys: &[f32], region: &Rect, base: EntryId, out: &mut Vec<EntryId>) {
-    assert_eq!(
-        xs.len(),
-        ys.len(),
-        "coordinate columns must have equal length"
-    );
+/// Panics if a column's length differs from `ids.len()`, in every width.
+pub fn filter_range_each<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 2],
+    ids: &[EntryId],
+    region: &Rect,
+    emit: &mut F,
+) {
     #[cfg(target_arch = "x86_64")]
-    {
-        // The detection macro caches its answer in an atomic, so the hot
-        // path pays one load and a predictable branch.
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            unsafe { filter_range_avx2(xs, ys, region, base, out) }
-        } else {
-            filter_range_sse2(xs, ys, region, base, out);
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { filter_range_each_avx2(cols, ids, region, emit) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        filter_range_scalar(xs, ys, region, base, out);
-    }
+    filter_range_each_scalar(cols, ids, region, emit);
 }
 
-/// Portable implementation; public so tests and non-x86 builds share it.
-pub fn filter_range_scalar(
-    xs: &[f32],
-    ys: &[f32],
+/// Portable width of [`filter_range_each`], and the reference of the
+/// AVX2 width.
+pub fn filter_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 2],
+    ids: &[EntryId],
     region: &Rect,
-    base: EntryId,
-    out: &mut Vec<EntryId>,
+    emit: &mut F,
 ) {
-    for i in 0..xs.len() {
-        if region.contains_point(xs[i], ys[i]) {
-            out.push(base + entry_id(i));
-        }
-    }
+    filter_each_scalar(cols, ids, |[x, y]| region.contains_point(x, y), emit);
 }
 
-/// SSE2 path: 4 candidate tests per iteration, branch-free compare, one
-/// movemask branch per block (almost always zero — query windows are
-/// small relative to the space, so hits are rare and clustered).
-#[cfg(target_arch = "x86_64")]
-pub fn filter_range_sse2(
-    xs: &[f32],
-    ys: &[f32],
-    region: &Rect,
-    base: EntryId,
-    out: &mut Vec<EntryId>,
-) {
-    use std::arch::x86_64::{
-        _mm_and_ps, _mm_cmpge_ps, _mm_cmple_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_set1_ps,
-    };
-
-    let n = xs.len();
-    let blocks = n / 4;
-    // SAFETY: SSE2 is part of the x86_64 baseline; loads are unaligned
-    // (`loadu`) and stay within `xs`/`ys` because `i + 4 <= blocks * 4 <= n`.
-    unsafe {
-        let x1 = _mm_set1_ps(region.x1);
-        let x2 = _mm_set1_ps(region.x2);
-        let y1 = _mm_set1_ps(region.y1);
-        let y2 = _mm_set1_ps(region.y2);
-        for b in 0..blocks {
-            let i = b * 4;
-            let vx = _mm_loadu_ps(xs.as_ptr().add(i));
-            let vy = _mm_loadu_ps(ys.as_ptr().add(i));
-            let in_x = _mm_and_ps(_mm_cmpge_ps(vx, x1), _mm_cmple_ps(vx, x2));
-            let in_y = _mm_and_ps(_mm_cmpge_ps(vy, y1), _mm_cmple_ps(vy, y2));
-            let mut mask = _mm_movemask_ps(_mm_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros();
-                out.push(base + entry_id(i) + lane);
-                mask &= mask - 1;
-            }
-        }
-    }
-    // Scalar tail.
-    for i in blocks * 4..n {
-        if region.contains_point(xs[i], ys[i]) {
-            out.push(base + entry_id(i));
-        }
-    }
-}
-
-/// AVX2 path: 8 candidate tests per iteration. The `_CMP_GE_OQ` /
-/// `_CMP_LE_OQ` predicates are the 256-bit spellings of the SSE2
-/// `cmpge`/`cmple` — ordered, quiet, false on NaN — so every width
-/// accepts exactly the candidates the scalar `contains_point` does.
-///
-/// # Safety
-/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// AVX2 width of [`filter_range_each`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn filter_range_avx2(
-    xs: &[f32],
-    ys: &[f32],
+fn filter_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 2],
+    ids: &[EntryId],
     region: &Rect,
-    base: EntryId,
-    out: &mut Vec<EntryId>,
+    emit: &mut F,
 ) {
-    use std::arch::x86_64::{
-        _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps,
-        _CMP_GE_OQ, _CMP_LE_OQ,
-    };
-
-    let n = xs.len();
-    let blocks = n / 8;
-    // SAFETY: caller verified AVX2; loads are unaligned (`loadu`) and stay
-    // within `xs`/`ys` because `i + 8 <= blocks * 8 <= n`.
-    unsafe {
-        let x1 = _mm256_set1_ps(region.x1);
-        let x2 = _mm256_set1_ps(region.x2);
-        let y1 = _mm256_set1_ps(region.y1);
-        let y2 = _mm256_set1_ps(region.y2);
-        for b in 0..blocks {
-            let i = b * 8;
-            let vx = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let vy = _mm256_loadu_ps(ys.as_ptr().add(i));
-            let in_x = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GE_OQ>(vx, x1),
-                _mm256_cmp_ps::<_CMP_LE_OQ>(vx, x2),
-            );
-            let in_y = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GE_OQ>(vy, y1),
-                _mm256_cmp_ps::<_CMP_LE_OQ>(vy, y2),
-            );
-            let mut mask = _mm256_movemask_ps(_mm256_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros();
-                out.push(base + entry_id(i) + lane);
-                mask &= mask - 1;
-            }
-        }
-    }
-    // Scalar tail (at most 7 points).
-    for i in blocks * 8..n {
-        if region.contains_point(xs[i], ys[i]) {
-            out.push(base + entry_id(i));
-        }
-    }
+    let lanes = Lanes::new(region);
+    let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
+    filter_each_avx2(cols, ids, |v| lanes.contains(v), hit, emit);
 }
 
-/// Like [`filter_range`], but matching positions are translated through a
-/// parallel `ids` column and handed to `emit` — the shape secondary
-/// indexes need when their coordinate copies are sorted in a different
-/// order than the base table, in the sink form
-/// [`crate::index::SpatialIndex::for_each_in`] wants.
+/// Call `emit` with `ids[i]`, in order, for every row `i` whose rectangle
+/// in the columns `[x1, y1, x2, y2]` intersects `region`: the closed test
+/// of [`Rect::intersects`], so touching edges intersect and a NaN
+/// coordinate never does.
 ///
 /// # Panics
-/// Panics if the three slices have different lengths.
-pub fn filter_range_gather_each<F: FnMut(EntryId) + ?Sized>(
-    xs: &[f32],
-    ys: &[f32],
-    ids: &[EntryId],
-    region: &Rect,
-    emit: &mut F,
-) {
-    assert!(
-        xs.len() == ys.len() && xs.len() == ids.len(),
-        "coordinate and id columns must have equal length"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            unsafe { filter_range_gather_each_avx2(xs, ys, ids, region, emit) }
-        } else {
-            filter_range_gather_each_sse2(xs, ys, ids, region, emit);
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        for i in 0..xs.len() {
-            if region.contains_point(xs[i], ys[i]) {
-                emit(ids[i]);
-            }
-        }
-    }
-}
-
-/// SSE2 width of [`filter_range_gather_each`]; public so the tests can
-/// pin it against the other widths on CPUs that also have AVX2.
-#[cfg(target_arch = "x86_64")]
-pub fn filter_range_gather_each_sse2<F: FnMut(EntryId) + ?Sized>(
-    xs: &[f32],
-    ys: &[f32],
-    ids: &[EntryId],
-    region: &Rect,
-    emit: &mut F,
-) {
-    use std::arch::x86_64::{
-        _mm_and_ps, _mm_cmpge_ps, _mm_cmple_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_set1_ps,
-    };
-    let n = xs.len();
-    let blocks = n / 4;
-    // SAFETY: see `filter_range_sse2` — baseline SSE2, unaligned loads,
-    // indices bounded by `blocks * 4 <= n`.
-    unsafe {
-        let x1 = _mm_set1_ps(region.x1);
-        let x2 = _mm_set1_ps(region.x2);
-        let y1 = _mm_set1_ps(region.y1);
-        let y2 = _mm_set1_ps(region.y2);
-        for b in 0..blocks {
-            let i = b * 4;
-            let vx = _mm_loadu_ps(xs.as_ptr().add(i));
-            let vy = _mm_loadu_ps(ys.as_ptr().add(i));
-            let in_x = _mm_and_ps(_mm_cmpge_ps(vx, x1), _mm_cmple_ps(vx, x2));
-            let in_y = _mm_and_ps(_mm_cmpge_ps(vy, y1), _mm_cmple_ps(vy, y2));
-            let mut mask = _mm_movemask_ps(_mm_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                emit(ids[i + lane]);
-                mask &= mask - 1;
-            }
-        }
-    }
-    for i in blocks * 4..n {
-        if region.contains_point(xs[i], ys[i]) {
-            emit(ids[i]);
-        }
-    }
-}
-
-/// AVX2 width of [`filter_range_gather_each`] — see [`filter_range_avx2`]
-/// for the predicate-equivalence argument.
-///
-/// # Safety
-/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-pub unsafe fn filter_range_gather_each_avx2<F: FnMut(EntryId) + ?Sized>(
-    xs: &[f32],
-    ys: &[f32],
-    ids: &[EntryId],
-    region: &Rect,
-    emit: &mut F,
-) {
-    use std::arch::x86_64::{
-        _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps,
-        _CMP_GE_OQ, _CMP_LE_OQ,
-    };
-    let n = xs.len();
-    let blocks = n / 8;
-    // SAFETY: caller verified AVX2; unaligned loads bounded by
-    // `blocks * 8 <= n`.
-    unsafe {
-        let x1 = _mm256_set1_ps(region.x1);
-        let x2 = _mm256_set1_ps(region.x2);
-        let y1 = _mm256_set1_ps(region.y1);
-        let y2 = _mm256_set1_ps(region.y2);
-        for b in 0..blocks {
-            let i = b * 8;
-            let vx = _mm256_loadu_ps(xs.as_ptr().add(i));
-            let vy = _mm256_loadu_ps(ys.as_ptr().add(i));
-            let in_x = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GE_OQ>(vx, x1),
-                _mm256_cmp_ps::<_CMP_LE_OQ>(vx, x2),
-            );
-            let in_y = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GE_OQ>(vy, y1),
-                _mm256_cmp_ps::<_CMP_LE_OQ>(vy, y2),
-            );
-            let mut mask = _mm256_movemask_ps(_mm256_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                emit(ids[i + lane]);
-                mask &= mask - 1;
-            }
-        }
-    }
-    for i in blocks * 8..n {
-        if region.contains_point(xs[i], ys[i]) {
-            emit(ids[i]);
-        }
-    }
-}
-
-/// Scalar rect-overlap lane test, spelled exactly like
-/// [`Rect::intersects`] so the vector widths below have a one-line oracle:
-/// closed semantics, touching edges overlap, any NaN coordinate fails.
-#[inline]
-fn overlaps(x1: f32, y1: f32, x2: f32, y2: f32, region: &Rect) -> bool {
-    region.x1 <= x2 && x1 <= region.x2 && region.y1 <= y2 && y1 <= region.y2
-}
-
-/// Vectorized extent-overlap filter over structure-of-arrays rectangle
-/// columns (the [`crate::table::ExtentTable`] layout): call `emit` with
-/// `base + i` for every row `i` whose rectangle intersects `region`
-/// (closed semantics — touching edges do intersect), in index order.
-/// Dispatches AVX2 → SSE2 → scalar exactly like [`filter_range`]; all
-/// widths are bit-identical on touching-edge ties because every lane
-/// compare is the same ordered-quiet `>= / <=` as the scalar
-/// [`Rect::intersects`].
-///
-/// # Panics
-/// Panics if the four columns have different lengths.
+/// Panics if a column's length differs from `ids.len()`, in every width.
 pub fn filter_overlap_each<F: FnMut(EntryId) + ?Sized>(
-    x1s: &[f32],
-    y1s: &[f32],
-    x2s: &[f32],
-    y2s: &[f32],
+    cols: [&[f32]; 4],
+    ids: &[EntryId],
     region: &Rect,
-    base: EntryId,
     emit: &mut F,
 ) {
-    assert!(
-        x1s.len() == y1s.len() && x1s.len() == x2s.len() && x1s.len() == y2s.len(),
-        "extent columns must have equal length"
-    );
     #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            unsafe { filter_overlap_each_avx2(x1s, y1s, x2s, y2s, region, base, emit) }
-        } else {
-            filter_overlap_each_sse2(x1s, y1s, x2s, y2s, region, base, emit);
-        }
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        return unsafe { filter_overlap_each_avx2(cols, ids, region, emit) };
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        filter_overlap_each_scalar(x1s, y1s, x2s, y2s, region, base, emit);
-    }
+    filter_overlap_each_scalar(cols, ids, region, emit);
 }
 
-/// Portable width of [`filter_overlap_each`]; public so tests and non-x86
-/// builds share it — and so the proptests can use it as the oracle for
-/// the vector widths.
+/// Portable width of [`filter_overlap_each`], and the reference of the
+/// AVX2 width.
 pub fn filter_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
-    x1s: &[f32],
-    y1s: &[f32],
-    x2s: &[f32],
-    y2s: &[f32],
+    cols: [&[f32]; 4],
+    ids: &[EntryId],
     region: &Rect,
-    base: EntryId,
     emit: &mut F,
 ) {
-    for i in 0..x1s.len() {
-        if overlaps(x1s[i], y1s[i], x2s[i], y2s[i], region) {
-            emit(base + entry_id(i));
-        }
-    }
+    filter_each_scalar(cols, ids, |row| overlaps(region, row), emit);
 }
 
-/// SSE2 width of [`filter_overlap_each`]: 4 overlap tests per iteration.
-/// The lane predicate is `x1 <= q.x2 ∧ x2 >= q.x1 ∧ y1 <= q.y2 ∧
-/// y2 >= q.y1` — the same four ordered-quiet compares as the scalar
-/// [`Rect::intersects`], so NaN lanes are rejected identically.
-#[cfg(target_arch = "x86_64")]
-pub fn filter_overlap_each_sse2<F: FnMut(EntryId) + ?Sized>(
-    x1s: &[f32],
-    y1s: &[f32],
-    x2s: &[f32],
-    y2s: &[f32],
-    region: &Rect,
-    base: EntryId,
-    emit: &mut F,
-) {
-    use std::arch::x86_64::{
-        _mm_and_ps, _mm_cmpge_ps, _mm_cmple_ps, _mm_loadu_ps, _mm_movemask_ps, _mm_set1_ps,
-    };
-
-    let n = x1s.len();
-    let blocks = n / 4;
-    // SAFETY: SSE2 is part of the x86_64 baseline; loads are unaligned
-    // (`loadu`) and stay within the columns because `i + 4 <= blocks * 4
-    // <= n`.
-    unsafe {
-        let qx1 = _mm_set1_ps(region.x1);
-        let qx2 = _mm_set1_ps(region.x2);
-        let qy1 = _mm_set1_ps(region.y1);
-        let qy2 = _mm_set1_ps(region.y2);
-        for b in 0..blocks {
-            let i = b * 4;
-            let vx1 = _mm_loadu_ps(x1s.as_ptr().add(i));
-            let vy1 = _mm_loadu_ps(y1s.as_ptr().add(i));
-            let vx2 = _mm_loadu_ps(x2s.as_ptr().add(i));
-            let vy2 = _mm_loadu_ps(y2s.as_ptr().add(i));
-            let in_x = _mm_and_ps(_mm_cmple_ps(vx1, qx2), _mm_cmpge_ps(vx2, qx1));
-            let in_y = _mm_and_ps(_mm_cmple_ps(vy1, qy2), _mm_cmpge_ps(vy2, qy1));
-            let mut mask = _mm_movemask_ps(_mm_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros();
-                emit(base + entry_id(i) + lane);
-                mask &= mask - 1;
-            }
-        }
-    }
-    // Scalar tail.
-    for i in blocks * 4..n {
-        if overlaps(x1s[i], y1s[i], x2s[i], y2s[i], region) {
-            emit(base + entry_id(i));
-        }
-    }
-}
-
-/// AVX2 width of [`filter_overlap_each`]: 8 overlap tests per iteration
-/// via the `_CMP_GE_OQ` / `_CMP_LE_OQ` predicates (ordered, quiet, false
-/// on NaN — see [`filter_range_avx2`]).
-///
-/// # Safety
-/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// AVX2 width of [`filter_overlap_each`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn filter_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
-    x1s: &[f32],
-    y1s: &[f32],
-    x2s: &[f32],
-    y2s: &[f32],
+fn filter_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; 4],
+    ids: &[EntryId],
     region: &Rect,
-    base: EntryId,
     emit: &mut F,
 ) {
-    use std::arch::x86_64::{
-        _mm256_and_ps, _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_set1_ps,
-        _CMP_GE_OQ, _CMP_LE_OQ,
-    };
-
-    let n = x1s.len();
-    let blocks = n / 8;
-    // SAFETY: caller verified AVX2; unaligned loads bounded by
-    // `blocks * 8 <= n`.
-    unsafe {
-        let qx1 = _mm256_set1_ps(region.x1);
-        let qx2 = _mm256_set1_ps(region.x2);
-        let qy1 = _mm256_set1_ps(region.y1);
-        let qy2 = _mm256_set1_ps(region.y2);
-        for b in 0..blocks {
-            let i = b * 8;
-            let vx1 = _mm256_loadu_ps(x1s.as_ptr().add(i));
-            let vy1 = _mm256_loadu_ps(y1s.as_ptr().add(i));
-            let vx2 = _mm256_loadu_ps(x2s.as_ptr().add(i));
-            let vy2 = _mm256_loadu_ps(y2s.as_ptr().add(i));
-            let in_x = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_LE_OQ>(vx1, qx2),
-                _mm256_cmp_ps::<_CMP_GE_OQ>(vx2, qx1),
-            );
-            let in_y = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_LE_OQ>(vy1, qy2),
-                _mm256_cmp_ps::<_CMP_GE_OQ>(vy2, qy1),
-            );
-            let mut mask = _mm256_movemask_ps(_mm256_and_ps(in_x, in_y)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros();
-                emit(base + entry_id(i) + lane);
-                mask &= mask - 1;
-            }
-        }
-    }
-    // Scalar tail (at most 7 rectangles).
-    for i in blocks * 8..n {
-        if overlaps(x1s[i], y1s[i], x2s[i], y2s[i], region) {
-            emit(base + entry_id(i));
-        }
-    }
+    let lanes = Lanes::new(region);
+    let hit = |row| overlaps(region, row);
+    filter_each_avx2(cols, ids, |v| lanes.overlaps(v), hit, emit);
 }
 
 /// Call `emit` with every id in `ids`, in order, whose rectangle in the
 /// columns `[x1, y1, x2, y2]` intersects `region`: the closed test of
 /// [`filter_overlap_each`], read through the ids. The AVX2 width gathers
 /// the coordinates of 8 ids at a time straight from the columns; x86
-/// without AVX2 (SSE2 has no gather) and other architectures run the
-/// scalar width. Ids may repeat and come in any order.
+/// without AVX2 and other architectures run the scalar width. Ids may
+/// repeat and come in any order.
 ///
 /// # Panics
 /// Panics at the first id that is out of bounds of any column, after
@@ -529,41 +166,29 @@ pub fn gather_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
     let [x1s, y1s, x2s, y2s] = cols;
     for &id in ids {
         let i = id as usize;
-        if overlaps(x1s[i], y1s[i], x2s[i], y2s[i], region) {
+        if overlaps(region, [x1s[i], y1s[i], x2s[i], y2s[i]]) {
             emit(id);
         }
     }
 }
 
 /// AVX2 width of [`gather_overlap_each`]: each block of 8 ids is checked
-/// against the shortest column's length (one unsigned max and compare),
-/// then four gathers feed the lane test of [`filter_overlap_each_avx2`].
-/// A block holding a bad id, the tail, and columns longer than `i32::MAX`
-/// rows (gather indices are signed 32-bit) take the scalar width. The
-/// block loop is shared with [`gather_range_each_avx2`].
-///
-/// # Safety
-/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// against the shortest column's length, then four gathers feed the
+/// overlap lane test.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
+fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; 4],
     ids: &[EntryId],
     region: &Rect,
     emit: &mut F,
 ) {
-    use std::arch::x86_64::{
-        _mm256_and_ps, _mm256_cmp_ps, _mm256_i32gather_ps, _mm256_loadu_si256, _mm256_set1_ps,
-        _CMP_GE_OQ, _CMP_LE_OQ,
-    };
+    use std::arch::x86_64::{_mm256_i32gather_ps, _mm256_loadu_si256};
 
     let rows = cols.iter().map(|c| c.len()).fold(usize::MAX, usize::min);
-    let [x1s, y1s, x2s, y2s] = cols.map(<[f32]>::as_ptr);
-    let qx1 = _mm256_set1_ps(region.x1);
-    let qx2 = _mm256_set1_ps(region.x2);
-    let qy1 = _mm256_set1_ps(region.y1);
-    let qy2 = _mm256_set1_ps(region.y2);
-    // SAFETY: caller verified AVX2. `lanes` reads the 32 bytes of one
+    let ptrs = cols.map(<[f32]>::as_ptr);
+    let lanes = Lanes::new(region);
+    // SAFETY: AVX2 is enabled here. `lanes` reads the 32 bytes of one
     // block of 8 ids. `hits` gathers only lanes below `rows`, which the
     // block loop checks first, and every column holds `rows` rows.
     unsafe {
@@ -571,78 +196,11 @@ pub unsafe fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
             rows,
             ids,
             |block| Some(_mm256_loadu_si256(block.as_ptr().cast())),
-            |v| {
-                let in_x = _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(x1s, v), qx2),
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(x2s, v), qx1),
-                );
-                let in_y = _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(_mm256_i32gather_ps::<4>(y1s, v), qy2),
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(_mm256_i32gather_ps::<4>(y2s, v), qy1),
-                );
-                _mm256_and_ps(in_x, in_y)
-            },
+            |v| lanes.overlaps(ptrs.map(|p| _mm256_i32gather_ps::<4>(p, v))),
             |ids, emit| gather_overlap_each_scalar(cols, ids, region, emit),
             emit,
         )
     }
-}
-
-/// The block loop of the AVX2 gather kernels, over ids of type `S`
-/// (`EntryId`s, or the grid's `u64` bucket slots) naming rows of columns
-/// that each hold at least `rows` rows. `lanes` reads a block of 8 ids as
-/// `u32` lanes, or returns `None` if one does not fit in 32 bits. A block
-/// whose lanes all lie below `rows` (one unsigned max and compare) goes
-/// to `hits`, which gathers the lanes' coordinates and returns the lane
-/// test as a compare mask, and its hits are emitted in block order. A block
-/// holding a bad id, the tail, and columns longer than `i32::MAX` rows
-/// (gather indices are signed 32-bit) take `scalar`, the scalar width,
-/// which panics at the first bad id after emitting the hits before it.
-///
-/// # Safety
-/// The CPU must support AVX2, `lanes` must read no more than its block,
-/// and `hits` must read only the rows its lanes name, given lanes below
-/// `rows`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn gather_each_avx2<S, F>(
-    rows: usize,
-    ids: &[S],
-    lanes: impl Fn(&[S; 8]) -> Option<__m256i>,
-    hits: impl Fn(__m256i) -> __m256,
-    scalar: impl Fn(&[S], &mut F),
-    emit: &mut F,
-) where
-    S: Copy + Into<u64>,
-    F: FnMut(EntryId) + ?Sized,
-{
-    use std::arch::x86_64::{
-        _mm256_cmpeq_epi32, _mm256_max_epu32, _mm256_movemask_epi8, _mm256_movemask_ps,
-        _mm256_set1_epi32,
-    };
-
-    let Some(last) = rows.checked_sub(1).and_then(|l| i32::try_from(l).ok()) else {
-        return scalar(ids, emit);
-    };
-    let max_id = _mm256_set1_epi32(last);
-    let (blocks, tail) = ids.as_chunks::<8>();
-    for block in blocks {
-        let Some(v) = lanes(block).filter(|&v| {
-            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id)) == -1
-        }) else {
-            scalar(block, emit);
-            continue;
-        };
-        // Every lane is at most `last = rows − 1 ≤ i32::MAX`, so it is a
-        // non-negative gather index below `rows`.
-        let mut mask = _mm256_movemask_ps(hits(v)) as u32;
-        while mask != 0 {
-            emit(entry_id_u64(block[mask.trailing_zeros() as usize].into()));
-            mask &= mask - 1;
-        }
-    }
-    scalar(tail, emit);
 }
 
 /// Call `emit` with every slot in `slots`, in order, whose point in the
@@ -691,38 +249,29 @@ pub fn gather_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
     }
 }
 
-/// AVX2 width of [`gather_range_each`], on the block loop of
-/// [`gather_overlap_each_avx2`]: each block of 8 slots is narrowed to
-/// `u32` lanes and checked against the shorter column's length, then two
-/// gathers feed the lane test of [`filter_range_avx2`]. A block holding a
-/// slot above [`EntryId::MAX`] or past a column, the tail, and columns
-/// longer than `i32::MAX` rows take the scalar width.
-///
-/// # Safety
-/// The CPU must support AVX2 (`is_x86_feature_detected!("avx2")`).
+/// AVX2 width of [`gather_range_each`]: each block of 8 slots is narrowed
+/// to `u32` lanes and checked against the shorter column's length, then
+/// two gathers feed the point lane test. A block holding a slot above
+/// [`EntryId::MAX`] takes the scalar width, like one past a column.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub unsafe fn gather_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
+fn gather_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; 2],
     slots: &[u64],
     region: &Rect,
     emit: &mut F,
 ) {
     use std::arch::x86_64::{
-        _mm256_and_ps, _mm256_castps_si256, _mm256_castsi256_ps, _mm256_cmp_ps,
-        _mm256_i32gather_ps, _mm256_loadu_si256, _mm256_or_si256, _mm256_permute4x64_epi64,
-        _mm256_set1_epi64x, _mm256_set1_ps, _mm256_shuffle_ps, _mm256_testz_si256, _CMP_GE_OQ,
-        _CMP_LE_OQ,
+        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_i32gather_ps, _mm256_loadu_si256,
+        _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x, _mm256_shuffle_ps,
+        _mm256_testz_si256,
     };
 
     let rows = cols[0].len().min(cols[1].len());
-    let [xs, ys] = cols.map(<[f32]>::as_ptr);
+    let ptrs = cols.map(<[f32]>::as_ptr);
     let high_halves = _mm256_set1_epi64x(!0xFFFF_FFFF);
-    let qx1 = _mm256_set1_ps(region.x1);
-    let qx2 = _mm256_set1_ps(region.x2);
-    let qy1 = _mm256_set1_ps(region.y1);
-    let qy2 = _mm256_set1_ps(region.y2);
-    // SAFETY: caller verified AVX2. `lanes` reads the 64 bytes of one
+    let lanes = Lanes::new(region);
+    // SAFETY: AVX2 is enabled here. `lanes` reads the 64 bytes of one
     // block of 8 slots, as two loads of 4. `hits` gathers only lanes below
     // `rows`, which the block loop checks first, and both columns hold
     // `rows` rows.
@@ -747,55 +296,220 @@ pub unsafe fn gather_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
                     _mm256_castps_si256(even),
                 ))
             },
-            |v| {
-                let x = _mm256_i32gather_ps::<4>(xs, v);
-                let y = _mm256_i32gather_ps::<4>(ys, v);
-                let in_x = _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(x, qx1),
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(x, qx2),
-                );
-                let in_y = _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(y, qy1),
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(y, qy2),
-                );
-                _mm256_and_ps(in_x, in_y)
-            },
+            |v| lanes.contains(ptrs.map(|p| _mm256_i32gather_ps::<4>(p, v))),
             |slots, emit| gather_range_each_scalar(cols, slots, region, emit),
             emit,
         )
     }
 }
 
-/// [`filter_overlap_each`] collecting into a `Vec` (test and bench
-/// convenience, mirroring [`filter_range`]).
-pub fn filter_overlap(
-    x1s: &[f32],
-    y1s: &[f32],
-    x2s: &[f32],
-    y2s: &[f32],
-    region: &Rect,
-    base: EntryId,
-    out: &mut Vec<EntryId>,
-) {
-    filter_overlap_each(x1s, y1s, x2s, y2s, region, base, &mut |e| out.push(e));
+/// Scalar rect-overlap test of a row `[x1, y1, x2, y2]`, spelled exactly
+/// like [`Rect::intersects`]: closed semantics, touching edges overlap,
+/// any NaN coordinate fails.
+#[inline]
+fn overlaps(region: &Rect, [x1, y1, x2, y2]: [f32; 4]) -> bool {
+    region.x1 <= x2 && x1 <= region.x2 && region.y1 <= y2 && y1 <= region.y2
 }
 
-/// [`filter_range_gather_each`] collecting into a `Vec` (test and bench
-/// convenience).
-pub fn filter_range_gather(
-    xs: &[f32],
-    ys: &[f32],
+/// The contract of the contiguous kernels: every column holds one row per
+/// id.
+fn assert_rows<const N: usize>(cols: &[&[f32]; N], ids: &[EntryId]) {
+    assert!(
+        cols.iter().all(|c| c.len() == ids.len()),
+        "coordinate and id columns must have equal length"
+    );
+}
+
+/// The scalar loop of the contiguous kernels: `ids[i]` for every row `i`
+/// of `cols` that `hit` accepts.
+fn filter_each_scalar<const N: usize, F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; N],
     ids: &[EntryId],
-    region: &Rect,
-    out: &mut Vec<EntryId>,
+    hit: impl Fn([f32; N]) -> bool,
+    emit: &mut F,
 ) {
-    filter_range_gather_each(xs, ys, ids, region, &mut |e| out.push(e));
+    assert_rows(&cols, ids);
+    for (i, &id) in ids.iter().enumerate() {
+        if hit(cols.map(|c| c[i])) {
+            emit(id);
+        }
+    }
+}
+
+/// `region` broadcast to 8 lanes, with the lane tests of the AVX2 widths:
+/// the ordered-quiet compares (`_CMP_GE_OQ`, `_CMP_LE_OQ`: false on NaN)
+/// of [`Rect::contains_point`] and [`Rect::intersects`], so every width
+/// accepts exactly the rows the scalar tests do. Each test returns a
+/// compare mask, all ones in a hit lane.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Lanes {
+    x1: __m256,
+    y1: __m256,
+    x2: __m256,
+    y2: __m256,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Lanes {
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn new(region: &Rect) -> Lanes {
+        use std::arch::x86_64::_mm256_set1_ps;
+        Lanes {
+            x1: _mm256_set1_ps(region.x1),
+            y1: _mm256_set1_ps(region.y1),
+            x2: _mm256_set1_ps(region.x2),
+            y2: _mm256_set1_ps(region.y2),
+        }
+    }
+
+    /// The lanes whose point `[x, y]` lies inside the region.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn contains(self, [x, y]: [__m256; 2]) -> __m256 {
+        use std::arch::x86_64::{_mm256_and_ps, _mm256_cmp_ps, _CMP_GE_OQ, _CMP_LE_OQ};
+        let in_x = _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_GE_OQ>(x, self.x1),
+            _mm256_cmp_ps::<_CMP_LE_OQ>(x, self.x2),
+        );
+        let in_y = _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_GE_OQ>(y, self.y1),
+            _mm256_cmp_ps::<_CMP_LE_OQ>(y, self.y2),
+        );
+        _mm256_and_ps(in_x, in_y)
+    }
+
+    /// The lanes whose rectangle `[x1, y1, x2, y2]` intersects the region.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn overlaps(self, [x1, y1, x2, y2]: [__m256; 4]) -> __m256 {
+        use std::arch::x86_64::{_mm256_and_ps, _mm256_cmp_ps, _CMP_GE_OQ, _CMP_LE_OQ};
+        let in_x = _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_LE_OQ>(x1, self.x2),
+            _mm256_cmp_ps::<_CMP_GE_OQ>(x2, self.x1),
+        );
+        let in_y = _mm256_and_ps(
+            _mm256_cmp_ps::<_CMP_LE_OQ>(y1, self.y2),
+            _mm256_cmp_ps::<_CMP_GE_OQ>(y2, self.y1),
+        );
+        _mm256_and_ps(in_x, in_y)
+    }
+}
+
+/// Emit `block[lane]` for every lane set in the compare mask `hits`, in
+/// lane order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn emit_hits<S, F>(block: &[S; 8], hits: __m256, emit: &mut F)
+where
+    S: Copy + Into<u64>,
+    F: FnMut(EntryId) + ?Sized,
+{
+    use crate::table::entry_id_u64;
+    use std::arch::x86_64::_mm256_movemask_ps;
+    let mut mask = _mm256_movemask_ps(hits) as u32;
+    while mask != 0 {
+        emit(entry_id_u64(block[mask.trailing_zeros() as usize].into()));
+        mask &= mask - 1;
+    }
+}
+
+/// The block loop of the contiguous AVX2 widths, over row `i` of `cols`
+/// standing for `ids[i]`. Each block of 8 rows is loaded from every
+/// column for `hits`, which returns the lane test as a compare mask. The
+/// tail of up to 7 rows runs `hit`, the scalar test of one row, in this
+/// loop rather than as a call of the scalar width: `twolayer` calls its
+/// kernel once per query replica over buckets of ~64 rows, so every
+/// call's fixed cost shows in `churn`'s queries a second.
+///
+/// # Panics
+/// Panics if a column's length differs from `ids.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn filter_each_avx2<const N: usize, F: FnMut(EntryId) + ?Sized>(
+    cols: [&[f32]; N],
+    ids: &[EntryId],
+    hits: impl Fn([__m256; N]) -> __m256,
+    hit: impl Fn([f32; N]) -> bool,
+    emit: &mut F,
+) {
+    use std::arch::x86_64::_mm256_loadu_ps;
+
+    assert_rows(&cols, ids);
+    let (blocks, tail) = ids.as_chunks::<8>();
+    for (b, block) in blocks.iter().enumerate() {
+        let i = b * 8;
+        // SAFETY: the loads are unaligned, and rows `i..i + 8` lie in
+        // every column: each holds `ids.len() >= i + 8` rows.
+        let v = cols.map(|c| unsafe { _mm256_loadu_ps(c.as_ptr().add(i)) });
+        emit_hits(block, hits(v), emit);
+    }
+    for (i, &id) in (ids.len() - tail.len()..).zip(tail) {
+        if hit(cols.map(|c| c[i])) {
+            emit(id);
+        }
+    }
+}
+
+/// The block loop of the AVX2 gather widths, over ids of type `S`
+/// (`EntryId`s, or the grid's `u64` bucket slots) naming rows of columns
+/// that each hold at least `rows` rows. `lanes` reads a block of 8 ids as
+/// `u32` lanes, or returns `None` if one does not fit in 32 bits. A block
+/// whose lanes all lie below `rows` (one unsigned max and compare) goes
+/// to `hits`, which gathers the lanes' coordinates and returns the lane
+/// test as a compare mask, and its hits are emitted in block order. A block
+/// holding a bad id, the tail, and columns longer than `i32::MAX` rows
+/// (gather indices are signed 32-bit) take `scalar`, the scalar width,
+/// which panics at the first bad id after emitting the hits before it.
+///
+/// # Safety
+/// `lanes` must read no more than its block, and `hits` must read only the
+/// rows its lanes name, given lanes below `rows`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn gather_each_avx2<S, F>(
+    rows: usize,
+    ids: &[S],
+    lanes: impl Fn(&[S; 8]) -> Option<__m256i>,
+    hits: impl Fn(__m256i) -> __m256,
+    scalar: impl Fn(&[S], &mut F),
+    emit: &mut F,
+) where
+    S: Copy + Into<u64>,
+    F: FnMut(EntryId) + ?Sized,
+{
+    use std::arch::x86_64::{
+        _mm256_cmpeq_epi32, _mm256_max_epu32, _mm256_movemask_epi8, _mm256_set1_epi32,
+    };
+
+    let Some(last) = rows.checked_sub(1).and_then(|l| i32::try_from(l).ok()) else {
+        return scalar(ids, emit);
+    };
+    let max_id = _mm256_set1_epi32(last);
+    let (blocks, tail) = ids.as_chunks::<8>();
+    for block in blocks {
+        let Some(v) = lanes(block).filter(|&v| {
+            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id)) == -1
+        }) else {
+            scalar(block, emit);
+            continue;
+        };
+        // Every lane is at most `last = rows − 1 ≤ i32::MAX`, so it is a
+        // non-negative gather index below `rows`.
+        emit_hits(block, hits(v), emit);
+    }
+    scalar(tail, emit);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Xoshiro256;
+    use crate::table::{entry_id, entry_id_u64};
 
     fn random_cols(n: usize, seed: u64) -> (Vec<f32>, Vec<f32>) {
         let mut rng = Xoshiro256::seeded(seed);
@@ -836,119 +550,176 @@ mod tests {
         (xs, ys)
     }
 
+    /// `col` repeated to 1,013 rows: 126 blocks of 8 and a tail of 5.
+    fn tiled(col: &[f32]) -> Vec<f32> {
+        col.iter().copied().cycle().take(1_013).collect()
+    }
+
+    /// One width of a kernel over `N` columns and ids of type `S`.
+    type Width<const N: usize, S> = fn([&[f32]; N], &[S], &Rect, &mut dyn FnMut(EntryId));
+
+    /// The widths of a kernel this CPU runs, by name: the dispatcher, the
+    /// scalar width and, with AVX2, the AVX2 width.
+    macro_rules! widths {
+        ($kernel:ident, $scalar:ident, $avx2:ident) => {{
+            let mut widths: Vec<(&'static str, Width<_, _>)> = vec![
+                ("dispatched", |c, ids, r, e| $kernel(c, ids, r, e)),
+                ("scalar", |c, ids, r, e| $scalar(c, ids, r, e)),
+            ];
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: detection checked above.
+                widths.push(("avx2", |c, ids, r, e| unsafe { $avx2(c, ids, r, e) }));
+            }
+            widths
+        }};
+    }
+
+    /// Each width in `widths`, by name, with what it emitted before
+    /// returning or panicking, and whether it panicked.
+    fn run_widths<const N: usize, S>(
+        widths: &[(&'static str, Width<N, S>)],
+        cols: [&[f32]; N],
+        ids: &[S],
+        region: &Rect,
+    ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
+        widths
+            .iter()
+            .map(|&(name, width)| {
+                let mut out = Vec::new();
+                let run =
+                    std::panic::AssertUnwindSafe(|| width(cols, ids, region, &mut |e| out.push(e)));
+                let panicked = std::panic::catch_unwind(run).is_err();
+                (name, out, panicked)
+            })
+            .collect()
+    }
+
+    /// Every width of a contiguous kernel against `hit`, its predicate on
+    /// one row, over the first `len` rows of `cols` for every length 0–17
+    /// and all of them: no block, one and two blocks, many, and every
+    /// tail. Row `i` stands for the id `7 + 3i`, so a width that emits
+    /// positions fails. Returns the number of hits the widths had to find.
+    fn check_contiguous<const N: usize>(
+        widths: &[(&'static str, Width<N, EntryId>)],
+        cols: [&[f32]; N],
+        region: &Rect,
+        hit: impl Fn([f32; N]) -> bool,
+    ) -> usize {
+        let rows = cols[0].len();
+        let ids: Vec<EntryId> = (0..rows).map(|i| entry_id(7 + 3 * i)).collect();
+        let mut hits = 0;
+        for len in (0..=17).chain([rows]) {
+            let cols = cols.map(|c| &c[..len]);
+            let want: Vec<EntryId> = (0..len)
+                .filter(|&i| hit(cols.map(|c| c[i])))
+                .map(|i| ids[i])
+                .collect();
+            hits += want.len();
+            for (width, got, panicked) in run_widths(widths, cols, &ids[..len], region) {
+                assert!(!panicked, "{width} panicked on {len} rows");
+                assert_eq!(got, want, "{width} on {len} rows");
+            }
+        }
+        hits
+    }
+
+    /// [`filter_range_each`]'s widths against [`Rect::contains_point`] on
+    /// the boundary ties, tiled to 1,013 rows, and on random columns with
+    /// NaN lanes (see [`check_contiguous`]).
+    #[test]
+    fn every_width_is_bit_identical_on_random_columns() {
+        let widths = widths!(
+            filter_range_each,
+            filter_range_each_scalar,
+            filter_range_each_avx2
+        );
+        let (bx, by) = boundary_cols();
+        let (mut xs, mut ys) = random_cols(1_013, 1);
+        xs[3] = f32::NAN;
+        ys[10] = f32::NAN;
+        (xs[20], ys[20]) = (f32::NAN, f32::NAN);
+        let inputs = [
+            (
+                [tiled(&bx), tiled(&by)],
+                Rect::new(100.0, 100.0, 200.0, 200.0),
+            ),
+            ([xs, ys], Rect::new(111.0, 222.0, 666.5, 888.25)),
+        ];
+        let mut hits = 0;
+        for ([xs, ys], region) in &inputs {
+            let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
+            hits += check_contiguous(&widths, [xs, ys], region, hit);
+        }
+        assert!(hits > 500, "too few hits to pin the widths: {hits}");
+    }
+
     #[test]
     fn matches_scalar_on_random_data() {
         let (xs, ys) = random_cols(1_003, 1); // odd length exercises the tail
+        let ids: Vec<EntryId> = (10..1_013).collect();
         let region = Rect::new(200.0, 300.0, 600.0, 700.0);
-        let mut fast = Vec::new();
-        filter_range(&xs, &ys, &region, 10, &mut fast);
-        let mut slow = Vec::new();
-        filter_range_scalar(&xs, &ys, &region, 10, &mut slow);
+        let (mut fast, mut slow) = (Vec::new(), Vec::new());
+        filter_range_each([&xs, &ys], &ids, &region, &mut |e| fast.push(e));
+        filter_range_each_scalar([&xs, &ys], &ids, &region, &mut |e| slow.push(e));
         assert_eq!(fast, slow);
         assert!(!fast.is_empty());
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn sse2_matches_scalar_on_boundaries() {
-        let region = Rect::new(100.0, 100.0, 200.0, 200.0);
-        let (xs, ys) = boundary_cols();
-        let mut fast = Vec::new();
-        filter_range_sse2(&xs, &ys, &region, 0, &mut fast);
-        let mut slow = Vec::new();
-        filter_range_scalar(&xs, &ys, &region, 0, &mut slow);
-        assert_eq!(fast, slow);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn avx2_matches_scalar_on_boundaries() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return; // nothing to test on this CPU
-        }
-        let region = Rect::new(100.0, 100.0, 200.0, 200.0);
-        let (xs, ys) = boundary_cols();
-        let mut fast = Vec::new();
-        // SAFETY: detection checked above.
-        unsafe { filter_range_avx2(&xs, &ys, &region, 0, &mut fast) };
-        let mut slow = Vec::new();
-        filter_range_scalar(&xs, &ys, &region, 0, &mut slow);
-        assert_eq!(fast, slow);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn every_width_is_bit_identical_on_random_columns() {
-        // 1_013 = 126 AVX2 blocks + 5 tail = 253 SSE2 blocks + 1 tail:
-        // both vector tails and both block loops are exercised.
-        for seed in 1..=8u64 {
-            let (xs, ys) = random_cols(1_013, seed);
-            let region = Rect::new(111.0, 222.0, 666.5, 888.25);
-            let mut scalar = Vec::new();
-            filter_range_scalar(&xs, &ys, &region, 5, &mut scalar);
-            let mut sse2 = Vec::new();
-            filter_range_sse2(&xs, &ys, &region, 5, &mut sse2);
-            assert_eq!(sse2, scalar, "seed {seed}");
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut avx2 = Vec::new();
-                // SAFETY: detection checked above.
-                unsafe { filter_range_avx2(&xs, &ys, &region, 5, &mut avx2) };
-                assert_eq!(avx2, scalar, "seed {seed}");
-            }
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn gather_widths_are_bit_identical() {
-        let (xs, ys) = random_cols(1_013, 9);
-        let ids: Vec<EntryId> = (0..xs.len()).map(|i| 7 + 3 * i as EntryId).collect();
-        let region = Rect::new(100.0, 100.0, 800.0, 500.0);
-        let mut scalar = Vec::new();
-        for i in 0..xs.len() {
-            if region.contains_point(xs[i], ys[i]) {
-                scalar.push(ids[i]);
-            }
-        }
-        let mut sse2 = Vec::new();
-        filter_range_gather_each_sse2(&xs, &ys, &ids, &region, &mut |e| sse2.push(e));
-        assert_eq!(sse2, scalar);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut avx2 = Vec::new();
-            // SAFETY: detection checked above.
-            unsafe {
-                filter_range_gather_each_avx2(&xs, &ys, &ids, &region, &mut |e| avx2.push(e))
-            };
-            assert_eq!(avx2, scalar);
-        }
-        assert!(!scalar.is_empty());
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
         let region = Rect::new(0.0, 0.0, 1.0, 1.0);
         let mut out = Vec::new();
-        filter_range(&[], &[], &region, 0, &mut out);
+        filter_range_each([&[]; 2], &[], &region, &mut |e| out.push(e));
+        filter_overlap_each([&[]; 4], &[], &region, &mut |e| out.push(e));
+        gather_range_each([&[]; 2], &[], &region, &mut |e| out.push(e));
+        gather_overlap_each([&[]; 4], &[], &region, &mut |e| out.push(e));
         assert!(out.is_empty());
-        filter_range(&[0.5], &[0.5], &region, 7, &mut out);
-        assert_eq!(out, vec![7]);
+        filter_range_each([&[0.5]; 2], &[7], &region, &mut |e| out.push(e));
+        filter_overlap_each([&[0.5], &[0.5], &[2.0], &[2.0]], &[9], &region, &mut |e| {
+            out.push(e)
+        });
+        gather_range_each([&[0.5]; 2], &[0], &region, &mut |e| out.push(e));
+        gather_overlap_each([&[0.5]; 4], &[0], &region, &mut |e| out.push(e));
+        assert_eq!(out, vec![7, 9, 0, 0]);
     }
 
-    #[test]
-    fn base_offset_is_applied() {
-        let region = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let xs = vec![5.0; 8];
-        let ys = vec![5.0; 8];
-        let mut out = Vec::new();
-        filter_range(&xs, &ys, &region, 100, &mut out);
-        assert_eq!(out, (100..108).collect::<Vec<_>>());
-    }
-
+    /// A column one row shorter or longer than the ids, in every width of
+    /// both contiguous kernels. With 8 ids and 9-row columns the AVX2 width
+    /// has one whole block and no tail, so only the length check panics.
     #[test]
     #[should_panic(expected = "equal length")]
     fn mismatched_columns_panic() {
-        let mut out = Vec::new();
-        filter_range(&[1.0], &[], &Rect::new(0.0, 0.0, 1.0, 1.0), 0, &mut out);
+        let (long, ids) = (vec![0.5f32; 9], (0..9).collect::<Vec<EntryId>>());
+        let region = Rect::new(0.0, 0.0, 1.0, 1.0);
+        let ranges = widths!(
+            filter_range_each,
+            filter_range_each_scalar,
+            filter_range_each_avx2
+        );
+        let overlaps = widths!(
+            filter_overlap_each,
+            filter_overlap_each_scalar,
+            filter_overlap_each_avx2
+        );
+        for (short, ids) in [(&long[..8], &ids[..]), (&long[..], &ids[..8])] {
+            let widths = run_widths(&ranges, [&long[..], short], ids, &region);
+            let widths = widths.into_iter().chain(run_widths(
+                &overlaps,
+                [&long[..], &long, short, &long],
+                ids,
+                &region,
+            ));
+            for (width, _, panicked) in widths {
+                assert!(
+                    panicked,
+                    "{width}: {} ids, a column of {}",
+                    ids.len(),
+                    short.len()
+                );
+            }
+        }
+        filter_range_each([&[1.0], &[]], &[0], &region, &mut |_| {});
     }
 
     /// Random well-formed rect columns (x1 <= x2, y1 <= y2).
@@ -1001,8 +772,11 @@ mod tests {
     fn overlap_filter_matches_rect_intersects_on_boundaries() {
         let region = Rect::new(100.0, 100.0, 200.0, 200.0);
         let (x1s, y1s, x2s, y2s) = boundary_rect_cols();
+        let ids: Vec<EntryId> = (0..x1s.len()).map(entry_id).collect();
         let mut got = Vec::new();
-        filter_overlap(&x1s, &y1s, &x2s, &y2s, &region, 0, &mut got);
+        filter_overlap_each([&x1s, &y1s, &x2s, &y2s], &ids, &region, &mut |e| {
+            got.push(e)
+        });
         let mut expect = Vec::new();
         for i in 0..x1s.len() {
             // NaN lanes cannot construct a Rect (debug assert), so use the
@@ -1022,88 +796,60 @@ mod tests {
         assert_eq!(expect, vec![0, 1, 2, 3, 4, 5, 8, 9, 15]);
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// [`filter_overlap_each`]'s widths against [`Rect::intersects`] on the
+    /// boundary ties, tiled to 1,013 rows, and on random columns with NaN
+    /// lanes (see [`check_contiguous`]).
     #[test]
     fn overlap_widths_are_bit_identical_on_random_columns() {
-        // 1_013 exercises both vector tails (see the range-filter test).
-        for seed in 1..=8u64 {
-            let (x1s, y1s, x2s, y2s) = random_rect_cols(1_013, seed);
-            let region = Rect::new(111.0, 222.0, 666.5, 888.25);
-            let mut scalar = Vec::new();
-            filter_overlap_each_scalar(&x1s, &y1s, &x2s, &y2s, &region, 5, &mut |e| scalar.push(e));
-            let mut sse2 = Vec::new();
-            filter_overlap_each_sse2(&x1s, &y1s, &x2s, &y2s, &region, 5, &mut |e| sse2.push(e));
-            assert_eq!(sse2, scalar, "seed {seed}");
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut avx2 = Vec::new();
-                // SAFETY: detection checked above.
-                unsafe {
-                    filter_overlap_each_avx2(&x1s, &y1s, &x2s, &y2s, &region, 5, &mut |e| {
-                        avx2.push(e)
-                    })
-                };
-                assert_eq!(avx2, scalar, "seed {seed}");
-            }
-            assert!(!scalar.is_empty(), "seed {seed}");
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn overlap_widths_are_bit_identical_on_boundary_ties() {
-        let region = Rect::new(100.0, 100.0, 200.0, 200.0);
+        let widths = widths!(
+            filter_overlap_each,
+            filter_overlap_each_scalar,
+            filter_overlap_each_avx2
+        );
         let (x1s, y1s, x2s, y2s) = boundary_rect_cols();
-        let mut scalar = Vec::new();
-        filter_overlap_each_scalar(&x1s, &y1s, &x2s, &y2s, &region, 0, &mut |e| scalar.push(e));
-        let mut sse2 = Vec::new();
-        filter_overlap_each_sse2(&x1s, &y1s, &x2s, &y2s, &region, 0, &mut |e| sse2.push(e));
-        assert_eq!(sse2, scalar);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut avx2 = Vec::new();
-            // SAFETY: detection checked above.
-            unsafe {
-                filter_overlap_each_avx2(&x1s, &y1s, &x2s, &y2s, &region, 0, &mut |e| avx2.push(e))
-            };
-            assert_eq!(avx2, scalar);
+        let mut random = random_rect_cols(1_013, 13);
+        for (i, col) in [&mut random.0, &mut random.1, &mut random.2, &mut random.3]
+            .into_iter()
+            .enumerate()
+        {
+            col[7 * i + 3] = f32::NAN;
         }
-    }
-
-    #[test]
-    fn overlap_filter_applies_base_offset_and_handles_empty_input() {
-        let region = Rect::new(0.0, 0.0, 10.0, 10.0);
-        let mut out = Vec::new();
-        filter_overlap(&[], &[], &[], &[], &region, 0, &mut out);
-        assert!(out.is_empty());
-        let x1s = vec![5.0; 9];
-        let y1s = vec![5.0; 9];
-        let x2s = vec![6.0; 9];
-        let y2s = vec![6.0; 9];
-        filter_overlap(&x1s, &y1s, &x2s, &y2s, &region, 100, &mut out);
-        assert_eq!(out, (100..109).collect::<Vec<_>>());
+        let boundary = [&x1s, &y1s, &x2s, &y2s].map(|c| tiled(c));
+        let inputs = [
+            (boundary, Rect::new(100.0, 100.0, 200.0, 200.0)),
+            (
+                [random.0, random.1, random.2, random.3],
+                Rect::new(111.0, 222.0, 666.5, 888.25),
+            ),
+        ];
+        let mut hits = 0;
+        for (cols, region) in &inputs {
+            let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
+            hits += check_contiguous(&widths, cols.each_ref().map(|c| &c[..]), region, hit);
+        }
+        assert!(hits > 500, "too few hits to pin the widths: {hits}");
     }
 
     #[test]
     #[should_panic(expected = "equal length")]
     fn mismatched_extent_columns_panic() {
-        let mut out = Vec::new();
-        filter_overlap(
-            &[1.0],
-            &[1.0],
-            &[],
-            &[1.0],
+        filter_overlap_each(
+            [&[1.0], &[1.0], &[], &[1.0]],
+            &[0],
             &Rect::new(0.0, 0.0, 1.0, 1.0),
-            0,
-            &mut out,
+            &mut |_| {},
         );
     }
 
     #[test]
     fn gather_translates_through_id_column() {
+        // The contiguous kernels emit `ids[i]` for row `i`, the translation
+        // the secondary indexes' sorted coordinate copies need.
         let (xs, ys) = random_cols(517, 3);
         let ids: Vec<EntryId> = (0..517).map(|i| 1000 + i as EntryId * 2).collect();
         let region = Rect::new(100.0, 100.0, 800.0, 500.0);
         let mut got = Vec::new();
-        filter_range_gather(&xs, &ys, &ids, &region, &mut got);
+        filter_range_each([&xs, &ys], &ids, &region, &mut |e| got.push(e));
         let mut expect = Vec::new();
         for i in 0..xs.len() {
             if region.contains_point(xs[i], ys[i]) {
@@ -1129,29 +875,6 @@ mod tests {
         ids.iter().copied().filter(hit).collect()
     }
 
-    /// One width of a gather kernel over `N` columns and ids of type `S`.
-    type Width<const N: usize, S> = fn([&[f32]; N], &[S], &Rect, &mut dyn FnMut(EntryId));
-
-    /// Each width in `widths`, by name, with what it emitted before
-    /// returning or panicking, and whether it panicked.
-    fn run_widths<const N: usize, S>(
-        widths: Vec<(&'static str, Width<N, S>)>,
-        cols: [&[f32]; N],
-        ids: &[S],
-        region: &Rect,
-    ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
-        widths
-            .into_iter()
-            .map(|(name, width)| {
-                let mut out = Vec::new();
-                let run =
-                    std::panic::AssertUnwindSafe(|| width(cols, ids, region, &mut |e| out.push(e)));
-                let panicked = std::panic::catch_unwind(run).is_err();
-                (name, out, panicked)
-            })
-            .collect()
-    }
-
     /// Each width of [`gather_overlap_each`] this CPU runs (see
     /// [`run_widths`]).
     fn gather_widths(
@@ -1159,23 +882,13 @@ mod tests {
         ids: &[EntryId],
         region: &Rect,
     ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
-        let mut widths: Vec<(&str, Width<4, EntryId>)> = vec![
-            ("dispatched", |c, ids, r, e| {
-                gather_overlap_each(c, ids, r, e)
-            }),
-            ("scalar", |c, ids, r, e| {
-                gather_overlap_each_scalar(c, ids, r, e)
-            }),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            widths.push(("avx2", |c, ids, r, e| {
-                // SAFETY: detection checked above.
-                unsafe { gather_overlap_each_avx2(c, ids, r, e) }
-            }));
-        }
+        let widths = widths!(
+            gather_overlap_each,
+            gather_overlap_each_scalar,
+            gather_overlap_each_avx2
+        );
         let cols = [&cols.0[..], &cols.1, &cols.2, &cols.3];
-        run_widths(widths, cols, ids, region)
+        run_widths(&widths, cols, ids, region)
     }
 
     /// Id slices of every length 0–17 over `n` rows: ascending, and drawn
@@ -1263,18 +976,12 @@ mod tests {
         slots: &[u64],
         region: &Rect,
     ) -> Vec<(&'static str, Vec<EntryId>, bool)> {
-        let mut widths: Vec<(&str, Width<2, u64>)> = vec![
-            ("dispatched", |c, s, r, e| gather_range_each(c, s, r, e)),
-            ("scalar", |c, s, r, e| gather_range_each_scalar(c, s, r, e)),
-        ];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            widths.push(("avx2", |c, s, r, e| {
-                // SAFETY: detection checked above.
-                unsafe { gather_range_each_avx2(c, s, r, e) }
-            }));
-        }
-        run_widths(widths, [xs, ys], slots, region)
+        let widths = widths!(
+            gather_range_each,
+            gather_range_each_scalar,
+            gather_range_each_avx2
+        );
+        run_widths(&widths, [xs, ys], slots, region)
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use sj_base::geom::{Point, Rect, Vec2};
 use sj_base::rng::Xoshiro256;
-use sj_base::simd::{filter_overlap, filter_overlap_each_scalar};
+use sj_base::simd::{filter_overlap_each, filter_overlap_each_scalar};
 use sj_base::table::MovingSet;
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
@@ -226,23 +226,26 @@ proptest! {
         rects in prop::collection::vec(arb_tie_rect(), 0..70),
         region in arb_tie_rect(),
     ) {
-        // Column lengths straddle the 8-lane AVX2 and 4-lane SSE2 block
-        // boundaries; rows tie with the region edges constantly and many
-        // are degenerate. The dispatched kernel, the scalar kernel, and
-        // Rect::intersects must agree bit for bit — same rows, same order.
+        // Column lengths straddle the 8-lane AVX2 block boundaries; rows
+        // tie with the region edges constantly and many are degenerate,
+        // and row `i` stands for the id `40 + 3i`. The dispatched kernel,
+        // the scalar kernel, and Rect::intersects must agree bit for bit —
+        // same ids, same order.
         let x1s: Vec<f32> = rects.iter().map(|r| r.x1).collect();
         let y1s: Vec<f32> = rects.iter().map(|r| r.y1).collect();
         let x2s: Vec<f32> = rects.iter().map(|r| r.x2).collect();
         let y2s: Vec<f32> = rects.iter().map(|r| r.y2).collect();
+        let ids: Vec<u32> = (0..rects.len() as u32).map(|i| 40 + 3 * i).collect();
+        let cols = [&x1s[..], &y1s, &x2s, &y2s];
         let mut dispatched = Vec::new();
-        filter_overlap(&x1s, &y1s, &x2s, &y2s, &region, 40, &mut dispatched);
+        filter_overlap_each(cols, &ids, &region, &mut |e| dispatched.push(e));
         let mut scalar = Vec::new();
-        filter_overlap_each_scalar(&x1s, &y1s, &x2s, &y2s, &region, 40, &mut |e| scalar.push(e));
+        filter_overlap_each_scalar(cols, &ids, &region, &mut |e| scalar.push(e));
         let oracle: Vec<u32> = rects
             .iter()
-            .enumerate()
-            .filter(|(_, r)| r.intersects(&region))
-            .map(|(i, _)| 40 + i as u32)
+            .zip(&ids)
+            .filter(|(r, _)| r.intersects(&region))
+            .map(|(_, &id)| id)
             .collect();
         prop_assert_eq!(&dispatched, &oracle);
         prop_assert_eq!(&scalar, &oracle);

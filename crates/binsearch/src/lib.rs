@@ -155,9 +155,8 @@ impl SpatialIndex for VecSearchJoin {
         // contiguous in the sorted columns, ready for the SIMD filter.
         let start = self.xs.partition_point(|&x| x < region.x1);
         let end = start + self.xs[start..].partition_point(|&x| x <= region.x2);
-        sj_base::simd::filter_range_gather_each(
-            &self.xs[start..end],
-            &self.ys[start..end],
+        sj_base::simd::filter_range_each(
+            [&self.xs[start..end], &self.ys[start..end]],
             &self.ids[start..end],
             region,
             emit,

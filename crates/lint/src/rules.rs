@@ -79,8 +79,8 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "target-feature-dispatch",
         family: "safety",
-        summary: "#[target_feature] outside the runtime-dispatch module",
-        invariant: "feature-gated fns are reachable only via sj_base::simd's \
+        summary: "#[target_feature] outside the runtime-dispatch module, or pub inside it",
+        invariant: "feature-gated fns are private to sj_base::simd and reachable only via its \
                     is_x86_feature_detected! dispatch, so no illegal-instruction path exists",
     },
     RuleInfo {
@@ -245,16 +245,24 @@ pub fn check_file(ctx: &FileCtx) -> Vec<Diagnostic> {
                             .into(),
                     );
                 }
-                "target_feature"
-                    if punct_at(i.wrapping_sub(1), "[") && ctx.rel != "crates/base/src/simd.rs" =>
-                {
-                    diag(
-                        "target-feature-dispatch",
-                        tok.line,
-                        "#[target_feature] outside crates/base/src/simd.rs: feature-gated fns \
-                         must sit behind the is_x86_feature_detected! dispatch module"
-                            .into(),
-                    );
+                "target_feature" if punct_at(i.wrapping_sub(1), "[") => {
+                    if ctx.rel != "crates/base/src/simd.rs" {
+                        diag(
+                            "target-feature-dispatch",
+                            tok.line,
+                            "#[target_feature] outside crates/base/src/simd.rs: feature-gated fns \
+                             must sit behind the is_x86_feature_detected! dispatch module"
+                                .into(),
+                        );
+                    } else if is_pub_fn(toks, i) {
+                        diag(
+                            "target-feature-dispatch",
+                            tok.line,
+                            "pub #[target_feature] fn: a feature-gated width stays private, \
+                             reachable only through its kernel's dispatcher"
+                                .into(),
+                        );
+                    }
                 }
                 // --- API hygiene ---------------------------------------
                 "unwrap"
@@ -352,6 +360,16 @@ pub fn check_file(ctx: &FileCtx) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// Whether the item an attribute at `toks[i]` annotates is a `pub` (or
+/// `pub(…)`) fn: a `pub` before the item's `fn` keyword.
+fn is_pub_fn(toks: &[Token], i: usize) -> bool {
+    let ident = |t: &Token, name: &str| t.kind == TokenKind::Ident && t.text == name;
+    toks[i..]
+        .iter()
+        .take_while(|t| !ident(t, "fn"))
+        .any(|t| ident(t, "pub"))
 }
 
 /// Is this token a float operand for the `float-eq` rule: a float literal,
@@ -504,9 +522,28 @@ mod tests {
 
     #[test]
     fn target_feature_confined_to_simd() {
-        let src = "#[target_feature(enable = \"avx2\")]\n/// # Safety\n/// x\npub unsafe fn f() {}";
+        let src = "#[target_feature(enable = \"avx2\")]\n/// # Safety\n/// x\nunsafe fn f() {}";
         assert!(rules_fired("crates/x/src/lib.rs", src).contains(&"target-feature-dispatch"));
         assert!(!rules_fired("crates/base/src/simd.rs", src).contains(&"target-feature-dispatch"));
+    }
+
+    #[test]
+    fn target_feature_fns_in_simd_stay_private() {
+        let simd = "crates/base/src/simd.rs";
+        for vis in ["pub ", "pub(crate) "] {
+            let src = format!("#[target_feature(enable = \"avx2\")]\n#[inline]\n{vis}fn f() {{}}");
+            assert_eq!(
+                rules_fired(simd, &src),
+                ["target-feature-dispatch"],
+                "{vis}"
+            );
+        }
+        // A private width, and a method of a private type, are clean; a
+        // `pub` after the annotated fn is another item's.
+        let private = "#[target_feature(enable = \"avx2\")]\n#[inline]\nfn f() {}\npub fn g() {}";
+        assert!(rules_fired(simd, private).is_empty());
+        let method = "impl L {\n    #[target_feature(enable = \"avx2\")]\n    fn new() {}\n}";
+        assert!(rules_fired(simd, method).is_empty());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 /// # Safety
 ///
 /// Caller must have verified AVX2 support at runtime first (the
-/// dispatch wrapper in this module does).
+/// dispatch wrapper in this module does, and only it can call this
+/// private width).
 #[target_feature(enable = "avx2")]
-pub unsafe fn kernel(xs: &[f32]) -> f32 {
+unsafe fn kernel(xs: &[f32]) -> f32 {
     xs.iter().sum()
 }

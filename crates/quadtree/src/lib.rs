@@ -189,9 +189,8 @@ impl QuadTree {
                     emit(id);
                 }
             } else {
-                sj_base::simd::filter_range_gather_each(
-                    &self.leaf_x[s..e],
-                    &self.leaf_y[s..e],
+                sj_base::simd::filter_range_each(
+                    [&self.leaf_x[s..e], &self.leaf_y[s..e]],
                     &self.leaf_id[s..e],
                     region,
                     emit,

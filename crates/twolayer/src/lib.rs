@@ -223,7 +223,7 @@ impl TwoLayerJoin {
 
         for cell in 0..grid.tiles() {
             for (rc, sc) in pairings() {
-                let (ids, [x1, y1, x2, y2]) = self.s.bucket(cell * 4 + sc);
+                let (ids, cols) = self.s.bucket(cell * 4 + sc);
                 if ids.is_empty() {
                     continue;
                 }
@@ -235,9 +235,7 @@ impl TwoLayerJoin {
                         x2: qx2[i],
                         y2: qy2[i],
                     };
-                    filter_overlap_each(x1, y1, x2, y2, &region, 0, &mut |j| {
-                        emit(q, ids[j as usize]);
-                    });
+                    filter_overlap_each(cols, ids, &region, &mut |s| emit(q, s));
                 }
             }
         }

@@ -1,16 +1,17 @@
-//! Property-based equivalence of the SIMD filter widths.
+//! Property-based equivalence of the SIMD kernels' widths.
 //!
-//! The vectorized filters ([`spatial_joins::core::simd`]) dispatch at
-//! runtime between scalar, SSE2, and AVX2 code. Their contract is
-//! *bit-identical* output: same candidates, same order, for any column
-//! contents — including the boundary ties where `>=`-vs-`>` mistakes
-//! hide. Coordinates are drawn from a small lattice around the query
-//! edges so a large fraction of points land exactly on them.
+//! Each kernel in [`spatial_joins::core::simd`] dispatches at runtime to
+//! its AVX2 width where the CPU has AVX2, and to its scalar width
+//! elsewhere. Their contract is *bit-identical* output: the ids the `Rect`
+//! predicate accepts, in order, for any column contents — including the
+//! boundary ties where `>=`-vs-`>` mistakes hide. Coordinates are drawn
+//! from a small lattice around the query edges so a large fraction of
+//! rows land exactly on them.
 
 use proptest::prelude::*;
 use spatial_joins::core::simd::{
-    filter_range, filter_range_gather, filter_range_scalar, gather_overlap_each,
-    gather_overlap_each_scalar, gather_range_each, gather_range_each_scalar,
+    filter_overlap_each, filter_overlap_each_scalar, filter_range_each, filter_range_each_scalar,
+    gather_overlap_each, gather_overlap_each_scalar, gather_range_each, gather_range_each_scalar,
 };
 use spatial_joins::prelude::*;
 
@@ -28,7 +29,7 @@ fn arb_edge_coord() -> impl Strategy<Value = f32> {
 }
 
 fn arb_cols() -> impl Strategy<Value = Vec<(f32, f32)>> {
-    // Lengths straddle the 8-lane AVX2 and 4-lane SSE2 block boundaries.
+    // Lengths straddle the 8-lane AVX2 block boundaries.
     prop::collection::vec((arb_edge_coord(), arb_edge_coord()), 0..70)
 }
 
@@ -53,6 +54,44 @@ fn arb_rect_rows() -> impl Strategy<Value = Vec<[f32; 4]>> {
     let row = (coord.clone(), coord.clone(), coord.clone(), coord)
         .prop_map(|(x1, y1, x2, y2)| [x1, y1, x2, y2]);
     prop::collection::vec(row, 1..40)
+}
+
+/// The dispatched and the scalar width of [`filter_range_each`] over
+/// `points`, row `i` standing for the id `40 + 3i`, and
+/// `Rect::contains_point` on the same rows.
+fn filter_against_contains_point(points: &[(f32, f32)]) -> [Vec<EntryId>; 3] {
+    let (xs, ys): (Vec<f32>, Vec<f32>) = points.iter().copied().unzip();
+    let ids: Vec<EntryId> = (0..xs.len() as EntryId).map(|i| 40 + 3 * i).collect();
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
+    filter_range_each([&xs, &ys], &ids, &region, &mut |e| dispatched.push(e));
+    filter_range_each_scalar([&xs, &ys], &ids, &region, &mut |e| scalar.push(e));
+    let want = (0..xs.len())
+        .filter(|&i| region.contains_point(xs[i], ys[i]))
+        .map(|i| ids[i])
+        .collect();
+    [dispatched, scalar, want]
+}
+
+/// The dispatched and the scalar width of [`filter_overlap_each`] over
+/// `rows`, row `i` standing for the id `40 + 3i`, and `Rect::intersects`
+/// on the same rows.
+fn filter_against_intersects(rows: &[[f32; 4]]) -> [Vec<EntryId>; 3] {
+    let col = |k: usize| rows.iter().map(|r| r[k]).collect::<Vec<f32>>();
+    let (x1s, y1s, x2s, y2s) = (col(0), col(1), col(2), col(3));
+    let ids: Vec<EntryId> = (0..rows.len() as EntryId).map(|i| 40 + 3 * i).collect();
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    let cols = [&x1s[..], &y1s, &x2s, &y2s];
+    let (mut dispatched, mut scalar) = (Vec::new(), Vec::new());
+    filter_overlap_each(cols, &ids, &region, &mut |e| dispatched.push(e));
+    filter_overlap_each_scalar(cols, &ids, &region, &mut |e| scalar.push(e));
+    let want = rows
+        .iter()
+        .zip(&ids)
+        .filter(|&(&[x1, y1, x2, y2], _)| region.intersects(&Rect { x1, y1, x2, y2 }))
+        .map(|(_, &id)| id)
+        .collect();
+    [dispatched, scalar, want]
 }
 
 /// The dispatched and the scalar width of [`gather_range_each`] over
@@ -101,13 +140,9 @@ fn gather_against_intersects(rows: &[[f32; 4]], picks: &[usize]) -> [Vec<EntryId
 proptest! {
     #[test]
     fn dispatched_filter_matches_scalar_on_boundary_ties(points in arb_cols()) {
-        let (xs, ys): (Vec<f32>, Vec<f32>) = points.into_iter().unzip();
-        let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
-        let mut dispatched = Vec::new();
-        filter_range(&xs, &ys, &region, 40, &mut dispatched);
-        let mut scalar = Vec::new();
-        filter_range_scalar(&xs, &ys, &region, 40, &mut scalar);
-        prop_assert_eq!(dispatched, scalar);
+        let [dispatched, scalar, want] = filter_against_contains_point(&points);
+        prop_assert_eq!(&dispatched, &want);
+        prop_assert_eq!(&scalar, &want);
     }
 
     #[test]
@@ -116,7 +151,7 @@ proptest! {
         let ids: Vec<EntryId> = (0..xs.len()).map(|i| 3 + 2 * i as EntryId).collect();
         let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
         let mut dispatched = Vec::new();
-        filter_range_gather(&xs, &ys, &ids, &region, &mut dispatched);
+        filter_range_each([&xs, &ys], &ids, &region, &mut |e| dispatched.push(e));
         let mut naive = Vec::new();
         for i in 0..xs.len() {
             if region.contains_point(xs[i], ys[i]) {
@@ -124,6 +159,15 @@ proptest! {
             }
         }
         prop_assert_eq!(dispatched, naive);
+    }
+
+    #[test]
+    fn dispatched_filter_overlap_matches_rect_intersects_beside_the_ids(
+        rows in arb_rect_rows(),
+    ) {
+        let [dispatched, scalar, want] = filter_against_intersects(&rows);
+        prop_assert_eq!(&dispatched, &want);
+        prop_assert_eq!(&scalar, &want);
     }
 
     #[test]
@@ -211,52 +255,32 @@ fn dispatched_gather_overlap_agrees_with_scalar_on_a_dense_tie_lattice() {
     assert!(hits > 0, "the lattice holds no hit");
 }
 
-/// On x86_64 CPUs with AVX2, pin all three widths against each other
-/// directly (the dispatcher only ever runs one of them per CPU).
-#[cfg(target_arch = "x86_64")]
-mod widths {
-    use spatial_joins::core::simd::{
-        filter_range_gather_each_sse2, filter_range_scalar, filter_range_sse2,
-    };
-    use spatial_joins::prelude::*;
-
-    #[test]
-    fn sse2_and_avx2_agree_with_scalar_on_a_dense_tie_lattice() {
-        // Every combination of {edge, just-outside, interior} per axis,
-        // tiled past both vector widths.
-        let vals = [100.0f32, 200.0, 99.999, 200.001, 150.0];
-        let mut xs = Vec::new();
-        let mut ys = Vec::new();
-        for round in 0..3 {
-            for &x in &vals {
-                for &y in &vals {
-                    xs.push(x + round as f32 * 0.0); // same lattice each round
-                    ys.push(y);
-                }
+/// The dispatched width (AVX2 where the CPU has it) of
+/// [`filter_range_each`] against the scalar width on a dense tie lattice,
+/// for every prefix of three copies of every combination of {edge,
+/// just-outside, interior} per axis.
+#[test]
+fn dispatched_filter_range_agrees_with_scalar_on_a_dense_tie_lattice() {
+    let vals = [100.0f32, 200.0, 99.999, 200.001, 150.0];
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for _ in 0..3 {
+        for &x in &vals {
+            for &y in &vals {
+                xs.push(x);
+                ys.push(y);
             }
         }
-        let region = Rect::new(100.0, 100.0, 200.0, 200.0);
-        let mut scalar = Vec::new();
-        filter_range_scalar(&xs, &ys, &region, 0, &mut scalar);
-        let mut sse2 = Vec::new();
-        filter_range_sse2(&xs, &ys, &region, 0, &mut sse2);
-        assert_eq!(sse2, scalar);
-        let ids: Vec<EntryId> = (0..xs.len() as EntryId).collect();
-        let mut gathered = Vec::new();
-        filter_range_gather_each_sse2(&xs, &ys, &ids, &region, &mut |e| gathered.push(e));
-        assert_eq!(gathered, scalar);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            use spatial_joins::core::simd::{filter_range_avx2, filter_range_gather_each_avx2};
-            let mut avx2 = Vec::new();
-            // SAFETY: detection checked above.
-            unsafe { filter_range_avx2(&xs, &ys, &region, 0, &mut avx2) };
-            assert_eq!(avx2, scalar);
-            let mut gathered = Vec::new();
-            // SAFETY: detection checked above.
-            unsafe {
-                filter_range_gather_each_avx2(&xs, &ys, &ids, &region, &mut |e| gathered.push(e))
-            };
-            assert_eq!(gathered, scalar);
-        }
     }
+    let ids: Vec<EntryId> = (0..xs.len() as EntryId).map(|i| 7 + 3 * i).collect();
+    let region = Rect::new(REGION.0, REGION.1, REGION.2, REGION.3);
+    let mut hits = 0;
+    for len in 0..=xs.len() {
+        let cols = [&xs[..len], &ys[..len]];
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        filter_range_each(cols, &ids[..len], &region, &mut |e| got.push(e));
+        filter_range_each_scalar(cols, &ids[..len], &region, &mut |e| want.push(e));
+        assert_eq!(got, want, "first {len} rows");
+        hits += want.len();
+    }
+    assert!(hits > 0, "the lattice holds no hit");
 }
