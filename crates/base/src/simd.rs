@@ -624,34 +624,74 @@ mod tests {
         hits
     }
 
-    /// [`filter_range_each`]'s widths against [`Rect::contains_point`] on
-    /// the boundary ties, tiled to 1,013 rows, and on random columns with
-    /// NaN lanes (see [`check_contiguous`]).
-    #[test]
-    fn every_width_is_bit_identical_on_random_columns() {
-        let widths = widths!(
+    /// The widths of [`filter_range_each`] this CPU runs.
+    fn range_each_widths() -> Vec<(&'static str, Width<2, EntryId>)> {
+        widths!(
             filter_range_each,
             filter_range_each_scalar,
             filter_range_each_avx2
-        );
-        let (bx, by) = boundary_cols();
+        )
+    }
+
+    /// The widths of [`filter_overlap_each`] this CPU runs.
+    fn overlap_each_widths() -> Vec<(&'static str, Width<4, EntryId>)> {
+        widths!(
+            filter_overlap_each,
+            filter_overlap_each_scalar,
+            filter_overlap_each_avx2
+        )
+    }
+
+    /// [`filter_range_each`]'s widths against [`Rect::contains_point`] on
+    /// the boundary ties, tiled to 1,013 rows (see [`check_contiguous`]).
+    #[test]
+    fn avx2_matches_scalar_on_boundaries() {
+        let (xs, ys) = boundary_cols();
+        let region = Rect::new(100.0, 100.0, 200.0, 200.0);
+        let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
+        let cols = [&tiled(&xs)[..], &tiled(&ys)];
+        let hits = check_contiguous(&range_each_widths(), cols, &region, hit);
+        assert!(hits > 500, "too few hits to pin the widths: {hits}");
+    }
+
+    /// [`filter_range_each`]'s widths against [`Rect::contains_point`] on
+    /// random columns with NaN lanes (see [`check_contiguous`]).
+    #[test]
+    fn every_width_is_bit_identical_on_random_columns() {
         let (mut xs, mut ys) = random_cols(1_013, 1);
         xs[3] = f32::NAN;
         ys[10] = f32::NAN;
         (xs[20], ys[20]) = (f32::NAN, f32::NAN);
-        let inputs = [
-            (
-                [tiled(&bx), tiled(&by)],
-                Rect::new(100.0, 100.0, 200.0, 200.0),
-            ),
-            ([xs, ys], Rect::new(111.0, 222.0, 666.5, 888.25)),
-        ];
-        let mut hits = 0;
-        for ([xs, ys], region) in &inputs {
-            let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
-            hits += check_contiguous(&widths, [xs, ys], region, hit);
+        let region = Rect::new(111.0, 222.0, 666.5, 888.25);
+        let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
+        let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
+        assert!(hits > 300, "too few hits to pin the widths: {hits}");
+    }
+
+    /// Every width of [`filter_range_each`] emits `ids[i]` for row `i`
+    /// whatever the ids are: drawn at random over the whole `EntryId`
+    /// range and unsorted, with `EntryId::MAX` on the first and last hit.
+    #[test]
+    fn gather_widths_are_bit_identical() {
+        let (xs, ys) = random_cols(1_013, 9);
+        let region = Rect::new(100.0, 100.0, 800.0, 500.0);
+        let rows: Vec<usize> = (0..xs.len())
+            .filter(|&i| region.contains_point(xs[i], ys[i]))
+            .collect();
+        assert!(
+            rows.len() > 200,
+            "too few hits to pin the widths: {}",
+            rows.len()
+        );
+        let mut rng = Xoshiro256::seeded(9);
+        let mut ids: Vec<EntryId> = (0..xs.len()).map(|_| rng.next_u32()).collect();
+        ids[rows[0]] = EntryId::MAX;
+        ids[rows[rows.len() - 1]] = EntryId::MAX;
+        let want: Vec<EntryId> = rows.iter().map(|&i| ids[i]).collect();
+        for (width, got, panicked) in run_widths(&range_each_widths(), [&xs, &ys], &ids, &region) {
+            assert!(!panicked, "{width} panicked");
+            assert_eq!(got, want, "{width}");
         }
-        assert!(hits > 500, "too few hits to pin the widths: {hits}");
     }
 
     #[test]
@@ -692,16 +732,7 @@ mod tests {
     fn mismatched_columns_panic() {
         let (long, ids) = (vec![0.5f32; 9], (0..9).collect::<Vec<EntryId>>());
         let region = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let ranges = widths!(
-            filter_range_each,
-            filter_range_each_scalar,
-            filter_range_each_avx2
-        );
-        let overlaps = widths!(
-            filter_overlap_each,
-            filter_overlap_each_scalar,
-            filter_overlap_each_avx2
-        );
+        let (ranges, overlaps) = (range_each_widths(), overlap_each_widths());
         for (short, ids) in [(&long[..8], &ids[..]), (&long[..], &ids[..8])] {
             let widths = run_widths(&ranges, [&long[..], short], ids, &region);
             let widths = widths.into_iter().chain(run_widths(
@@ -797,16 +828,22 @@ mod tests {
     }
 
     /// [`filter_overlap_each`]'s widths against [`Rect::intersects`] on the
-    /// boundary ties, tiled to 1,013 rows, and on random columns with NaN
-    /// lanes (see [`check_contiguous`]).
+    /// boundary ties, tiled to 1,013 rows (see [`check_contiguous`]).
+    #[test]
+    fn overlap_widths_are_bit_identical_on_boundary_ties() {
+        let (x1s, y1s, x2s, y2s) = boundary_rect_cols();
+        let cols = [&x1s, &y1s, &x2s, &y2s].map(|c| tiled(c));
+        let region = Rect::new(100.0, 100.0, 200.0, 200.0);
+        let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
+        let cols = cols.each_ref().map(|c| &c[..]);
+        let hits = check_contiguous(&overlap_each_widths(), cols, &region, hit);
+        assert!(hits > 500, "too few hits to pin the widths: {hits}");
+    }
+
+    /// [`filter_overlap_each`]'s widths against [`Rect::intersects`] on
+    /// random columns with NaN lanes (see [`check_contiguous`]).
     #[test]
     fn overlap_widths_are_bit_identical_on_random_columns() {
-        let widths = widths!(
-            filter_overlap_each,
-            filter_overlap_each_scalar,
-            filter_overlap_each_avx2
-        );
-        let (x1s, y1s, x2s, y2s) = boundary_rect_cols();
         let mut random = random_rect_cols(1_013, 13);
         for (i, col) in [&mut random.0, &mut random.1, &mut random.2, &mut random.3]
             .into_iter()
@@ -814,20 +851,11 @@ mod tests {
         {
             col[7 * i + 3] = f32::NAN;
         }
-        let boundary = [&x1s, &y1s, &x2s, &y2s].map(|c| tiled(c));
-        let inputs = [
-            (boundary, Rect::new(100.0, 100.0, 200.0, 200.0)),
-            (
-                [random.0, random.1, random.2, random.3],
-                Rect::new(111.0, 222.0, 666.5, 888.25),
-            ),
-        ];
-        let mut hits = 0;
-        for (cols, region) in &inputs {
-            let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
-            hits += check_contiguous(&widths, cols.each_ref().map(|c| &c[..]), region, hit);
-        }
-        assert!(hits > 500, "too few hits to pin the widths: {hits}");
+        let region = Rect::new(111.0, 222.0, 666.5, 888.25);
+        let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
+        let cols = [&random.0[..], &random.1, &random.2, &random.3];
+        let hits = check_contiguous(&overlap_each_widths(), cols, &region, hit);
+        assert!(hits > 300, "too few hits to pin the widths: {hits}");
     }
 
     #[test]
