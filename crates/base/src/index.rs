@@ -138,11 +138,12 @@ impl SpatialIndex for ScanIndex {
 
     fn for_each_in(&self, table: &PointTable, region: &Rect, emit: &mut dyn FnMut(EntryId)) {
         // The scan is the ground truth the kernels are tested against, so
-        // it runs no kernel: one scalar loop, which also skips the
-        // tombstones churn workloads leave in the table.
-        let (xs, ys, live) = (table.xs(), table.ys(), table.live_mask());
-        for i in 0..xs.len() {
-            if live[i] && region.contains_point(xs[i], ys[i]) {
+        // it runs no kernel: one scalar loop over the zipped columns (no
+        // per-row bounds checks), which also skips the tombstones churn
+        // workloads leave in the table.
+        let rows = table.xs().iter().zip(table.ys()).zip(table.live_mask());
+        for (i, ((&x, &y), &live)) in rows.enumerate() {
+            if live && region.contains_point(x, y) {
                 emit(entry_id(i));
             }
         }
@@ -160,17 +161,11 @@ impl SpatialIndex for ScanIndex {
         region: &Rect,
         emit: &mut dyn FnMut(EntryId),
     ) {
-        let (x1s, y1s) = (table.x1s(), table.y1s());
-        let (x2s, y2s) = (table.x2s(), table.y2s());
-        let live = table.live_mask();
-        for i in 0..x1s.len() {
-            let row = Rect {
-                x1: x1s[i],
-                y1: y1s[i],
-                x2: x2s[i],
-                y2: y2s[i],
-            };
-            if live[i] && region.intersects(&row) {
+        let lows = table.x1s().iter().zip(table.y1s());
+        let highs = table.x2s().iter().zip(table.y2s());
+        let rows = lows.zip(highs).zip(table.live_mask());
+        for (i, (((&x1, &y1), (&x2, &y2)), &live)) in rows.enumerate() {
+            if live && region.intersects(&Rect { x1, y1, x2, y2 }) {
                 emit(entry_id(i));
             }
         }

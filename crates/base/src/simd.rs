@@ -29,9 +29,22 @@
 //! (`filter_each_avx2`), or gathers through ids checked against the
 //! columns' length (`gather_each_avx2`). All widths are bit-identical by
 //! construction — the lane tests are the ordered-quiet `>=`/`<=` compares
-//! of [`Rect::contains_point`] and [`Rect::intersects`], false on NaN, and
-//! hits are emitted in order via the compare movemask — and the tests
-//! assert it on boundary ties, NaN lanes and every tail length.
+//! of [`Rect::contains_point`] and [`Rect::intersects`], false on NaN —
+//! and the tests assert it on boundary ties, NaN lanes and every tail
+//! length.
+//!
+//! Neither block loop branches on which rows hit, since at the
+//! selectivities the joins run (a tenth to a third of the rows) no
+//! predictor could guess it. Each block's hit ids are left-packed into a
+//! small buffer on the stack of the call (`Hits`): one `vpermd` by the
+//! permutation the compare mask selects from a 256-entry table, one
+//! unaligned store of all 8 lanes, and a length advanced by the mask's
+//! popcount. The buffer is emitted, in order, in one loop when it fills
+//! and when the call ends. The tail of 1–7 rows runs as one more block
+//! under a lane mask: the contiguous loop loads it with masked loads, the
+//! gather loop pads it with the tail's first id. An AVX2 width calls the
+//! scalar width only for a block holding a bad id, which then panics, or
+//! for columns longer than gather indices reach.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::{__m256, __m256i};
@@ -81,8 +94,7 @@ fn filter_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     let lanes = Lanes::new(region);
-    let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
-    filter_each_avx2(cols, ids, |v| lanes.contains(v), hit, emit);
+    filter_each_avx2(cols, ids, |v| lanes.contains(v), emit);
 }
 
 /// Call `emit` with `ids[i]`, in order, for every row `i` whose rectangle
@@ -127,8 +139,7 @@ fn filter_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     let lanes = Lanes::new(region);
-    let hit = |row| overlaps(region, row);
-    filter_each_avx2(cols, ids, |v| lanes.overlaps(v), hit, emit);
+    filter_each_avx2(cols, ids, |v| lanes.overlaps(v), emit);
 }
 
 /// Call `emit` with every id in `ids`, in order, whose rectangle in the
@@ -397,32 +408,116 @@ impl Lanes {
     }
 }
 
-/// Emit `block[lane]` for every lane set in the compare mask `hits`, in
-/// lane order.
+/// Slots of the hit buffer of an AVX2 call: it is emitted once more than
+/// `HIT_SLOTS - 8` ids are in it, so the 8-lane store of a block always
+/// fits.
+#[cfg(target_arch = "x86_64")]
+const HIT_SLOTS: usize = 64;
+
+/// The left-pack permutations, by 8-bit hit mask: byte `k` of entry
+/// `mask` is the lane of the `k`-th bit set in `mask`, so `vpermd` by the
+/// entry's bytes moves a block's hit lanes, in lane order, to its front.
+/// A `static`, not a `const`: a `const` array indexed at run time is
+/// copied to the stack at every use in unoptimized builds.
+#[cfg(target_arch = "x86_64")]
+static LEFT_PACK: [u64; 256] = {
+    let mut table = [0; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut lane, mut k) = (0, 0);
+        while lane < 8 {
+            if mask >> lane & 1 == 1 {
+                table[mask] |= (lane as u64) << (8 * k);
+                k += 1;
+            }
+            lane += 1;
+        }
+        mask += 1;
+    }
+    table
+};
+
+/// The hit buffer of one call of an AVX2 width, over slots on its stack.
+/// Each block stores all 8 of its id lanes at `len`, permuted so that the
+/// hit lanes come first, and advances `len` by the number of hits, so
+/// nothing branches on which lanes hit. The buffer is emitted in one loop
+/// when another block might not fit, before a block or tail takes the
+/// scalar width, and when the call ends, so ids leave in input order.
+/// (The slots are borrowed, not owned, so that `len` lives in a register:
+/// the compiler cannot tell a store at a variable offset into the struct
+/// from a store to its `len`.)
+#[cfg(target_arch = "x86_64")]
+struct Hits<'a> {
+    slots: &'a mut [EntryId; HIT_SLOTS],
+    /// At most `HIT_SLOTS - 8` between pushes, so a block's store fits.
+    len: usize,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl Hits<'_> {
+    /// Append the lanes of `ids` set in the compare mask `hits`, in lane
+    /// order, and emit the buffer if another block might not fit.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn push<F: FnMut(EntryId) + ?Sized>(&mut self, ids: __m256i, hits: __m256, emit: &mut F) {
+        use std::arch::x86_64::{
+            _mm256_cvtepu8_epi32, _mm256_movemask_ps, _mm256_permutevar8x32_epi32,
+            _mm256_storeu_si256, _mm_cvtsi64_si128,
+        };
+        let mask = _mm256_movemask_ps(hits) as u8;
+        let order = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(LEFT_PACK[mask as usize] as i64));
+        // SAFETY: the store is unaligned, and slots `len..len + 8` lie in
+        // `slots`: `len <= HIT_SLOTS - 8`, which the flush below restores.
+        unsafe {
+            let at = self.slots.as_mut_ptr().add(self.len);
+            _mm256_storeu_si256(at.cast(), _mm256_permutevar8x32_epi32(ids, order));
+        }
+        self.len += mask.count_ones() as usize;
+        if self.len > HIT_SLOTS - 8 {
+            self.flush(emit);
+        }
+    }
+
+    /// Emit the buffered ids, in order, and empty the buffer.
+    fn flush<F: FnMut(EntryId) + ?Sized>(&mut self, emit: &mut F) {
+        for &id in &self.slots[..self.len] {
+            emit(id);
+        }
+        self.len = 0;
+    }
+}
+
+/// The lanes below `n`, all ones: the live lanes of a tail of `n` rows.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-fn emit_hits<S, F>(block: &[S; 8], hits: __m256, emit: &mut F)
-where
-    S: Copy + Into<u64>,
-    F: FnMut(EntryId) + ?Sized,
-{
-    use crate::table::entry_id_u64;
-    use std::arch::x86_64::_mm256_movemask_ps;
-    let mut mask = _mm256_movemask_ps(hits) as u32;
-    while mask != 0 {
-        emit(entry_id_u64(block[mask.trailing_zeros() as usize].into()));
-        mask &= mask - 1;
-    }
+fn lanes_below(n: usize) -> __m256i {
+    use std::arch::x86_64::{_mm256_cmpgt_epi32, _mm256_set1_epi32, _mm256_setr_epi32};
+    debug_assert!(n < 8, "a tail holds at most 7 rows");
+    _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(n as i32),
+        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+    )
+}
+
+/// The compare mask `hits` with only the lanes in `live` kept.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn only(hits: __m256, live: __m256i) -> __m256 {
+    use std::arch::x86_64::{_mm256_and_ps, _mm256_castsi256_ps};
+    _mm256_and_ps(hits, _mm256_castsi256_ps(live))
 }
 
 /// The block loop of the contiguous AVX2 widths, over row `i` of `cols`
 /// standing for `ids[i]`. Each block of 8 rows is loaded from every
-/// column for `hits`, which returns the lane test as a compare mask. The
-/// tail of up to 7 rows runs `hit`, the scalar test of one row, in this
-/// loop rather than as a call of the scalar width: `twolayer` calls its
-/// kernel once per query replica over buckets of ~64 rows, so every
-/// call's fixed cost shows in `churn`'s queries a second.
+/// column for `hits`, which returns the lane test as a compare mask, and
+/// its hit ids go through the packed buffer. The tail of 1–7 rows is one
+/// more block, read by masked loads that touch no row past the end and
+/// with its dead lanes masked off the hits. It runs in this loop rather
+/// than as a call of the scalar width: `twolayer` calls its kernel once
+/// per query replica over buckets of ~64 rows, so every call's fixed cost
+/// shows in `churn`'s queries a second.
 ///
 /// # Panics
 /// Panics if a column's length differs from `ids.len()`.
@@ -433,25 +528,41 @@ fn filter_each_avx2<const N: usize, F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; N],
     ids: &[EntryId],
     hits: impl Fn([__m256; N]) -> __m256,
-    hit: impl Fn([f32; N]) -> bool,
     emit: &mut F,
 ) {
-    use std::arch::x86_64::_mm256_loadu_ps;
+    use std::arch::x86_64::{
+        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_epi32, _mm256_maskload_ps,
+    };
 
     assert_rows(&cols, ids);
+    let mut out = Hits {
+        slots: &mut [0; HIT_SLOTS],
+        len: 0,
+    };
     let (blocks, tail) = ids.as_chunks::<8>();
     for (b, block) in blocks.iter().enumerate() {
         let i = b * 8;
-        // SAFETY: the loads are unaligned, and rows `i..i + 8` lie in
-        // every column: each holds `ids.len() >= i + 8` rows.
-        let v = cols.map(|c| unsafe { _mm256_loadu_ps(c.as_ptr().add(i)) });
-        emit_hits(block, hits(v), emit);
+        // SAFETY: the loads are unaligned, `block` is 8 ids, and rows
+        // `i..i + 8` lie in every column: each holds `ids.len() >= i + 8`
+        // rows.
+        let (v, block) = unsafe {
+            let v = cols.map(|c| _mm256_loadu_ps(c.as_ptr().add(i)));
+            (v, _mm256_loadu_si256(block.as_ptr().cast()))
+        };
+        out.push(block, hits(v), emit);
     }
-    for (i, &id) in (ids.len() - tail.len()..).zip(tail) {
-        if hit(cols.map(|c| c[i])) {
-            emit(id);
-        }
+    if !tail.is_empty() {
+        let (i, live) = (ids.len() - tail.len(), lanes_below(tail.len()));
+        // SAFETY: the masked loads read only the `tail.len()` lanes of
+        // `live`, rows `i..ids.len()`, which lie in `tail` and in every
+        // column (each holds `ids.len()` rows); the other lanes read as 0.
+        let (v, tail) = unsafe {
+            let v = cols.map(|c| _mm256_maskload_ps(c.as_ptr().add(i), live));
+            (v, _mm256_maskload_epi32(tail.as_ptr().cast(), live))
+        };
+        out.push(tail, only(hits(v), live), emit);
     }
+    out.flush(emit);
 }
 
 /// The block loop of the AVX2 gather widths, over ids of type `S`
@@ -460,10 +571,12 @@ fn filter_each_avx2<const N: usize, F: FnMut(EntryId) + ?Sized>(
 /// `u32` lanes, or returns `None` if one does not fit in 32 bits. A block
 /// whose lanes all lie below `rows` (one unsigned max and compare) goes
 /// to `hits`, which gathers the lanes' coordinates and returns the lane
-/// test as a compare mask, and its hits are emitted in block order. A block
-/// holding a bad id, the tail, and columns longer than `i32::MAX` rows
-/// (gather indices are signed 32-bit) take `scalar`, the scalar width,
-/// which panics at the first bad id after emitting the hits before it.
+/// test as a compare mask, and its hit ids go through the packed buffer.
+/// The tail of 1–7 ids is one more block, padded with its first id and
+/// with the padding masked off the hits. A block or tail holding a bad id
+/// flushes the buffer and takes `scalar`, the scalar width, which panics
+/// at the first bad id after emitting the hits before it; so do columns
+/// longer than `i32::MAX` rows (gather indices are signed 32-bit).
 ///
 /// # Safety
 /// `lanes` must read no more than its block, and `hits` must read only the
@@ -479,30 +592,50 @@ unsafe fn gather_each_avx2<S, F>(
     scalar: impl Fn(&[S], &mut F),
     emit: &mut F,
 ) where
-    S: Copy + Into<u64>,
+    S: Copy,
     F: FnMut(EntryId) + ?Sized,
 {
     use std::arch::x86_64::{
         _mm256_cmpeq_epi32, _mm256_max_epu32, _mm256_movemask_epi8, _mm256_set1_epi32,
     };
 
-    let Some(last) = rows.checked_sub(1).and_then(|l| i32::try_from(l).ok()) else {
+    // No rows (`rows - 1` wraps), or more than gather indices reach.
+    let Ok(last) = i32::try_from(rows.wrapping_sub(1)) else {
         return scalar(ids, emit);
     };
     let max_id = _mm256_set1_epi32(last);
+    // The block's lanes, if each is at most `last = rows − 1 ≤ i32::MAX`:
+    // a non-negative gather index below `rows`.
+    let checked = |block: &[S; 8]| {
+        lanes(block).filter(|&v| {
+            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id)) == -1
+        })
+    };
+    let mut out = Hits {
+        slots: &mut [0; HIT_SLOTS],
+        len: 0,
+    };
     let (blocks, tail) = ids.as_chunks::<8>();
     for block in blocks {
-        let Some(v) = lanes(block).filter(|&v| {
-            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id)) == -1
-        }) else {
+        let Some(v) = checked(block) else {
+            out.flush(emit);
             scalar(block, emit);
             continue;
         };
-        // Every lane is at most `last = rows − 1 ≤ i32::MAX`, so it is a
-        // non-negative gather index below `rows`.
-        emit_hits(block, hits(v), emit);
+        out.push(v, hits(v), emit);
     }
-    scalar(tail, emit);
+    if !tail.is_empty() {
+        // Eight selects rather than a copy of `tail.len()` ids, which
+        // compiles to a call of `memcpy`.
+        let id = |k: usize| tail[if k < tail.len() { k } else { 0 }];
+        let padded = [id(0), id(1), id(2), id(3), id(4), id(5), id(6), id(7)];
+        let Some(v) = checked(&padded) else {
+            out.flush(emit);
+            return scalar(tail, emit);
+        };
+        out.push(v, only(hits(v), lanes_below(tail.len())), emit);
+    }
+    out.flush(emit);
 }
 
 #[cfg(test)]
@@ -665,6 +798,23 @@ mod tests {
         let region = Rect::new(111.0, 222.0, 666.5, 888.25);
         let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
         let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
+        assert!(hits > 300, "too few hits to pin the widths: {hits}");
+    }
+
+    /// Both contiguous kernels' widths on regions that hold the origin, so
+    /// a lane past the end of a tail, if it were not masked off, would hit
+    /// as the point or rectangle at 0 (see [`check_contiguous`]).
+    #[test]
+    fn tails_emit_no_lane_past_the_end() {
+        let (xs, ys) = random_cols(1_013, 5);
+        let region = Rect::new(-1.0, -1.0, 600.0, 700.0);
+        let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
+        let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
+        assert!(hits > 300, "too few hits to pin the widths: {hits}");
+        let rects = random_rect_cols(1_013, 5);
+        let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
+        let cols = [&rects.0[..], &rects.1, &rects.2, &rects.3];
+        let hits = check_contiguous(&overlap_each_widths(), cols, &region, hit);
         assert!(hits > 300, "too few hits to pin the widths: {hits}");
     }
 
@@ -919,12 +1069,14 @@ mod tests {
         run_widths(&widths, cols, ids, region)
     }
 
-    /// Id slices of every length 0–17 over `n` rows: ascending, and drawn
-    /// at random (unsorted, with repeats).
+    /// Id slices over `n` rows of every length 0–17, and of 1,013 (126
+    /// blocks and a tail of 5, past several hit buffers on a region that
+    /// holds most rows): ascending, and drawn at random (unsorted, with
+    /// repeats).
     fn id_slices(n: usize, seed: u64) -> Vec<Vec<EntryId>> {
         let mut rng = Xoshiro256::seeded(seed);
         let mut slices = Vec::new();
-        for len in 0..=17 {
+        for len in (0..=17).chain([1_013]) {
             slices.push((0..len).map(|i| entry_id(i % n)).collect());
             slices.push((0..len).map(|_| entry_id(rng.range_usize(n))).collect());
         }
@@ -942,13 +1094,14 @@ mod tests {
         }
         let inputs = [
             (boundary_rect_cols(), Rect::new(100.0, 100.0, 200.0, 200.0)),
-            (random, Rect::new(111.0, 222.0, 666.5, 888.25)),
+            (random.clone(), Rect::new(111.0, 222.0, 666.5, 888.25)),
+            (random, Rect::new(20.0, 20.0, 980.0, 980.0)),
         ];
-        let mut hits = 0;
+        let (mut hits, mut most) = (0, 0);
         for (seed, (cols, region)) in (1..).zip(&inputs) {
             for ids in id_slices(cols.0.len(), seed) {
                 let want = intersecting_ids(cols, &ids, region);
-                hits += want.len();
+                (hits, most) = (hits + want.len(), most.max(want.len()));
                 for (width, got, panicked) in gather_widths(cols, &ids, region) {
                     assert!(!panicked, "{width} panicked on {ids:?}");
                     assert_eq!(got, want, "{width} on {ids:?}");
@@ -956,6 +1109,7 @@ mod tests {
             }
         }
         assert!(hits > 100, "too few hits to pin the widths: {hits}");
+        assert!(most > 500, "no call spans several hit buffers: {most}");
     }
 
     #[test]
@@ -963,8 +1117,9 @@ mod tests {
         let cols = random_rect_cols(12, 5);
         let region = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         // The bad id inside the first block, inside a later block, and in
-        // the tail; each width emits the hits before it, then panics.
-        for (len, at) in [(8, 5), (17, 13), (11, 9), (1, 0)] {
+        // the tail, also after more than one hit buffer (every row hits);
+        // each width emits the hits before it, then panics.
+        for (len, at) in [(8, 5), (17, 13), (11, 9), (1, 0), (200, 150), (203, 201)] {
             let mut ids: Vec<EntryId> = (0..len).map(|i| entry_id(i % 12)).collect();
             ids[at] = 12;
             let want = intersecting_ids(&cols, &ids[..at], &region);
@@ -1020,14 +1175,18 @@ mod tests {
         (xs[20], ys[20]) = (f32::NAN, f32::NAN);
         let inputs = [
             (boundary_cols(), Rect::new(100.0, 100.0, 200.0, 200.0)),
-            ((xs, ys), Rect::new(111.0, 222.0, 666.5, 888.25)),
+            (
+                (xs.clone(), ys.clone()),
+                Rect::new(111.0, 222.0, 666.5, 888.25),
+            ),
+            ((xs, ys), Rect::new(20.0, 20.0, 980.0, 980.0)),
         ];
-        let mut hits = 0;
+        let (mut hits, mut most) = (0, 0);
         for (seed, ((xs, ys), region)) in (1..).zip(&inputs) {
             for ids in id_slices(xs.len(), seed) {
                 let slots: Vec<u64> = ids.into_iter().map(u64::from).collect();
                 let want = contained_slots(xs, ys, &slots, region);
-                hits += want.len();
+                (hits, most) = (hits + want.len(), most.max(want.len()));
                 for (width, got, panicked) in range_widths(xs, ys, &slots, region) {
                     assert!(!panicked, "{width} panicked on {slots:?}");
                     assert_eq!(got, want, "{width} on {slots:?}");
@@ -1035,6 +1194,7 @@ mod tests {
             }
         }
         assert!(hits > 100, "too few hits to pin the widths: {hits}");
+        assert!(most > 500, "no call spans several hit buffers: {most}");
     }
 
     #[test]
@@ -1044,10 +1204,20 @@ mod tests {
         // A slot one past the rows, slots whose low half names a real row
         // but whose high half is set, and the largest slot; each in the
         // first and second load of a block, in a later block, and in the
-        // tail. Every width emits the hits before it, then panics.
+        // tail, also after more than one hit buffer (every row hits).
+        // Every width emits the hits before it, then panics.
         let bad = [12, 1 << 32, (1 << 32) + 3, u64::MAX];
+        let places = [
+            (16, 2),
+            (8, 5),
+            (17, 13),
+            (11, 9),
+            (1, 0),
+            (200, 150),
+            (203, 201),
+        ];
         for slot in bad {
-            for (len, at) in [(16, 2), (8, 5), (17, 13), (11, 9), (1, 0)] {
+            for (len, at) in places {
                 let mut slots: Vec<u64> = (0..len).map(|i| i % 12).collect();
                 slots[at] = slot;
                 let want = contained_slots(&xs, &ys, &slots[..at], &region);

@@ -79,10 +79,14 @@ fn pairings() -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// Auto cell sizing: aim for this many data rows per cell (eight AVX2
-/// blocks a kernel call). On `churn` (2-core Xeon VM) 128 rows cost ~9%
-/// of the query rate; 32 rows gained ~7% for ~8% more heap and more
-/// rectangle replicas. Correctness is independent of the choice (any
-/// monotone grid yields the same exactly-once output).
+/// blocks a kernel call). On `churn` (2-core Xeon VM, medians of 3
+/// rounds on the kernel that emits hits without branching on them), 32
+/// rows ran 8.5% fewer queries a second than 64 for 8.7% more heap, and
+/// 128 rows 3.5% fewer (faster in 1 of 3 rounds) for 5.7% less heap.
+/// When each hit still cost a branch, 32 rows had run ~7% faster and 128
+/// ~9% slower: with less fixed cost per call, small cells no longer win
+/// back their extra rectangle replicas. Correctness is independent of the
+/// choice (any monotone grid yields the same exactly-once output).
 const AUTO_TARGET_PER_CELL: usize = 64;
 /// Auto cell sizing: never more than this many cells per axis (4096 in
 /// all) — beyond it the per-cell bookkeeping outweighs the shrinking
