@@ -788,34 +788,23 @@ mod tests {
     }
 
     /// [`filter_range_each`]'s widths against [`Rect::contains_point`] on
-    /// random columns with NaN lanes (see [`check_contiguous`]).
+    /// random columns with NaN lanes (see [`check_contiguous`]), in a
+    /// region inside the columns and in one holding the origin, where a
+    /// tail lane past the end (read as 0) would hit were it not masked off.
     #[test]
     fn every_width_is_bit_identical_on_random_columns() {
         let (mut xs, mut ys) = random_cols(1_013, 1);
         xs[3] = f32::NAN;
         ys[10] = f32::NAN;
         (xs[20], ys[20]) = (f32::NAN, f32::NAN);
-        let region = Rect::new(111.0, 222.0, 666.5, 888.25);
-        let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
-        let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
-        assert!(hits > 300, "too few hits to pin the widths: {hits}");
-    }
-
-    /// Both contiguous kernels' widths on regions that hold the origin, so
-    /// a lane past the end of a tail, if it were not masked off, would hit
-    /// as the point or rectangle at 0 (see [`check_contiguous`]).
-    #[test]
-    fn tails_emit_no_lane_past_the_end() {
-        let (xs, ys) = random_cols(1_013, 5);
-        let region = Rect::new(-1.0, -1.0, 600.0, 700.0);
-        let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
-        let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
-        assert!(hits > 300, "too few hits to pin the widths: {hits}");
-        let rects = random_rect_cols(1_013, 5);
-        let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
-        let cols = [&rects.0[..], &rects.1, &rects.2, &rects.3];
-        let hits = check_contiguous(&overlap_each_widths(), cols, &region, hit);
-        assert!(hits > 300, "too few hits to pin the widths: {hits}");
+        for (region, floor) in [
+            (Rect::new(111.0, 222.0, 666.5, 888.25), 300),
+            (Rect::new(-1.0, -1.0, 600.0, 700.0), 350),
+        ] {
+            let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
+            let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
+            assert!(hits > floor, "too few hits in {region:?}: {hits}");
+        }
     }
 
     /// Every width of [`filter_range_each`] emits `ids[i]` for row `i`
@@ -991,7 +980,9 @@ mod tests {
     }
 
     /// [`filter_overlap_each`]'s widths against [`Rect::intersects`] on
-    /// random columns with NaN lanes (see [`check_contiguous`]).
+    /// random columns with NaN lanes (see [`check_contiguous`]), in a
+    /// region inside the columns and in one holding the origin, where a
+    /// tail lane past the end (read as 0) would hit were it not masked off.
     #[test]
     fn overlap_widths_are_bit_identical_on_random_columns() {
         let mut random = random_rect_cols(1_013, 13);
@@ -1001,11 +992,15 @@ mod tests {
         {
             col[7 * i + 3] = f32::NAN;
         }
-        let region = Rect::new(111.0, 222.0, 666.5, 888.25);
-        let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
         let cols = [&random.0[..], &random.1, &random.2, &random.3];
-        let hits = check_contiguous(&overlap_each_widths(), cols, &region, hit);
-        assert!(hits > 300, "too few hits to pin the widths: {hits}");
+        for (region, floor) in [
+            (Rect::new(111.0, 222.0, 666.5, 888.25), 300),
+            (Rect::new(-1.0, -1.0, 600.0, 700.0), 350),
+        ] {
+            let hit = |[x1, y1, x2, y2]: [f32; 4]| region.intersects(&Rect { x1, y1, x2, y2 });
+            let hits = check_contiguous(&overlap_each_widths(), cols, &region, hit);
+            assert!(hits > floor, "too few hits in {region:?}: {hits}");
+        }
     }
 
     #[test]
