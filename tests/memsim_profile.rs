@@ -116,3 +116,34 @@ fn traced_and_untraced_queries_return_identical_results() {
     untraced.sort_unstable();
     assert_eq!(traced, untraced);
 }
+
+#[test]
+fn every_stage_traces_the_pinned_stream() {
+    // Instructions, L1 accesses and L1/L2/L3 misses of each stage at
+    // `small_params()`. A change that keeps the traced access stream keeps
+    // these counts, and with them `table3`'s output.
+    let pinned = [
+        (Stage::Original, [7_158_881, 866_397, 578_114, 8_366, 3_202]),
+        (
+            Stage::Restructured,
+            [6_676_605, 598_181, 262_352, 1_635, 1_635],
+        ),
+        (Stage::Querying, [1_738_609, 598_181, 262_352, 1_635, 1_635]),
+        (Stage::BsTuned, [1_609_360, 552_946, 195_371, 1_503, 1_503]),
+        (Stage::CpsTuned, [614_159, 177_831, 85_005, 13_197, 4_985]),
+    ];
+    for (stage, want) in pinned {
+        let s = profile(stage, &small_params());
+        let got = [
+            s.instrs,
+            s.l1_accesses,
+            s.l1_misses,
+            s.l2_misses,
+            s.l3_misses,
+        ];
+        assert_eq!(
+            got, want,
+            "{stage:?}: [instrs, l1 accesses, l1/l2/l3 misses]"
+        );
+    }
+}
