@@ -22,13 +22,13 @@ use sj_base::table::{entry_id, EntryId, ExtentTable, PointTable};
 use sj_base::trace::{NullTracer, Tracer};
 
 use crate::config::{GridConfig, Layout, QueryAlgo, Stage};
-use crate::layout_inline::{InlineCoordsStore, InlineStore};
+use crate::layout_inline::InlineStore;
 use crate::layout_original::OriginalStore;
 
 enum Store {
     Original(OriginalStore),
     Inline(InlineStore),
-    InlineCoords(InlineCoordsStore),
+    InlineCoords(InlineStore<2>),
 }
 
 /// One axis of the cell directory: cells `first..first + cells` of the
@@ -60,7 +60,7 @@ struct Axis {
 pub struct SimpleGrid {
     cfg: GridConfig,
     /// The side `new` was given; a fork starts over this whole space.
-    space_side: f32,
+    pub(crate) space_side: f32,
     /// The directory: `x.cells × y.cells` square cells of side
     /// `cell_size`. Sequentially that is `cps × cps` cells over the space;
     /// [`SpatialIndex::fit_tile`] lays it over a tile fork's own rows.
@@ -98,7 +98,7 @@ impl SimpleGrid {
         let store = match cfg.layout {
             Layout::Original => Store::Original(OriginalStore::default()),
             Layout::Inline => Store::Inline(InlineStore::default()),
-            Layout::InlineCoords => Store::InlineCoords(InlineCoordsStore::default()),
+            Layout::InlineCoords => Store::InlineCoords(InlineStore::default()),
         };
         let name = format!(
             "Simple Grid [{:?}/{:?} bs={} cps={}]",
@@ -169,7 +169,7 @@ impl SimpleGrid {
 
     /// Row-major cell index for a point.
     #[inline]
-    fn cell_of(&self, x: f32, y: f32) -> usize {
+    pub(crate) fn cell_of(&self, x: f32, y: f32) -> usize {
         let cx = self.cell_coord(x, self.x);
         let cy = self.cell_coord(y, self.y);
         (cy * self.x.cells + cx) as usize
@@ -213,7 +213,7 @@ impl SimpleGrid {
             tr.instr(6);
             match &mut self.store {
                 Store::Original(s) => s.insert(cell, entry_id(i), tr),
-                Store::Inline(s) => s.insert(cell, entry_id(i), tr),
+                Store::Inline(s) => _ = s.insert(cell, entry_id(i), tr),
                 Store::InlineCoords(s) => s.insert(cell, entry_id(i), x, y, tr),
             }
         }
@@ -299,6 +299,22 @@ impl SimpleGrid {
 }
 
 impl SimpleGrid {
+    /// The arena of an `Inline` grid, which [`crate::IncrementalGrid`]
+    /// updates in place.
+    pub(crate) fn inline_store(&self) -> &InlineStore {
+        let Store::Inline(s) = &self.store else {
+            unreachable!("only an Inline grid is updated in place")
+        };
+        s
+    }
+
+    pub(crate) fn inline_store_mut(&mut self) -> &mut InlineStore {
+        let Store::Inline(s) = &mut self.store else {
+            unreachable!("only an Inline grid is updated in place")
+        };
+        s
+    }
+
     /// *Live* structure bytes after the last build (arena lengths, not
     /// capacities) — the quantity of the paper's §3.1 bytes-per-point
     /// arithmetic. The [`SpatialIndex::memory_bytes`] footprint counts

@@ -4,13 +4,15 @@
 //!
 //! The static category rebuilds its index every tick; the update-time
 //! category the original study also covers maintains it in place. This
-//! grid keeps the refactored inline bucket layout and, on each
-//! [`SpatialIndex::build`] call, *diffs* the base table against the
-//! positions it indexed last tick: objects that stayed in their cell cost
-//! one cell computation, objects that crossed a cell boundary are moved
-//! with an O(1) delete (backfill from the head bucket) plus an O(1)
-//! insert. Freed buckets go to a free list, so steady state allocates
-//! nothing.
+//! grid is a tuned-layout [`SimpleGrid`] (`Inline`, `RangeScan`) whose
+//! [`SpatialIndex::build`] *diffs* the base table against the positions it
+//! indexed last tick, straight into that grid's bucket arena: objects that
+//! stayed in their cell cost one cell computation, objects that crossed a
+//! cell boundary are moved with an O(1) delete (backfill from the head
+//! bucket) plus an O(1) insert. Freed buckets go to the arena's free list,
+//! so steady state allocates nothing. Queries are the grid's own: Algorithm
+//! 2 with wholesale reports of covered cells, and the AVX2 gather kernel
+//! over the other cells' buckets.
 //!
 //! The `ablation` bench compares this against rebuild-per-tick across
 //! object speeds: the faster objects move, the more cell crossings, the
@@ -18,13 +20,11 @@
 
 use sj_base::geom::Rect;
 use sj_base::index::SpatialIndex;
-use sj_base::table::{entry_id, entry_id_u64, EntryId, PointTable};
+use sj_base::table::{entry_id, EntryId, PointTable};
+use sj_base::trace::NullTracer;
 
 use crate::layout_original::NULL;
-
-const BKT_NEXT: usize = 0;
-const BKT_LEN: usize = 1;
-const HEADER_SLOTS: usize = 2;
+use crate::{GridConfig, SimpleGrid};
 
 /// See module docs.
 ///
@@ -47,15 +47,8 @@ const HEADER_SLOTS: usize = 2;
 /// assert_eq!(hits, vec![id]);
 /// ```
 pub struct IncrementalGrid {
-    cells_per_side: u32,
-    bucket_size: u64,
-    cell_size: f32,
-    /// Head bucket handle per cell.
-    cells: Vec<u64>,
-    /// Flat bucket arena, `[next, len, entries…]` per bucket.
-    buckets: Vec<u64>,
-    /// Recycled bucket handles.
-    free: Vec<u64>,
+    /// The grid whose arena the builds update and whose queries run.
+    grid: SimpleGrid,
     /// Locator: bucket handle and slot of each indexed entry.
     loc_bucket: Vec<u64>,
     loc_slot: Vec<u32>,
@@ -77,148 +70,72 @@ impl IncrementalGrid {
     /// # Panics
     /// Panics if `space_side` is not positive.
     pub fn tuned(space_side: f32) -> Self {
-        Self::new(
-            crate::GridConfig::TUNED_CPS,
-            crate::GridConfig::TUNED_BS,
-            space_side,
-        )
+        Self::new(GridConfig::TUNED_CPS, GridConfig::TUNED_BS, space_side)
     }
 
     /// # Panics
-    /// Panics on a degenerate geometry (`cps == 0`, `bs == 0`, or
-    /// non-positive `space_side`).
+    /// Panics on a configuration [`GridConfig::validate`] rejects or a
+    /// non-positive `space_side`.
     pub fn new(cells_per_side: u32, bucket_size: u32, space_side: f32) -> Self {
-        assert!(
-            cells_per_side > 0 && bucket_size > 0,
-            "degenerate grid geometry"
-        );
-        assert!(space_side > 0.0, "space_side must be positive");
-        IncrementalGrid {
+        let cfg = GridConfig {
             cells_per_side,
-            bucket_size: bucket_size as u64,
-            cell_size: space_side / cells_per_side as f32,
-            cells: vec![NULL; (cells_per_side * cells_per_side) as usize],
-            buckets: Vec::new(),
-            free: Vec::new(),
+            bucket_size,
+            ..GridConfig::tuned()
+        };
+        let mut g = IncrementalGrid {
+            grid: SimpleGrid::new(cfg, space_side),
             loc_bucket: Vec::new(),
             loc_slot: Vec::new(),
             prev_x: Vec::new(),
             prev_y: Vec::new(),
             prev_live: Vec::new(),
             indexed: 0,
-        }
-    }
-
-    #[inline]
-    fn cell_coord(&self, v: f32) -> u32 {
-        ((v / self.cell_size) as u32).min(self.cells_per_side - 1)
-    }
-
-    #[inline]
-    fn cell_of(&self, x: f32, y: f32) -> usize {
-        (self.cell_coord(y) * self.cells_per_side + self.cell_coord(x)) as usize
-    }
-
-    fn alloc_bucket(&mut self, next: u64) -> u64 {
-        if let Some(b) = self.free.pop() {
-            let base = b as usize;
-            self.buckets[base + BKT_NEXT] = next;
-            self.buckets[base + BKT_LEN] = 0;
-            b
-        } else {
-            let b = self.buckets.len() as u64;
-            self.buckets.push(next);
-            self.buckets.push(0);
-            self.buckets
-                .resize(self.buckets.len() + self.bucket_size as usize, 0);
-            b
-        }
-    }
-
-    fn insert(&mut self, cell: usize, entry: EntryId) {
-        let head = self.cells[cell];
-        let bucket = if head == NULL || self.buckets[head as usize + BKT_LEN] == self.bucket_size {
-            let b = self.alloc_bucket(head);
-            self.cells[cell] = b;
-            b
-        } else {
-            head
         };
-        let base = bucket as usize;
-        let len = self.buckets[base + BKT_LEN];
-        self.buckets[base + HEADER_SLOTS + len as usize] = entry as u64;
-        self.buckets[base + BKT_LEN] = len + 1;
-        self.loc_bucket[entry as usize] = bucket;
-        self.loc_slot[entry as usize] = len as u32;
+        g.clear();
+        g
     }
 
-    /// Remove `entry` from `cell` by backfilling its slot with the head
-    /// bucket's last entry. Invariant: only the head bucket of a chain is
-    /// ever partially filled, so the backfill source is always the head.
-    fn remove(&mut self, cell: usize, entry: EntryId) {
-        let head = self.cells[cell];
-        debug_assert_ne!(head, NULL, "removing from an empty cell");
-        let head_base = head as usize;
-        let head_len = self.buckets[head_base + BKT_LEN];
-        debug_assert!(head_len > 0, "head bucket of a non-empty cell is empty");
-
-        let hole_bucket = self.loc_bucket[entry as usize];
-        let hole_slot = self.loc_slot[entry as usize] as usize;
-        debug_assert_eq!(
-            self.buckets[hole_bucket as usize + HEADER_SLOTS + hole_slot],
-            entry as u64,
-            "locator out of sync"
-        );
-
-        let last_slot = head_len as usize - 1;
-        let last_entry = self.buckets[head_base + HEADER_SLOTS + last_slot];
-        // Move the head's last entry into the hole (self-move when the
-        // removed entry *is* the last of the head).
-        self.buckets[hole_bucket as usize + HEADER_SLOTS + hole_slot] = last_entry;
-        self.loc_bucket[last_entry as usize] = hole_bucket;
-        self.loc_slot[last_entry as usize] = hole_slot as u32;
-        self.buckets[head_base + BKT_LEN] = head_len - 1;
-
-        if head_len == 1 {
-            self.cells[cell] = self.buckets[head_base + BKT_NEXT];
-            self.free.push(head);
-        }
-        self.loc_bucket[entry as usize] = NULL;
-    }
-
-    /// Full (re)population: used on the first build and whenever the base
-    /// table *shrank* (impossible under the tombstone model, where slots
-    /// are never reclaimed — but kept so a hand-built smaller table stays
-    /// valid). Indexes live rows only.
-    fn rebuild(&mut self, table: &PointTable) {
-        self.cells.fill(NULL);
-        self.buckets.clear();
-        self.free.clear();
-        let n = table.len();
+    /// Forget every row: an empty directory over an arena that keeps its
+    /// allocation and grows as the next build inserts.
+    fn clear(&mut self) {
+        let cfg = *self.grid.config();
+        let ncells = (cfg.cells_per_side * cfg.cells_per_side) as usize;
+        self.grid
+            .inline_store_mut()
+            .reset(ncells, cfg.bucket_size, 0);
         self.loc_bucket.clear();
-        self.loc_bucket.resize(n, NULL);
         self.loc_slot.clear();
-        self.loc_slot.resize(n, 0);
         self.prev_x.clear();
-        self.prev_x.extend_from_slice(table.xs());
         self.prev_y.clear();
-        self.prev_y.extend_from_slice(table.ys());
         self.prev_live.clear();
-        self.prev_live.extend_from_slice(table.live_mask());
         self.indexed = 0;
-        for i in 0..n {
-            if self.prev_live[i] {
-                let cell = self.cell_of(self.prev_x[i], self.prev_y[i]);
-                self.insert(cell, entry_id(i));
-                self.indexed += 1;
-            }
-        }
+    }
+
+    /// Index row `i` in `cell`, recording its locator.
+    fn insert_row(&mut self, i: usize, cell: usize) {
+        let store = self.grid.inline_store_mut();
+        let (bucket, slot) = store.insert(cell, entry_id(i), &mut NullTracer);
+        self.loc_bucket[i] = bucket;
+        self.loc_slot[i] = slot as u32;
+    }
+
+    /// Unindex row `i` from `cell`; the entry moved into its slot takes
+    /// over its locator.
+    fn remove_row(&mut self, i: usize, cell: usize) {
+        let (bucket, slot) = (self.loc_bucket[i], self.loc_slot[i]);
+        let moved = self
+            .grid
+            .inline_store_mut()
+            .remove(cell, bucket, slot as usize) as usize;
+        self.loc_bucket[moved] = bucket;
+        self.loc_slot[moved] = slot;
+        self.loc_bucket[i] = NULL;
     }
 
     /// Number of buckets currently on the free list (tests use this to
     /// verify steady-state recycling).
     pub fn free_buckets(&self) -> usize {
-        self.free.len()
+        self.grid.inline_store().free_buckets()
     }
 
     /// Entries currently indexed (live rows as of the last build). O(1).
@@ -241,6 +158,7 @@ impl IncrementalGrid {
                 self.indexed
             ));
         }
+        let store = self.grid.inline_store();
         for e in 0..self.loc_bucket.len() {
             let b = self.loc_bucket[e];
             if !self.prev_live[e] {
@@ -252,8 +170,7 @@ impl IncrementalGrid {
             if b == NULL {
                 return Err(format!("entry {e} has no location"));
             }
-            let slot = self.loc_slot[e] as usize;
-            if self.buckets[b as usize + HEADER_SLOTS + slot] != e as u64 {
+            if store.id_at(b, self.loc_slot[e] as usize) != e as u64 {
                 return Err(format!("locator of entry {e} is stale"));
             }
         }
@@ -267,41 +184,53 @@ impl SpatialIndex for IncrementalGrid {
     }
 
     fn build(&mut self, table: &PointTable) {
+        // A table shorter than the last one indexed (impossible under the
+        // tombstone model, where slots are never reclaimed — but a
+        // hand-built smaller table stays valid) is indexed from scratch.
         if table.len() < self.prev_x.len() {
-            self.rebuild(table);
-            return;
+            self.clear();
         }
         let xs = table.xs();
         let ys = table.ys();
         let live = table.live_mask();
-        // Diff the rows indexed last tick: moves relocate, departures are
-        // explicit O(1) deletes (tombstoned rows never resurrect, but a
-        // dead->live transition is handled as an insert for robustness).
-        for i in 0..self.prev_x.len() {
-            let id = entry_id(i);
+        // Rows appended since the last build (churn arrivals, or every row
+        // of the first build) join the baseline as dead rows, so the diff
+        // inserts the live ones: population growth does not trigger a
+        // full rebuild.
+        for i in self.prev_x.len()..table.len() {
+            self.prev_x.push(xs[i]);
+            self.prev_y.push(ys[i]);
+            self.prev_live.push(false);
+            self.loc_bucket.push(NULL);
+            self.loc_slot.push(0);
+        }
+        // Diff every row against the last build: moves relocate,
+        // departures are explicit O(1) deletes, arrivals O(1) inserts
+        // (tombstoned rows never resurrect, but a dead->live transition is
+        // an insert too).
+        for i in 0..table.len() {
+            let (px, py) = (self.prev_x[i], self.prev_y[i]);
+            let (nx, ny) = (xs[i], ys[i]);
             match (self.prev_live[i], live[i]) {
                 (true, true) => {
-                    let (nx, ny) = (xs[i], ys[i]);
-                    let (px, py) = (self.prev_x[i], self.prev_y[i]);
                     if nx != px || ny != py {
-                        let old_cell = self.cell_of(px, py);
-                        let new_cell = self.cell_of(nx, ny);
+                        let old_cell = self.grid.cell_of(px, py);
+                        let new_cell = self.grid.cell_of(nx, ny);
                         if old_cell != new_cell {
-                            self.remove(old_cell, id);
-                            self.insert(new_cell, id);
+                            self.remove_row(i, old_cell);
+                            self.insert_row(i, new_cell);
                         }
                         self.prev_x[i] = nx;
                         self.prev_y[i] = ny;
                     }
                 }
                 (true, false) => {
-                    self.remove(self.cell_of(self.prev_x[i], self.prev_y[i]), id);
+                    self.remove_row(i, self.grid.cell_of(px, py));
                     self.prev_live[i] = false;
                     self.indexed -= 1;
                 }
                 (false, true) => {
-                    let (nx, ny) = (xs[i], ys[i]);
-                    self.insert(self.cell_of(nx, ny), id);
+                    self.insert_row(i, self.grid.cell_of(nx, ny));
                     self.prev_x[i] = nx;
                     self.prev_y[i] = ny;
                     self.prev_live[i] = true;
@@ -310,60 +239,18 @@ impl SpatialIndex for IncrementalGrid {
                 (false, false) => {}
             }
         }
-        // Rows appended since the last build (churn arrivals): O(1) insert
-        // each — population growth does not trigger a full rebuild.
-        for i in self.prev_x.len()..table.len() {
-            self.prev_x.push(xs[i]);
-            self.prev_y.push(ys[i]);
-            self.prev_live.push(live[i]);
-            self.loc_bucket.push(NULL);
-            self.loc_slot.push(0);
-            if live[i] {
-                self.insert(self.cell_of(xs[i], ys[i]), entry_id(i));
-                self.indexed += 1;
-            }
-        }
     }
 
     fn for_each_in(&self, table: &PointTable, region: &Rect, emit: &mut dyn FnMut(EntryId)) {
-        // Algorithm 2 over the inline layout, like the refactored grid.
-        let cx1 = self.cell_coord(region.x1.max(0.0));
-        let cx2 = self.cell_coord(region.x2.max(0.0));
-        let cy1 = self.cell_coord(region.y1.max(0.0));
-        let cy2 = self.cell_coord(region.y2.max(0.0));
-        for cy in cy1..=cy2 {
-            for cx in cx1..=cx2 {
-                let cell_rect = Rect::new(
-                    cx as f32 * self.cell_size,
-                    cy as f32 * self.cell_size,
-                    (cx + 1) as f32 * self.cell_size,
-                    (cy + 1) as f32 * self.cell_size,
-                );
-                let cell = (cy * self.cells_per_side + cx) as usize;
-                let full = region.contains_rect(&cell_rect);
-                let mut b = self.cells[cell];
-                while b != NULL {
-                    let base = b as usize;
-                    let len = self.buckets[base + BKT_LEN] as usize;
-                    for slot in 0..len {
-                        let e = entry_id_u64(self.buckets[base + HEADER_SLOTS + slot]);
-                        if full || region.contains_point(table.x(e), table.y(e)) {
-                            emit(e);
-                        }
-                    }
-                    b = self.buckets[base + BKT_NEXT];
-                }
-            }
-        }
+        self.grid.for_each_in(table, region, emit);
     }
 
     fn memory_bytes(&self) -> usize {
         // Allocated-capacity convention (see the trait docs): every arena
         // the incremental structure keeps resident between ticks — the
-        // directory, bucket arena, locator maps, and the previous-tick
-        // position/liveness shadow it diffs against.
-        self.cells.capacity() * 8
-            + self.buckets.capacity() * 8
+        // grid's directory, bucket arena and free list, the locator maps,
+        // and the previous-tick position/liveness shadow it diffs against.
+        self.grid.memory_bytes()
             + self.loc_bucket.capacity() * 8
             + self.loc_slot.capacity() * 4
             + self.prev_x.capacity() * 4
@@ -372,12 +259,11 @@ impl SpatialIndex for IncrementalGrid {
     }
 
     fn fork(&self) -> Box<dyn SpatialIndex + Send + Sync> {
-        // `cell_size` was derived as side / cps in `new`; undo the division
-        // to reconstruct with the same directory and bucket geometry.
+        let cfg = self.grid.config();
         Box::new(IncrementalGrid::new(
-            self.cells_per_side,
-            self.bucket_size as u32,
-            self.cell_size * self.cells_per_side as f32,
+            cfg.cells_per_side,
+            cfg.bucket_size,
+            self.grid.space_side,
         ))
     }
 }
@@ -481,11 +367,11 @@ mod tests {
             g.build(&t);
             g.validate().unwrap();
             if tick == 2 {
-                arena_after_warmup = g.buckets.len();
+                arena_after_warmup = g.grid.inline_store().num_buckets();
             }
         }
         assert_eq!(
-            g.buckets.len(),
+            g.grid.inline_store().num_buckets(),
             arena_after_warmup,
             "bucket arena kept growing"
         );

@@ -1,5 +1,5 @@
-//! The refactored Simple Grid storage (Figure 3b) and the coordinate-
-//! inlining extension.
+//! The refactored Simple Grid storage (Figure 3b): the crate's one bucket
+//! arena.
 //!
 //! The paper's two structural changes (§3.1):
 //! 1. the directory cell drops the counter — a single 8-byte bucket handle;
@@ -9,15 +9,20 @@
 //!
 //! At bs = 4 this is 8 + 16/4 = 12 bytes per point, vs. 32 before.
 //!
-//! A query filters a bucket's entry slots with one call of the AVX2 gather
-//! kernel [`gather_range_each`], which reads the coordinates straight from
-//! the base table through the slots; the layout and the traced access
-//! stream are the paper's.
-//!
-//! [`InlineCoordsStore`] additionally copies the point coordinates next to
-//! each entry (2 slots per entry), removing the base-table hop during
+//! An entry takes `W` slots. `InlineStore` (`W = 1`) is Figure 3b: a query
+//! filters a bucket's entry slots with one call of the AVX2 gather kernel
+//! [`gather_range_each`], which reads the coordinates straight from the
+//! base table through the slots; the layout and the traced access stream
+//! are the paper's. `InlineStore<2>` copies each point next to its entry
+//! (`[entry, packed (x, y) f32 bits]`), removing the base-table hop during
 //! filtering. The paper deliberately skips this (it breaks the
 //! secondary-index assumption); we implement it as an ablation.
+//!
+//! The arena also updates in place, for the u-Grid
+//! ([`crate::IncrementalGrid`]): [`InlineStore::insert`] returns the
+//! entry's `(bucket, slot)`, and [`InlineStore::remove`] fills a hole from
+//! the head bucket (only the head of a chain is ever partly full) and puts
+//! an emptied head bucket on a free list that bucket allocation pops first.
 
 use sj_base::geom::Rect;
 use sj_base::simd::gather_range_each;
@@ -38,51 +43,58 @@ fn max_buckets(rows: usize, bucket_size: u32, ncells: usize) -> usize {
     rows / bucket_size.max(1) as usize + rows.min(ncells)
 }
 
-/// See module docs: the Figure 3b layout.
+/// See module docs: the Figure 3b layout, at `W` slots per entry.
 #[derive(Clone, Debug, Default)]
-pub struct InlineStore {
+pub struct InlineStore<const W: usize = 1> {
     /// One slot per cell: head bucket handle.
     cells: Vec<u64>,
     /// Flat bucket arena; bucket `b` occupies slots
-    /// `[b, b + 2 + bs)`: `[next, len, entry…]`. Handles are slot indices.
+    /// `[b, b + 2 + W·bs)`: `[next, len, entry…]`. Handles are slot indices.
     buckets: Vec<u64>,
+    /// Emptied buckets, reused before the arena grows.
+    free: Vec<u64>,
     bucket_slots: usize,
     bucket_size: u64,
 }
 
-impl InlineStore {
+impl<const W: usize> InlineStore<W> {
+    /// Empty `ncells` cells of `bucket_size`-entry buckets, reserving room
+    /// for `expected_points` rows (none for 0: the arena then grows as it
+    /// fills).
     pub fn reset(&mut self, ncells: usize, bucket_size: u32, expected_points: usize) {
         self.bucket_size = bucket_size as u64;
-        self.bucket_slots = HEADER_SLOTS + bucket_size as usize;
+        self.bucket_slots = HEADER_SLOTS + W * bucket_size as usize;
         self.cells.clear();
         self.cells.resize(ncells, NULL);
         self.buckets.clear();
+        self.free.clear();
         self.buckets
             .reserve_exact(max_buckets(expected_points, bucket_size, ncells) * self.bucket_slots);
     }
 
     fn alloc_bucket(&mut self, next: u64) -> u64 {
+        if let Some(b) = self.free.pop() {
+            self.buckets[b as usize + BKT_NEXT] = next;
+            return b;
+        }
         let h = self.buckets.len() as u64;
         self.buckets.push(next);
         self.buckets.push(0); // len
         self.buckets
-            .resize(self.buckets.len() + self.bucket_size as usize, 0);
+            .resize(self.buckets.len() + W * self.bucket_size as usize, 0);
         h
     }
 
-    pub fn insert<T: Tracer>(&mut self, cell: usize, entry: EntryId, tr: &mut T) {
-        tr.read(
-            addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
-            addr::INLINE_CELL_BYTES as u32,
-        );
+    /// Append an entry's `W` slots to `cell`'s head bucket, pushing a new
+    /// head when it is full; returns the entry's `(bucket, slot)`.
+    fn push<T: Tracer>(&mut self, cell: usize, entry: [u64; W], tr: &mut T) -> (u64, usize) {
+        let dir = addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES;
+        tr.read(dir, addr::INLINE_CELL_BYTES as u32);
         let head = self.cells[cell];
         let bucket = if head == NULL || self.buckets[head as usize + BKT_LEN] == self.bucket_size {
             let b = self.alloc_bucket(head);
             self.cells[cell] = b;
-            tr.write(
-                addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
-                addr::INLINE_CELL_BYTES as u32,
-            );
+            tr.write(dir, addr::INLINE_CELL_BYTES as u32);
             b
         } else {
             head
@@ -92,25 +104,66 @@ impl InlineStore {
             addr::BUCKET_BASE + bucket * 8,
             addr::INLINE_BUCKET_HEADER_BYTES as u32,
         );
-        let len = self.buckets[bbase + BKT_LEN];
-        self.buckets[bbase + HEADER_SLOTS + len as usize] = entry as u64;
-        self.buckets[bbase + BKT_LEN] = len + 1;
+        let len = self.buckets[bbase + BKT_LEN] as usize;
+        let at = bbase + HEADER_SLOTS + W * len;
+        self.buckets[at..at + W].copy_from_slice(&entry);
+        self.buckets[bbase + BKT_LEN] = len as u64 + 1;
         tr.write(
-            addr::BUCKET_BASE + (bucket + HEADER_SLOTS as u64 + len) * 8,
-            addr::ENTRY_BYTES as u32,
+            addr::BUCKET_BASE + at as u64 * 8,
+            (W as u64 * addr::ENTRY_BYTES) as u32,
         );
         tr.write(addr::BUCKET_BASE + (bucket + BKT_LEN as u64) * 8, 8);
         tr.instr(8);
+        (bucket, len)
     }
 
+    /// Remove the entry at `slot` of `bucket`, one of `cell`'s buckets, by
+    /// moving the head bucket's last entry into it; a head bucket left
+    /// empty goes to the free list. Returns the id now at `(bucket, slot)`:
+    /// the moved entry, or the removed one if it was the head's last.
+    pub fn remove(&mut self, cell: usize, bucket: u64, slot: usize) -> EntryId {
+        let head = self.cells[cell];
+        debug_assert_ne!(head, NULL, "removing from an empty cell");
+        let hbase = head as usize;
+        let len = self.buckets[hbase + BKT_LEN] as usize;
+        debug_assert!(len > 0, "head bucket of a non-empty cell is empty");
+        let last = hbase + HEADER_SLOTS + W * (len - 1);
+        let hole = bucket as usize + HEADER_SLOTS + W * slot;
+        self.buckets.copy_within(last..last + W, hole);
+        self.buckets[hbase + BKT_LEN] = len as u64 - 1;
+        if len == 1 {
+            self.cells[cell] = self.buckets[hbase + BKT_NEXT];
+            self.free.push(head);
+        }
+        entry_id_u64(self.buckets[hole])
+    }
+
+    /// Walk `cell`'s bucket chain, tracing the directory cell and each
+    /// bucket, and hand `visit` each bucket's entry slots.
     #[inline]
-    fn cell_head<T: Tracer>(&self, cell: usize, tr: &mut T) -> u64 {
+    fn each_bucket<T: Tracer>(
+        &self,
+        cell: usize,
+        tr: &mut T,
+        mut visit: impl FnMut(&[u64], &mut T),
+    ) {
         tr.read(
             addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
             addr::INLINE_CELL_BYTES as u32,
         );
         tr.instr(2);
-        self.cells[cell]
+        let mut b = self.cells[cell];
+        while b != NULL {
+            let bbase = b as usize;
+            let len = self.buckets[bbase + BKT_LEN] as usize;
+            tr.read(
+                addr::BUCKET_BASE + b * 8,
+                (addr::INLINE_BUCKET_HEADER_BYTES as usize + W * len * addr::ENTRY_BYTES as usize)
+                    as u32,
+            );
+            visit(&self.buckets[bbase + HEADER_SLOTS..][..W * len], tr);
+            b = self.buckets[bbase + BKT_NEXT];
+        }
     }
 
     pub fn report_all<T: Tracer, F: FnMut(EntryId) + ?Sized>(
@@ -119,21 +172,50 @@ impl InlineStore {
         emit: &mut F,
         tr: &mut T,
     ) {
-        let mut b = self.cell_head(cell, tr);
-        while b != NULL {
-            let bbase = b as usize;
-            let len = self.buckets[bbase + BKT_LEN] as usize;
-            tr.read(
-                addr::BUCKET_BASE + b * 8,
-                (addr::INLINE_BUCKET_HEADER_BYTES as usize + len * addr::ENTRY_BYTES as usize)
-                    as u32,
-            );
-            for slot in 0..len {
-                emit(entry_id_u64(self.buckets[bbase + HEADER_SLOTS + slot]));
+        self.each_bucket(cell, tr, |slots, tr| {
+            let (entries, _) = slots.as_chunks::<W>();
+            for entry in entries {
+                emit(entry_id_u64(entry[0]));
             }
-            tr.instr(2 * len as u64 + 3);
-            b = self.buckets[bbase + BKT_NEXT];
-        }
+            tr.instr(2 * entries.len() as u64 + 3);
+        });
+    }
+
+    /// The id in entry `slot` of `bucket`.
+    pub(crate) fn id_at(&self, bucket: u64, slot: usize) -> u64 {
+        self.buckets[bucket as usize + HEADER_SLOTS + W * slot]
+    }
+
+    /// Live structure bytes (paper §3.1 arithmetic); the trait-level
+    /// footprint uses [`InlineStore::allocated_bytes`].
+    pub fn live_bytes(&self) -> usize {
+        (self.cells.len() + self.buckets.len() + self.free.len()) * std::mem::size_of::<u64>()
+    }
+
+    /// Bytes the arenas hold resident (allocated capacity — the
+    /// workspace-wide footprint convention).
+    pub fn allocated_bytes(&self) -> usize {
+        (self.cells.capacity() + self.buckets.capacity() + self.free.capacity())
+            * std::mem::size_of::<u64>()
+    }
+
+    /// Buckets in the arena, free ones included.
+    pub fn num_buckets(&self) -> usize {
+        self.buckets
+            .len()
+            .checked_div(self.bucket_slots)
+            .unwrap_or(0)
+    }
+
+    /// Buckets on the free list.
+    pub fn free_buckets(&self) -> usize {
+        self.free.len()
+    }
+}
+
+impl InlineStore<1> {
+    pub fn insert<T: Tracer>(&mut self, cell: usize, entry: EntryId, tr: &mut T) -> (u64, usize) {
+        self.push(cell, [u64::from(entry)], tr)
     }
 
     /// Emit every entry of `cell` whose point lies inside `region`, one
@@ -149,55 +231,15 @@ impl InlineStore {
         tr: &mut T,
     ) {
         let cols = [table.xs(), table.ys()];
-        let mut b = self.cell_head(cell, tr);
-        while b != NULL {
-            let bbase = b as usize;
-            let len = self.buckets[bbase + BKT_LEN] as usize;
-            tr.read(
-                addr::BUCKET_BASE + b * 8,
-                (addr::INLINE_BUCKET_HEADER_BYTES as usize + len * addr::ENTRY_BYTES as usize)
-                    as u32,
-            );
-            let slots = &self.buckets[bbase + HEADER_SLOTS..][..len];
+        self.each_bucket(cell, tr, |slots, tr| {
             for &entry in slots {
                 tr.read(addr::table_x(entry), addr::COORD_BYTES as u32);
                 tr.read(addr::table_y(entry), addr::COORD_BYTES as u32);
             }
             gather_range_each(cols, slots, region, emit);
-            tr.instr(6 * len as u64 + 3);
-            b = self.buckets[bbase + BKT_NEXT];
-        }
+            tr.instr(6 * slots.len() as u64 + 3);
+        });
     }
-
-    /// Live structure bytes (paper §3.1 arithmetic); the trait-level
-    /// footprint uses [`InlineStore::allocated_bytes`].
-    pub fn live_bytes(&self) -> usize {
-        (self.cells.len() + self.buckets.len()) * std::mem::size_of::<u64>()
-    }
-
-    /// Bytes the arenas hold resident (allocated capacity — the
-    /// workspace-wide footprint convention).
-    pub fn allocated_bytes(&self) -> usize {
-        (self.cells.capacity() + self.buckets.capacity()) * std::mem::size_of::<u64>()
-    }
-
-    pub fn num_buckets(&self) -> usize {
-        self.buckets
-            .len()
-            .checked_div(self.bucket_slots)
-            .unwrap_or(0)
-    }
-}
-
-/// Extension: entry handles *and* coordinates inline (2 slots per entry:
-/// `[entry, packed (x, y) f32 bits]`). Filtering never touches the base
-/// table. See DESIGN.md §7.
-#[derive(Clone, Debug, Default)]
-pub struct InlineCoordsStore {
-    cells: Vec<u64>,
-    buckets: Vec<u64>,
-    bucket_slots: usize,
-    bucket_size: u64,
 }
 
 #[inline]
@@ -210,76 +252,10 @@ fn unpack_xy(v: u64) -> (f32, f32) {
     (f32::from_bits((v >> 32) as u32), f32::from_bits(v as u32))
 }
 
-impl InlineCoordsStore {
-    pub fn reset(&mut self, ncells: usize, bucket_size: u32, expected_points: usize) {
-        self.bucket_size = bucket_size as u64;
-        self.bucket_slots = HEADER_SLOTS + 2 * bucket_size as usize;
-        self.cells.clear();
-        self.cells.resize(ncells, NULL);
-        self.buckets.clear();
-        self.buckets
-            .reserve_exact(max_buckets(expected_points, bucket_size, ncells) * self.bucket_slots);
-    }
-
-    fn alloc_bucket(&mut self, next: u64) -> u64 {
-        let h = self.buckets.len() as u64;
-        self.buckets.push(next);
-        self.buckets.push(0);
-        self.buckets
-            .resize(self.buckets.len() + 2 * self.bucket_size as usize, 0);
-        h
-    }
-
+/// Extension: entry handles *and* coordinates inline. See DESIGN.md §7.
+impl InlineStore<2> {
     pub fn insert<T: Tracer>(&mut self, cell: usize, entry: EntryId, x: f32, y: f32, tr: &mut T) {
-        tr.read(
-            addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
-            addr::INLINE_CELL_BYTES as u32,
-        );
-        let head = self.cells[cell];
-        let bucket = if head == NULL || self.buckets[head as usize + BKT_LEN] == self.bucket_size {
-            let b = self.alloc_bucket(head);
-            self.cells[cell] = b;
-            tr.write(
-                addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
-                addr::INLINE_CELL_BYTES as u32,
-            );
-            b
-        } else {
-            head
-        };
-        let bbase = bucket as usize;
-        let len = self.buckets[bbase + BKT_LEN] as usize;
-        self.buckets[bbase + HEADER_SLOTS + 2 * len] = entry as u64;
-        self.buckets[bbase + HEADER_SLOTS + 2 * len + 1] = pack_xy(x, y);
-        self.buckets[bbase + BKT_LEN] = len as u64 + 1;
-        tr.write(
-            addr::BUCKET_BASE + (bucket + (HEADER_SLOTS + 2 * len) as u64) * 8,
-            16,
-        );
-        tr.instr(10);
-    }
-
-    pub fn report_all<T: Tracer, F: FnMut(EntryId) + ?Sized>(
-        &self,
-        cell: usize,
-        emit: &mut F,
-        tr: &mut T,
-    ) {
-        tr.read(
-            addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
-            addr::INLINE_CELL_BYTES as u32,
-        );
-        let mut b = self.cells[cell];
-        while b != NULL {
-            let bbase = b as usize;
-            let len = self.buckets[bbase + BKT_LEN] as usize;
-            tr.read(addr::BUCKET_BASE + b * 8, (16 + len * 16) as u32);
-            for slot in 0..len {
-                emit(entry_id_u64(self.buckets[bbase + HEADER_SLOTS + 2 * slot]));
-            }
-            tr.instr(2 * len as u64 + 3);
-            b = self.buckets[bbase + BKT_NEXT];
-        }
+        self.push(cell, [u64::from(entry), pack_xy(x, y)], tr);
     }
 
     /// Filter using the *inlined* coordinates — no base-table access.
@@ -290,36 +266,16 @@ impl InlineCoordsStore {
         emit: &mut F,
         tr: &mut T,
     ) {
-        tr.read(
-            addr::DIR_BASE + cell as u64 * addr::INLINE_CELL_BYTES,
-            addr::INLINE_CELL_BYTES as u32,
-        );
-        let mut b = self.cells[cell];
-        while b != NULL {
-            let bbase = b as usize;
-            let len = self.buckets[bbase + BKT_LEN] as usize;
-            tr.read(addr::BUCKET_BASE + b * 8, (16 + len * 16) as u32);
-            for slot in 0..len {
-                let (x, y) = unpack_xy(self.buckets[bbase + HEADER_SLOTS + 2 * slot + 1]);
+        self.each_bucket(cell, tr, |slots, tr| {
+            let (entries, _) = slots.as_chunks::<2>();
+            for &[entry, xy] in entries {
+                let (x, y) = unpack_xy(xy);
                 if region.contains_point(x, y) {
-                    emit(entry_id_u64(self.buckets[bbase + HEADER_SLOTS + 2 * slot]));
+                    emit(entry_id_u64(entry));
                 }
             }
-            tr.instr(5 * len as u64 + 3);
-            b = self.buckets[bbase + BKT_NEXT];
-        }
-    }
-
-    /// Live structure bytes (paper §3.1 arithmetic); the trait-level
-    /// footprint uses [`InlineCoordsStore::allocated_bytes`].
-    pub fn live_bytes(&self) -> usize {
-        (self.cells.len() + self.buckets.len()) * std::mem::size_of::<u64>()
-    }
-
-    /// Bytes the arenas hold resident (allocated capacity — the
-    /// workspace-wide footprint convention).
-    pub fn allocated_bytes(&self) -> usize {
-        (self.cells.capacity() + self.buckets.capacity()) * std::mem::size_of::<u64>()
+            tr.instr(5 * entries.len() as u64 + 3);
+        });
     }
 }
 
@@ -339,7 +295,7 @@ mod tests {
 
     #[test]
     fn insert_then_report_roundtrips() {
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(4, 4, 8);
         for e in 0..6 {
             s.insert(1, e, &mut NullTracer);
@@ -354,7 +310,7 @@ mod tests {
     #[test]
     fn filter_respects_region() {
         let t = table_of(&[(1.0, 1.0), (5.0, 5.0), (9.0, 9.0)]);
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(1, 4, 4);
         for e in 0..3 {
             s.insert(0, e, &mut NullTracer);
@@ -376,7 +332,7 @@ mod tests {
         // Nine entries in bs = 4 buckets: 4 + 4 + 1, in a chain of three.
         let points: Vec<(f32, f32)> = (0..9).map(|i| (i as f32, 1.0)).collect();
         let t = table_of(&points);
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(1, 4, 9);
         for e in 0..9 {
             s.insert(0, e, &mut NullTracer);
@@ -398,7 +354,7 @@ mod tests {
     fn memory_matches_paper_arithmetic() {
         // 100 points, one cell, bs = 4: buckets 25 × (16 + 4×8) B = 1200 B,
         // directory 1 × 8 B. Per point: 8 + 16/4 = 12 B (+ directory).
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(1, 4, 100);
         for e in 0..100 {
             s.insert(0, e, &mut NullTracer);
@@ -411,7 +367,7 @@ mod tests {
     fn report_needs_fewer_touches_than_original_layout() {
         // Same 4 entries as the original-layout test, which needed 6 reads
         // (dir + bucket + 4 nodes); inline needs only dir + bucket.
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(1, 4, 4);
         for e in 0..4 {
             s.insert(0, e, &mut NullTracer);
@@ -425,7 +381,7 @@ mod tests {
 
     #[test]
     fn inline_coords_filter_skips_base_table() {
-        let mut s = InlineCoordsStore::default();
+        let mut s = InlineStore::<2>::default();
         s.reset(1, 4, 4);
         s.insert(0, 0, 1.0, 1.0, &mut NullTracer);
         s.insert(0, 1, 5.0, 5.0, &mut NullTracer);
@@ -445,6 +401,42 @@ mod tests {
     }
 
     #[test]
+    fn remove_fills_the_hole_from_the_head_and_recycles_an_emptied_head() {
+        // Nine entries at bs = 4: a chain of three buckets, head first, the
+        // head holding 8 alone and the middle bucket 4..8.
+        let mut s = InlineStore::<1>::default();
+        s.reset(2, 4, 0);
+        let locs: Vec<_> = (0..9).map(|e| s.insert(0, e, &mut NullTracer)).collect();
+        assert_eq!(s.num_buckets(), 3);
+        let chain = |s: &InlineStore| {
+            let mut out = Vec::new();
+            s.report_all(0, &mut |e| out.push(e), &mut NullTracer);
+            out
+        };
+        assert_eq!(chain(&s), [8, 4, 5, 6, 7, 0, 1, 2, 3]);
+
+        // A hole in the middle bucket takes the head's last entry, 8, which
+        // leaves the head empty: it is unlinked onto the free list.
+        let (bucket, slot) = locs[5];
+        assert_eq!(s.remove(0, bucket, slot), 8);
+        assert_eq!(s.id_at(bucket, slot), 8);
+        assert_eq!(chain(&s), [4, 8, 6, 7, 0, 1, 2, 3]);
+        assert_eq!((s.num_buckets(), s.free_buckets()), (3, 1));
+
+        // The next insert, in another cell, reuses the freed bucket.
+        assert_eq!(s.insert(1, 9, &mut NullTracer), locs[8]);
+        assert_eq!((s.num_buckets(), s.free_buckets()), (3, 0));
+        let mut other = Vec::new();
+        s.report_all(1, &mut |e| other.push(e), &mut NullTracer);
+        assert_eq!(other, [9]);
+
+        // Removing the head's own last entry moves nothing.
+        let (bucket, slot) = locs[7];
+        assert_eq!(s.remove(0, bucket, slot), 7);
+        assert_eq!(chain(&s), [4, 8, 6, 0, 1, 2, 3]);
+    }
+
+    #[test]
     fn pack_unpack_roundtrip() {
         for &(x, y) in &[(0.0f32, 0.0f32), (-1.5, 3.25), (22_000.0, 1e-7)] {
             let (ux, uy) = unpack_xy(pack_xy(x, y));
@@ -454,7 +446,7 @@ mod tests {
 
     #[test]
     fn bucket_overflow_chains() {
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(1, 2, 10);
         for e in 0..7 {
             s.insert(0, e, &mut NullTracer);
@@ -470,7 +462,7 @@ mod tests {
         // A tile fork's rows vary a little tick to tick. Each build fills
         // one cell per row, the worst case for the bound.
         let bound = (4_096 + max_buckets(3_020, 20, 4_096) * (HEADER_SLOTS + 20)) * 8;
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         for rows in [3_000, 3_020, 3_000, 3_020, 3_000] {
             s.reset(4_096, 20, rows);
             for e in 0..rows {
@@ -487,7 +479,7 @@ mod tests {
 
     #[test]
     fn reset_reuses_cleanly() {
-        let mut s = InlineStore::default();
+        let mut s = InlineStore::<1>::default();
         s.reset(2, 4, 4);
         s.insert(0, 42, &mut NullTracer);
         s.reset(2, 4, 4);

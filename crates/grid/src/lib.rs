@@ -13,7 +13,9 @@
 //! The five cumulative improvement [`Stage`]s reproduce Table 2's lower
 //! half and Figure 4. Arenas are flat `u64` pools with slot-index handles,
 //! giving the same hop counts and byte footprints as the C++ originals
-//! without `unsafe` (see DESIGN.md §4).
+//! without `unsafe` (see DESIGN.md §4). Every refactored layout runs on one
+//! bucket arena, [`InlineStore`]: one slot per entry for Figure 3b, two
+//! for the coordinate-inlining extension ([`Layout::InlineCoords`]).
 //!
 //! The paper's Figure 3, in bytes:
 //!
@@ -37,8 +39,10 @@
 //!  per point at bs=4:  24 + 32/4 = 32 B              8 + 16/4 = 12 B
 //! ```
 //!
-//! [`IncrementalGrid`] additionally provides the update-in-place u-Grid
-//! of the paper's reference \[8\] as an extension.
+//! [`IncrementalGrid`] is the update-in-place u-Grid of the paper's
+//! reference \[8\], as an extension: the tuned grid, whose build diffs the
+//! table against the last one into the same arena instead of rebuilding
+//! it, and whose queries are the tuned grid's.
 
 mod addr;
 mod config;
@@ -50,5 +54,5 @@ mod layout_original;
 pub use config::{GridConfig, Layout, QueryAlgo, Stage};
 pub use grid::SimpleGrid;
 pub use incremental::IncrementalGrid;
-pub use layout_inline::{InlineCoordsStore, InlineStore};
+pub use layout_inline::InlineStore;
 pub use layout_original::{OriginalStore, NULL};
