@@ -240,10 +240,8 @@ pub fn gather_range_each<F: FnMut(EntryId) + ?Sized>(
 }
 
 /// Portable width of [`gather_range_each`], and the reference of the
-/// others: a slot above [`EntryId::MAX`] fails the conversion and a slot
-/// past a column fails the slice index, either one panicking. Never
-/// inlined: the AVX2 width calls it only for a bad block, and inlined and
-/// unrolled there it doubled that width's code.
+/// others: a bad slot panics (conversion or slice index). Never inlined:
+/// unrolled into the AVX2 width's bad-block path, it doubled that width.
 #[inline(never)]
 pub fn gather_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; 2],
