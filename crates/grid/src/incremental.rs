@@ -387,6 +387,11 @@ mod tests {
         g.build(&t2);
         g.validate().unwrap();
         assert_eq!(sorted_query(&g, &t2, &Rect::space(SIDE)).len(), 400);
+        // A shorter table than the last build's is indexed from scratch.
+        g.build(&t1);
+        g.validate().unwrap();
+        assert_eq!(g.len(), 300);
+        assert_eq!(sorted_query(&g, &t1, &Rect::space(SIDE)).len(), 300);
     }
 
     #[test]
