@@ -259,6 +259,9 @@ impl InlineStore<2> {
     }
 
     /// Filter using the *inlined* coordinates — no base-table access.
+    /// Never inlined: inlined into `SimpleGrid::visit_cell`, this loop made
+    /// the paper stages' report loop there spill to the stack.
+    #[inline(never)]
     pub fn filter<T: Tracer, F: FnMut(EntryId) + ?Sized>(
         &self,
         cell: usize,
