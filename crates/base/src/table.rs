@@ -7,25 +7,33 @@
 //! the base data directly"). The base table is a structure-of-arrays so a
 //! cache line holds 16 x- or y-coordinates.
 //!
+//! ## One table, two shapes
+//!
+//! [`Columns<N>`] is the base table of both entry shapes: `N` coordinate
+//! columns beside one tombstone mask. Points ([`PointTable`]) are
+//! `Columns<2>` (`x`, `y`), rectangles ([`ExtentTable`]) `Columns<4>`
+//! (`x1`, `y1`, `x2`, `y2`). A row's extent takes its lower corner from
+//! the first two columns and its upper corner from the last two, so a
+//! point is the zero-area rectangle at its coordinates. Handle minting,
+//! tombstones, extents, bounds and the live-row iterator are written once
+//! for every `N` (and reach generic code through [`Table`]); each shape
+//! adds only its row-typed accessors, and [`Shape`] decides what differs
+//! by shape. A relation in motion is one [`Moving`] of either shape: the
+//! table plus per-row velocities and one bouncing movement model, under
+//! which a point moves exactly like a zero-size rectangle.
+//!
 //! ## Churn and tombstones
 //!
 //! Workloads with population churn (objects arriving and departing, as in
-//! the u-Grid line of work) remove rows via [`PointTable::remove`]. Removal
+//! the u-Grid line of work) remove rows via [`Columns::remove`]. Removal
 //! is a **tombstone**: the row's slot — and therefore every surviving
 //! [`EntryId`] — stays exactly where it was; the row is merely marked dead
 //! and its coordinates frozen. Handles are never reused within a run, so a
 //! `(querier, result)` pair checksum is comparable across techniques and
 //! across runs regardless of when removals happen (DESIGN.md §9). Indexes
 //! must skip dead rows when they (re)build, and scan-style techniques must
-//! skip them at query time; [`PointTable::iter`] yields live rows only.
-//!
-//! ## Two shapes, one moving set
-//!
-//! Points ([`PointTable`]) and rectangles ([`ExtentTable`]) share that
-//! contract ([`Table`]) and differ only in what [`Shape`] decides. A
-//! relation in motion is one [`Moving`] of either shape: the table plus
-//! per-row velocities and one bouncing movement model, under which a point
-//! moves exactly like a zero-size rectangle.
+//! skip them at query time; [`Columns::live_ids`] and the shapes' `iter`
+//! yield live rows only.
 
 use std::num::NonZeroUsize;
 
@@ -44,7 +52,7 @@ pub type EntryId = u32;
 /// every other module goes through here (enforced by sj-lint's
 /// `entry-id-cast` rule), so the narrowing lives in one place. It is
 /// checked in debug builds only. That suffices for a row index below a
-/// table's `len()`, because the tables mint every row's handle through
+/// table's `len()`, because the table mints every row's handle through
 /// `mint_entry_id`, which checks in release builds too: no table holds a
 /// row whose index does not fit.
 #[inline]
@@ -56,10 +64,10 @@ pub fn entry_id(index: usize) -> EntryId {
     index as EntryId
 }
 
-/// The handle of a new row at `index`, checked in every build. The
-/// tables call it where a row is born ([`PointTable::push`],
-/// [`ExtentTable::push`]), so a release build refuses row 2³² instead of
-/// wrapping it to id 0 and silently joining the wrong rows.
+/// The handle of a new row at `index`, checked in every build. The one
+/// push of [`Columns`] calls it where a row is born, so a release build
+/// refuses row 2³² instead of wrapping it to id 0 and silently joining the
+/// wrong rows.
 ///
 /// # Panics
 /// Panics if `index` exceeds [`EntryId::MAX`].
@@ -82,83 +90,86 @@ pub fn entry_id_u64(slot: u64) -> EntryId {
     slot as EntryId
 }
 
-/// The storage contract shared by every base table in the workspace —
-/// point entries ([`PointTable`]) and extent entries ([`ExtentTable`])
-/// alike. One [`EntryId`] scheme, one tombstone discipline:
+/// The storage contract of the base table, for code generic over the
+/// entry shape. [`Columns`] implements it once for every column count,
+/// and each method is the inherent method of the same name, documented
+/// there. Both shapes thus keep one [`EntryId`] scheme and one tombstone
+/// discipline:
 ///
 /// - rows are append-only and **never compact or reuse slots** — a
 ///   surviving handle resolves to the same row forever;
 /// - removal is a tombstone ([`Table::remove`]): the row is marked dead,
 ///   its geometry frozen in place, and indexes/scans must skip it
-///   ([`Table::live_mask`]);
+///   ([`Table::live_mask`], [`Table::live_ids`]);
 /// - [`Table::clear`] is reserved for per-tick scratch tables (tile
 ///   replicas) that are repopulated from scratch — a driver-owned base
 ///   table is never cleared.
 ///
 /// The driver's tick actions, the tiled executors' replica handling, and
-/// the checksum comparability argument (DESIGN.md §9) all depend only on
-/// this contract, which is why they apply uniformly to both entry shapes.
+/// the checksum comparability argument (DESIGN.md §9) depend only on this
+/// contract; [`Shape`] adds what differs by shape.
 pub trait Table {
-    /// Total number of row slots, dead rows included — the exclusive
-    /// upper bound of valid [`EntryId`]s.
+    fn with_capacity(n: usize) -> Self
+    where
+        Self: Sized;
     fn len(&self) -> usize;
-
-    /// Number of live rows (`len()` minus tombstones).
+    fn is_empty(&self) -> bool;
     fn live_len(&self) -> usize;
-
-    /// Whether row `id` is live (not tombstoned).
+    fn all_live(&self) -> bool;
     fn is_live(&self, id: EntryId) -> bool;
-
-    /// The raw tombstone mask, indexed by row.
     fn live_mask(&self) -> &[bool];
-
-    /// Tombstone row `id`; returns whether it was live (removing a dead
-    /// row is a no-op). Surviving handles are untouched.
+    fn live_ids(&self) -> impl Iterator<Item = EntryId> + '_;
     fn remove(&mut self, id: EntryId) -> bool;
-
-    /// Drop every row — live and dead — keeping allocated capacity.
     fn clear(&mut self);
-
-    /// Minimum bounding rectangle of all live rows (`None` when empty).
+    fn extent(&self, id: EntryId) -> Rect;
     fn bounds(&self) -> Option<Rect>;
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether no row has ever been removed — the fast path for scans
-    /// that skip per-row liveness checks on churn-free workloads.
-    fn all_live(&self) -> bool {
-        self.live_len() == self.len()
-    }
 }
 
-/// Structure-of-arrays base table of object positions.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct PointTable {
-    xs: Vec<f32>,
-    ys: Vec<f32>,
-    /// Tombstone mask: `live[i]` is false once row `i` was removed. Rows
-    /// are never compacted, so surviving handles stay stable.
+/// Structure-of-arrays base table of `N ≥ 2` coordinate columns: the rows
+/// of both entry shapes ([`PointTable`], [`ExtentTable`]). A row's extent
+/// takes its lower corner from the first two columns and its upper corner
+/// from the last two. Beside the columns sits the tombstone mask:
+/// `live[i]` is false once row `i` was removed; rows are never compacted,
+/// so surviving handles stay stable.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Columns<const N: usize> {
+    cols: [Vec<f32>; N],
     live: Vec<bool>,
     live_len: usize,
 }
 
-impl PointTable {
+/// Points: the columns `x`, `y`.
+pub type PointTable = Columns<2>;
+
+/// Axis-aligned rectangles: the columns `x1`, `y1`, `x2`, `y2`, so an
+/// intersection filter reads them as contiguous lanes exactly like the
+/// point filter reads `x`/`y` (the SIMD overlap kernels in [`crate::simd`]
+/// depend on this layout).
+pub type ExtentTable = Columns<4>;
+
+impl<const N: usize> Default for Columns<N> {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl<const N: usize> Columns<N> {
+    /// An empty table with room for `n` rows.
     pub fn with_capacity(n: usize) -> Self {
-        PointTable {
-            xs: Vec::with_capacity(n),
-            ys: Vec::with_capacity(n),
+        Columns {
+            cols: std::array::from_fn(|_| Vec::with_capacity(n)),
             live: Vec::with_capacity(n),
             live_len: 0,
         }
     }
 
-    /// Append a (live) row and return its handle.
-    pub fn push(&mut self, x: f32, y: f32) -> EntryId {
-        let id = mint_entry_id(self.xs.len());
-        self.xs.push(x);
-        self.ys.push(y);
+    /// Append a live row and return its handle: the one place a handle is
+    /// minted.
+    fn push_cols(&mut self, row: [f32; N]) -> EntryId {
+        let id = mint_entry_id(self.len());
+        for (col, v) in self.cols.iter_mut().zip(row) {
+            col.push(v);
+        }
         self.live.push(true);
         self.live_len += 1;
         id
@@ -169,15 +180,14 @@ impl PointTable {
     /// are repopulated from scratch each build; a driver-owned base table
     /// is never cleared, so the handle-stability guarantee is untouched.
     pub fn clear(&mut self) {
-        self.xs.clear();
-        self.ys.clear();
+        self.cols.iter_mut().for_each(Vec::clear);
         self.live.clear();
         self.live_len = 0;
     }
 
-    /// Tombstone row `id`: mark it dead, freezing its coordinates in
-    /// place. Surviving handles are untouched — no row ever moves.
-    /// Returns whether the row was live (removing a dead row is a no-op).
+    /// Tombstone row `id`: mark it dead, freezing its geometry in place.
+    /// Surviving handles are untouched — no row ever moves. Returns
+    /// whether the row was live (removing a dead row is a no-op).
     pub fn remove(&mut self, id: EntryId) -> bool {
         let slot = &mut self.live[id as usize];
         let was_live = *slot;
@@ -204,36 +214,107 @@ impl PointTable {
     /// want to skip per-row liveness checks on churn-free workloads.
     #[inline]
     pub fn all_live(&self) -> bool {
-        self.live_len == self.xs.len()
+        self.live_len == self.len()
     }
 
-    /// The raw tombstone mask, indexed by row like [`PointTable::xs`].
+    /// The raw tombstone mask, indexed by row like the columns.
     #[inline]
     pub fn live_mask(&self) -> &[bool] {
         &self.live
     }
 
+    /// The **live** rows' ids, in row order (dead rows are tombstones,
+    /// invisible to every index and join).
+    pub fn live_ids(&self) -> impl Iterator<Item = EntryId> + '_ {
+        (self.live.iter().enumerate())
+            .filter(|&(_, &live)| live)
+            .map(|(i, _)| entry_id(i))
+    }
+
     /// Total number of row slots, dead rows included — the exclusive upper
-    /// bound of valid [`EntryId`]s. Use [`PointTable::live_len`] for the
+    /// bound of valid [`EntryId`]s. Use [`Columns::live_len`] for the
     /// population size.
     #[inline]
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.cols[0].len()
     }
 
+    /// Whether the table has no row slots, live or dead.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.cols[0].is_empty()
+    }
+
+    /// Row `id`'s own geometry as a rectangle: the lower corner from the
+    /// first two columns, the upper corner from the last two, so a point
+    /// is the zero-area rectangle at its coordinates.
+    #[inline]
+    pub fn extent(&self, id: EntryId) -> Rect {
+        let (c, i) = (&self.cols, id as usize);
+        Rect::new(c[0][i], c[1][i], c[N - 2][i], c[N - 1][i])
+    }
+
+    /// Minimum bounding rectangle of all live rows (`None` when empty).
+    pub fn bounds(&self) -> Option<Rect> {
+        let mut ids = self.live_ids();
+        let first = self.extent(ids.next()?);
+        Some(ids.fold(first, |r, id| r.union(&self.extent(id))))
+    }
+}
+
+impl<const N: usize> Table for Columns<N> {
+    fn with_capacity(n: usize) -> Self {
+        Columns::with_capacity(n)
+    }
+    fn len(&self) -> usize {
+        Columns::len(self)
+    }
+    fn is_empty(&self) -> bool {
+        Columns::is_empty(self)
+    }
+    fn live_len(&self) -> usize {
+        Columns::live_len(self)
+    }
+    fn all_live(&self) -> bool {
+        Columns::all_live(self)
+    }
+    fn is_live(&self, id: EntryId) -> bool {
+        Columns::is_live(self, id)
+    }
+    fn live_mask(&self) -> &[bool] {
+        Columns::live_mask(self)
+    }
+    fn live_ids(&self) -> impl Iterator<Item = EntryId> + '_ {
+        Columns::live_ids(self)
+    }
+    fn remove(&mut self, id: EntryId) -> bool {
+        Columns::remove(self, id)
+    }
+    fn clear(&mut self) {
+        Columns::clear(self)
+    }
+    fn extent(&self, id: EntryId) -> Rect {
+        Columns::extent(self, id)
+    }
+    fn bounds(&self) -> Option<Rect> {
+        Columns::bounds(self)
+    }
+}
+
+impl PointTable {
+    /// Append a (live) row and return its handle.
+    pub fn push(&mut self, x: f32, y: f32) -> EntryId {
+        self.push_cols([x, y])
     }
 
     #[inline]
     pub fn x(&self, id: EntryId) -> f32 {
-        self.xs[id as usize]
+        self.cols[0][id as usize]
     }
 
     #[inline]
     pub fn y(&self, id: EntryId) -> f32 {
-        self.ys[id as usize]
+        self.cols[1][id as usize]
     }
 
     #[inline]
@@ -243,8 +324,9 @@ impl PointTable {
 
     #[inline]
     pub fn set_position(&mut self, id: EntryId, x: f32, y: f32) {
-        self.xs[id as usize] = x;
-        self.ys[id as usize] = y;
+        let [xs, ys] = &mut self.cols;
+        xs[id as usize] = x;
+        ys[id as usize] = y;
     }
 
     /// Raw coordinate slices — used by indexes that bulk-load (sorting
@@ -252,234 +334,70 @@ impl PointTable {
     /// address touches.
     #[inline]
     pub fn xs(&self) -> &[f32] {
-        &self.xs
+        &self.cols[0]
     }
 
     #[inline]
     pub fn ys(&self) -> &[f32] {
-        &self.ys
+        &self.cols[1]
     }
 
     /// Iterate the **live** rows (dead rows are tombstones, invisible to
     /// every index and join).
     pub fn iter(&self) -> impl Iterator<Item = (EntryId, Point)> + '_ {
-        self.xs
-            .iter()
-            .zip(self.ys.iter())
-            .zip(self.live.iter())
-            .enumerate()
+        let [xs, ys] = &self.cols;
+        (xs.iter().zip(ys).zip(&self.live).enumerate())
             .filter(|(_, (_, &live))| live)
             .map(|(i, ((&x, &y), _))| (entry_id(i), Point::new(x, y)))
     }
-
-    /// Minimum bounding rectangle of all live rows (`None` when empty).
-    pub fn bounds(&self) -> Option<Rect> {
-        let mut it = self.iter();
-        let (_, first) = it.next()?;
-        let mut r = Rect::at_point(first.x, first.y);
-        for (_, p) in it {
-            r.expand_to(p.x, p.y);
-        }
-        Some(r)
-    }
-}
-
-impl Table for PointTable {
-    fn len(&self) -> usize {
-        PointTable::len(self)
-    }
-    fn live_len(&self) -> usize {
-        PointTable::live_len(self)
-    }
-    fn is_live(&self, id: EntryId) -> bool {
-        PointTable::is_live(self, id)
-    }
-    fn live_mask(&self) -> &[bool] {
-        PointTable::live_mask(self)
-    }
-    fn remove(&mut self, id: EntryId) -> bool {
-        PointTable::remove(self, id)
-    }
-    fn clear(&mut self) {
-        PointTable::clear(self)
-    }
-    fn bounds(&self) -> Option<Rect> {
-        PointTable::bounds(self)
-    }
-}
-
-/// Structure-of-arrays base table of axis-aligned rectangle entries — the
-/// extent-shaped sibling of [`PointTable`], with the identical
-/// handle-stability and tombstone contract (see [`Table`]). Four
-/// coordinate columns instead of two, so an intersection filter reads
-/// `x1/x2/y1/y2` as contiguous lanes exactly like the point filter reads
-/// `x/y` (the SIMD overlap kernel in [`crate::simd`] depends on this
-/// layout).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct ExtentTable {
-    x1s: Vec<f32>,
-    y1s: Vec<f32>,
-    x2s: Vec<f32>,
-    y2s: Vec<f32>,
-    /// Tombstone mask, exactly as in [`PointTable`].
-    live: Vec<bool>,
-    live_len: usize,
 }
 
 impl ExtentTable {
-    pub fn with_capacity(n: usize) -> Self {
-        ExtentTable {
-            x1s: Vec::with_capacity(n),
-            y1s: Vec::with_capacity(n),
-            x2s: Vec::with_capacity(n),
-            y2s: Vec::with_capacity(n),
-            live: Vec::with_capacity(n),
-            live_len: 0,
-        }
-    }
-
     /// Append a (live) rectangle row and return its handle.
     pub fn push(&mut self, r: Rect) -> EntryId {
-        let id = mint_entry_id(self.x1s.len());
-        self.x1s.push(r.x1);
-        self.y1s.push(r.y1);
-        self.x2s.push(r.x2);
-        self.y2s.push(r.y2);
-        self.live.push(true);
-        self.live_len += 1;
-        id
-    }
-
-    /// See [`Table::clear`].
-    pub fn clear(&mut self) {
-        self.x1s.clear();
-        self.y1s.clear();
-        self.x2s.clear();
-        self.y2s.clear();
-        self.live.clear();
-        self.live_len = 0;
-    }
-
-    /// See [`Table::remove`].
-    pub fn remove(&mut self, id: EntryId) -> bool {
-        let slot = &mut self.live[id as usize];
-        let was_live = *slot;
-        if was_live {
-            *slot = false;
-            self.live_len -= 1;
-        }
-        was_live
-    }
-
-    #[inline]
-    pub fn is_live(&self, id: EntryId) -> bool {
-        self.live[id as usize]
-    }
-
-    #[inline]
-    pub fn live_len(&self) -> usize {
-        self.live_len
-    }
-
-    #[inline]
-    pub fn all_live(&self) -> bool {
-        self.live_len == self.x1s.len()
-    }
-
-    #[inline]
-    pub fn live_mask(&self) -> &[bool] {
-        &self.live
-    }
-
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.x1s.len()
-    }
-
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.x1s.is_empty()
+        self.push_cols([r.x1, r.y1, r.x2, r.y2])
     }
 
     /// The rectangle of row `id`.
     #[inline]
     pub fn rect(&self, id: EntryId) -> Rect {
-        let i = id as usize;
-        Rect::new(self.x1s[i], self.y1s[i], self.x2s[i], self.y2s[i])
+        self.extent(id)
     }
 
     #[inline]
     pub fn set_rect(&mut self, id: EntryId, r: Rect) {
         let i = id as usize;
-        self.x1s[i] = r.x1;
-        self.y1s[i] = r.y1;
-        self.x2s[i] = r.x2;
-        self.y2s[i] = r.y2;
+        let [x1s, y1s, x2s, y2s] = &mut self.cols;
+        x1s[i] = r.x1;
+        y1s[i] = r.y1;
+        x2s[i] = r.x2;
+        y2s[i] = r.y2;
     }
 
     /// Raw coordinate columns, for bulk loads and the SIMD overlap filter.
     #[inline]
     pub fn x1s(&self) -> &[f32] {
-        &self.x1s
+        &self.cols[0]
     }
 
     #[inline]
     pub fn y1s(&self) -> &[f32] {
-        &self.y1s
+        &self.cols[1]
     }
 
     #[inline]
     pub fn x2s(&self) -> &[f32] {
-        &self.x2s
+        &self.cols[2]
     }
 
     #[inline]
     pub fn y2s(&self) -> &[f32] {
-        &self.y2s
+        &self.cols[3]
     }
 
     /// Iterate the **live** rows.
     pub fn iter(&self) -> impl Iterator<Item = (EntryId, Rect)> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .filter(|&(_, &live)| live)
-            .map(|(i, _)| (entry_id(i), ExtentTable::rect(self, entry_id(i))))
-    }
-
-    /// Minimum bounding rectangle of all live rows (`None` when empty).
-    pub fn bounds(&self) -> Option<Rect> {
-        let mut it = self.iter();
-        let (_, first) = it.next()?;
-        let mut r = first;
-        for (_, e) in it {
-            r = r.union(&e);
-        }
-        Some(r)
-    }
-}
-
-impl Table for ExtentTable {
-    fn len(&self) -> usize {
-        ExtentTable::len(self)
-    }
-    fn live_len(&self) -> usize {
-        ExtentTable::live_len(self)
-    }
-    fn is_live(&self, id: EntryId) -> bool {
-        ExtentTable::is_live(self, id)
-    }
-    fn live_mask(&self) -> &[bool] {
-        ExtentTable::live_mask(self)
-    }
-    fn remove(&mut self, id: EntryId) -> bool {
-        ExtentTable::remove(self, id)
-    }
-    fn clear(&mut self) {
-        ExtentTable::clear(self)
-    }
-    fn bounds(&self) -> Option<Rect> {
-        ExtentTable::bounds(self)
+        self.live_ids().map(|id| (id, self.rect(id)))
     }
 }
 
@@ -491,9 +409,9 @@ impl Table for ExtentTable {
 /// implementations (DESIGN.md §15). It decides:
 ///
 /// - the **query region** of a row ([`Shape::query_region`]);
-/// - the row's **own extent**, which tiling replicates it by and movement
-///   keeps the size of ([`Shape::extent`], [`Shape::size`],
-///   [`Shape::move_to`]);
+/// - the row's **size**, which movement keeps ([`Shape::size`],
+///   [`Shape::move_to`]); its own extent, which tiling replicates it by,
+///   is the table's ([`Table::extent`]);
 /// - whether a tile reports a candidate, by the reference-point rule
 ///   ([`Shape::tile_reports`]);
 /// - the `@tilesauto` tile count ([`Shape::auto_tile_count`]);
@@ -505,18 +423,11 @@ pub trait Shape: Table + Clone + std::fmt::Debug + Default + PartialEq + Sync {
     /// One row's geometry: a [`Point`] or a [`Rect`].
     type Row: Copy + std::fmt::Debug + Default + PartialEq;
 
-    /// An empty table with room for `n` rows.
-    fn with_capacity(n: usize) -> Self;
-
     /// Row `id`'s geometry.
     fn row(&self, id: EntryId) -> Self::Row;
 
     /// Append a live row and return its handle.
     fn push_row(&mut self, row: Self::Row) -> EntryId;
-
-    /// Row `id`'s own geometry as a rectangle: a point is the zero-area
-    /// rectangle at its coordinates.
-    fn extent(&self, id: EntryId) -> Rect;
 
     /// Row `id`'s width and height. A point's are the constant zero, so
     /// the bounce's size-reduced interval folds to the space itself.
@@ -570,10 +481,6 @@ pub trait Shape: Table + Clone + std::fmt::Debug + Default + PartialEq + Sync {
 impl Shape for PointTable {
     type Row = Point;
 
-    fn with_capacity(n: usize) -> Self {
-        PointTable::with_capacity(n)
-    }
-
     #[inline]
     fn row(&self, id: EntryId) -> Point {
         self.point(id)
@@ -582,11 +489,6 @@ impl Shape for PointTable {
     #[inline]
     fn push_row(&mut self, p: Point) -> EntryId {
         self.push(p.x, p.y)
-    }
-
-    #[inline]
-    fn extent(&self, id: EntryId) -> Rect {
-        Rect::at_point(self.x(id), self.y(id))
     }
 
     #[inline]
@@ -654,10 +556,6 @@ impl Shape for PointTable {
 impl Shape for ExtentTable {
     type Row = Rect;
 
-    fn with_capacity(n: usize) -> Self {
-        ExtentTable::with_capacity(n)
-    }
-
     #[inline]
     fn row(&self, id: EntryId) -> Rect {
         self.rect(id)
@@ -666,11 +564,6 @@ impl Shape for ExtentTable {
     #[inline]
     fn push_row(&mut self, r: Rect) -> EntryId {
         self.push(r)
-    }
-
-    #[inline]
-    fn extent(&self, id: EntryId) -> Rect {
-        self.rect(id)
     }
 
     #[inline]
@@ -696,7 +589,7 @@ impl Shape for ExtentTable {
     #[inline]
     fn tile_reports(&self, row: EntryId, region: &Rect, grid: &TileGrid, tile: usize) -> bool {
         let i = row as usize;
-        grid.tile_of(region.x1.max(self.x1s[i]), region.y1.max(self.y1s[i])) == tile
+        grid.tile_of(region.x1.max(self.x1s()[i]), region.y1.max(self.y1s()[i])) == tile
     }
 
     fn auto_tile_count(&self, _space: &Rect, _query_side: f32) -> NonZeroUsize {
@@ -908,41 +801,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_tombstones_without_moving_survivors() {
-        let mut t = PointTable::default();
-        let a = t.push(1.0, 2.0);
-        let b = t.push(3.0, 4.0);
-        let c = t.push(5.0, 6.0);
-        assert!(t.all_live());
-        assert!(t.remove(b));
-        assert!(!t.remove(b), "second removal is a no-op");
-        assert_eq!(t.len(), 3, "slots never compact");
-        assert_eq!(t.live_len(), 2);
-        assert!(!t.all_live());
-        assert!(t.is_live(a) && !t.is_live(b) && t.is_live(c));
-        // Surviving handles resolve to exactly the same rows as before.
-        assert_eq!(t.point(a), Point::new(1.0, 2.0));
-        assert_eq!(t.point(c), Point::new(5.0, 6.0));
-        // The dead row's coordinates are frozen, not poisoned.
-        assert_eq!(t.point(b), Point::new(3.0, 4.0));
-        // Live-only iteration and bounds skip the tombstone.
-        let ids: Vec<EntryId> = t.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![a, c]);
-        assert_eq!(t.bounds(), Some(Rect::new(1.0, 2.0, 5.0, 6.0)));
-    }
-
-    #[test]
-    fn pushes_after_removal_never_reuse_handles() {
-        let mut t = PointTable::default();
-        let a = t.push(1.0, 1.0);
-        t.remove(a);
-        let b = t.push(2.0, 2.0);
-        assert_ne!(a, b);
-        assert_eq!(b, 1);
-        assert_eq!(t.live_len(), 1);
-    }
-
-    #[test]
     fn advance_skips_dead_objects() {
         let mut s = MovingSet::default();
         let a = s.push(Point::new(10.0, 10.0), Vec2::new(1.0, 1.0));
@@ -967,32 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn extent_table_mirrors_the_point_table_contract() {
-        let mut t = ExtentTable::default();
-        let a = t.push(Rect::new(0.0, 0.0, 2.0, 2.0));
-        let b = t.push(Rect::new(5.0, 5.0, 9.0, 8.0));
-        let c = t.push(Rect::new(1.0, 1.0, 3.0, 3.0));
-        assert_eq!(t.len(), 3);
-        assert!(t.all_live());
-        assert_eq!(t.rect(b), Rect::new(5.0, 5.0, 9.0, 8.0));
-        assert!(t.remove(b));
-        assert!(!t.remove(b), "second removal is a no-op");
-        assert_eq!(t.len(), 3, "slots never compact");
-        assert_eq!(t.live_len(), 2);
-        assert!(t.is_live(a) && !t.is_live(b) && t.is_live(c));
-        // The dead row's rectangle is frozen, not poisoned.
-        assert_eq!(t.rect(b), Rect::new(5.0, 5.0, 9.0, 8.0));
-        // Live-only iteration and bounds skip the tombstone.
-        let ids: Vec<EntryId> = t.iter().map(|(id, _)| id).collect();
-        assert_eq!(ids, vec![a, c]);
-        assert_eq!(t.bounds(), Some(Rect::new(0.0, 0.0, 3.0, 3.0)));
-        // Handles are never reused after a removal.
-        let d = t.push(Rect::at_point(7.0, 7.0));
-        assert_eq!(d, 3);
-        assert_eq!(t.live_len(), 3);
-    }
-
-    #[test]
     fn extent_table_set_rect_updates_all_four_columns() {
         let mut t = ExtentTable::default();
         let a = t.push(Rect::new(0.0, 0.0, 1.0, 1.0));
@@ -1004,29 +836,65 @@ mod tests {
         );
     }
 
+    /// The handle and tombstone contract on three rows, the middle one
+    /// removed: `bounds` is the bounding box of the other two, and
+    /// `iter_ids` lists the ids of the shape's own `iter`.
+    fn table_contract<T: Shape>(rows: [T::Row; 3], bounds: Rect, iter_ids: fn(&T) -> Vec<EntryId>) {
+        let mut t = T::default();
+        let [a, b, c] = rows.map(|row| t.push_row(row));
+        assert_eq!([a, b, c], [0, 1, 2]);
+        assert_eq!(t.len(), 3);
+        assert!(t.all_live());
+        assert!(t.remove(b));
+        assert!(!t.remove(b), "second removal is a no-op");
+        assert_eq!(t.len(), 3, "slots never compact");
+        assert_eq!(t.live_len(), 2);
+        assert!(!t.all_live());
+        assert!(t.is_live(a) && !t.is_live(b) && t.is_live(c));
+        assert_eq!(t.live_mask(), [true, false, true]);
+        // Surviving handles resolve to exactly the same rows as before,
+        // and the dead row's geometry is frozen, not poisoned.
+        assert_eq!([a, b, c].map(|id| t.row(id)), rows);
+        // Live-only iteration and bounds skip the tombstone.
+        assert_eq!(t.live_ids().collect::<Vec<_>>(), [a, c]);
+        assert_eq!(iter_ids(&t), [a, c]);
+        assert_eq!(t.bounds(), Some(bounds));
+        // Handles are never reused after a removal.
+        assert_eq!(t.push_row(rows[1]), 3);
+        assert_eq!(t.live_len(), 3);
+        t.clear();
+        assert!(t.is_empty());
+        assert_eq!(t.bounds(), None);
+    }
+
     #[test]
-    fn both_tables_satisfy_the_shared_table_trait() {
-        fn contract<T: Table>(t: &mut T, id: EntryId) {
-            assert_eq!(t.len(), 2);
-            assert!(t.all_live());
-            assert!(t.remove(id));
-            assert_eq!(t.live_len(), 1);
-            assert!(!t.all_live());
-            assert!(!t.is_live(id));
-            assert_eq!(t.live_mask().len(), 2);
-            assert!(t.bounds().is_some());
-            t.clear();
-            assert!(t.is_empty());
-            assert_eq!(t.bounds(), None);
-        }
-        let mut p = PointTable::default();
-        p.push(1.0, 2.0);
-        let id = p.push(3.0, 4.0);
-        contract(&mut p, id);
-        let mut e = ExtentTable::default();
-        e.push(Rect::new(0.0, 0.0, 1.0, 1.0));
-        let id = e.push(Rect::new(2.0, 2.0, 3.0, 3.0));
-        contract(&mut e, id);
+    fn both_shapes_keep_the_table_contract() {
+        let p = Point::new;
+        table_contract::<PointTable>(
+            [p(1.0, 2.0), p(3.0, 4.0), p(5.0, 6.0)],
+            Rect::new(1.0, 2.0, 5.0, 6.0),
+            |t| t.iter().map(|(id, _)| id).collect(),
+        );
+        let r = Rect::new;
+        table_contract::<ExtentTable>(
+            [
+                r(0.0, 0.0, 2.0, 2.0),
+                r(5.0, 5.0, 9.0, 8.0),
+                r(1.0, 1.0, 3.0, 3.0),
+            ],
+            Rect::new(0.0, 0.0, 3.0, 3.0),
+            |t| t.iter().map(|(id, _)| id).collect(),
+        );
+    }
+
+    #[test]
+    fn an_extent_spans_the_first_two_columns_to_the_last_two() {
+        let mut points = PointTable::default();
+        let a = points.push(3.0, 4.0);
+        assert_eq!(points.extent(a), Rect::at_point(3.0, 4.0));
+        let mut rects = ExtentTable::default();
+        let b = rects.push(Rect::new(1.0, 2.0, 5.0, 7.0));
+        assert_eq!(rects.extent(b), Rect::new(1.0, 2.0, 5.0, 7.0));
     }
 
     #[test]

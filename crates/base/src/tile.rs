@@ -10,11 +10,12 @@
 //!
 //! The data space is split into an `nx × ny` grid of `N` tiles
 //! ([`TileGrid`]). Every data row is **replicated** into every tile its
-//! own extent overlaps ([`replicate_by_extent`], [`Shape::extent`]): a
-//! point lives in its home tile only, a rectangle in every tile it
-//! straddles. Queriers fan out instead: each is assigned to every tile its
-//! query region ([`Shape::query_region`]) overlaps. Each tile then joins
-//! its queriers against its local replicas independently. The
+//! own extent overlaps ([`replicate_by_extent`],
+//! [`Table::extent`](crate::table::Table::extent)): a point lives in its
+//! home tile only, a rectangle in every tile it straddles. Queriers fan
+//! out instead: each is assigned to every tile its query region
+//! ([`Shape::query_region`]) overlaps. Each tile then joins its queriers
+//! against its local replicas independently. The
 //! **reference-point rule** makes the union exact: tile `T` emits a
 //! candidate `(q, r)` only if the corner `(max(q.x1, r.x1), max(q.y1,
 //! r.y1))` of the pair's intersection lies in `T`
@@ -42,7 +43,7 @@
 use std::num::NonZeroUsize;
 
 use crate::geom::Rect;
-use crate::table::{entry_id, EntryId, ExtentTable, PointTable, Shape};
+use crate::table::{EntryId, ExtentTable, PointTable, Shape};
 
 /// Factor `tiles` into the most nearly square `nx × ny` grid: `ny` is the
 /// largest divisor not exceeding `√tiles`, so `nx ≥ ny` and `nx·ny ==
@@ -228,7 +229,8 @@ impl<T: Shape> TileReplica<T> {
 }
 
 /// Partition `table`'s **live** rows into per-tile replicas: each row goes
-/// to every tile its own extent ([`Shape::extent`]) overlaps — a point to
+/// to every tile its own extent
+/// ([`Table::extent`](crate::table::Table::extent)) overlaps — a point to
 /// its canonical tile only, a rectangle to every tile it straddles.
 /// `replicas` is resized to the grid and reused across ticks —
 /// steady-state partitioning allocates nothing.
@@ -241,10 +243,7 @@ pub fn replicate_by_extent<T: Shape>(
     for r in replicas.iter_mut() {
         r.clear();
     }
-    let live = table.live_mask();
-    let all_live = table.all_live();
-    for i in (0..table.len()).filter(|&i| all_live || live[i]) {
-        let id = entry_id(i);
+    for id in table.live_ids() {
         let row = table.row(id);
         for t in grid.cover(&table.extent(id)) {
             replicas[t].push(row, id);
@@ -382,6 +381,7 @@ mod tests {
     use super::*;
     use crate::geom::Point;
     use crate::rng::Xoshiro256;
+    use crate::table::entry_id;
 
     fn tiles(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).unwrap()

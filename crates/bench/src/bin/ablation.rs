@@ -50,14 +50,8 @@ fn report(
 fn main() {
     let opts = CommonOpts::parse();
     opts.require_self_join("ablation");
-    if let Some(spec) = opts.technique {
-        // the ablations compare fixed technique pairs; a single-technique override cannot be honored.
-        eprintln!(
-            "--technique {} is not supported by this binary",
-            spec.name()
-        );
-        std::process::exit(2);
-    }
+    // the ablations compare fixed technique pairs; a single-technique override cannot be honored.
+    opts.reject_technique();
     let params = opts.uniform_params();
     let wspec = opts.workload_spec();
     let exec = opts.exec_mode();

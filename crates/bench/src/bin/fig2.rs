@@ -30,11 +30,8 @@ fn main() {
     let opts = CommonOpts::parse();
     opts.require_self_join("fig2");
     let specs = opts.techniques(TechniqueSpec::in_figure2);
-    if let Some(w) = opts.workload {
-        // fig2 sweeps its own workload axes (query rate, hotspots, points).
-        eprintln!("--workload {} is not supported by this binary", w.name());
-        std::process::exit(2);
-    }
+    // fig2 sweeps its own workload axes (query rate, hotspots, points).
+    opts.reject_workload();
 
     let exec = opts.exec_mode();
 

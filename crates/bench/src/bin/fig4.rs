@@ -26,11 +26,8 @@ fn main() {
     let opts = CommonOpts::parse();
     opts.require_self_join("fig4");
     let specs = opts.techniques(|s| s.grid_stage().is_some());
-    if let Some(w) = opts.workload {
-        // fig4 sweeps its own workload axes (query rate, hotspots, points).
-        eprintln!("--workload {} is not supported by this binary", w.name());
-        std::process::exit(2);
-    }
+    // fig4 sweeps its own workload axes (query rate, hotspots, points).
+    opts.reject_workload();
 
     let exec = opts.exec_mode();
 

@@ -18,14 +18,8 @@ use sj_grid::{GridConfig, Layout, QueryAlgo};
 fn main() {
     let opts = CommonOpts::parse();
     opts.require_self_join("fig5");
-    if let Some(spec) = opts.technique {
-        // fig5 sweeps fixed grid configurations; a single-technique override cannot be honored.
-        eprintln!(
-            "--technique {} is not supported by this binary",
-            spec.name()
-        );
-        std::process::exit(2);
-    }
+    // fig5 sweeps fixed grid configurations; a single-technique override cannot be honored.
+    opts.reject_technique();
     let params = opts.uniform_params();
     let wspec = opts.workload_spec();
     let exec = opts.exec_mode();

@@ -20,11 +20,8 @@ use sj_workload::RoadGridWorkload;
 fn main() {
     let opts = CommonOpts::parse();
     opts.require_self_join("simtrends");
-    if let Some(w) = opts.workload {
-        // simtrends exists to test the road-grid workload specifically.
-        eprintln!("--workload {} is not supported by this binary", w.name());
-        std::process::exit(2);
-    }
+    // simtrends exists to test the road-grid workload specifically.
+    opts.reject_workload();
     let params = opts.uniform_params();
     let specs = opts.techniques(TechniqueSpec::is_benchmarkable);
     let exec = opts.exec_mode();

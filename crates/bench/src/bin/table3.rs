@@ -63,19 +63,10 @@ fn profile_stage(stage: Stage, opts: &CommonOpts) -> CacheStats {
 fn main() {
     let opts = CommonOpts::parse();
     opts.require_self_join("table3");
-    if let Some(w) = opts.workload {
-        // table3's traced tick loop is tied to the uniform workload.
-        eprintln!("--workload {} is not supported by this binary", w.name());
-        std::process::exit(2);
-    }
-    if let Some(spec) = opts.technique {
-        // table3 profiles the grid before/after stages; a single-technique override cannot be honored.
-        eprintln!(
-            "--technique {} is not supported by this binary",
-            spec.name()
-        );
-        std::process::exit(2);
-    }
+    // table3's traced tick loop is tied to the uniform workload.
+    opts.reject_workload();
+    // table3 profiles the grid before/after stages; a single-technique override cannot be honored.
+    opts.reject_technique();
     if opts.threads.is_some() {
         // The traced replay feeds one simulated cache hierarchy; a sharded
         // query phase would interleave the access streams meaninglessly.

@@ -295,6 +295,27 @@ impl CommonOpts {
         }
     }
 
+    /// Exit with a usage error when `--technique` was given — for binaries
+    /// whose technique line-up is fixed. Call at the top of `main`.
+    pub fn reject_technique(&self) {
+        if let Some(spec) = self.technique {
+            eprintln!(
+                "--technique {} is not supported by this binary",
+                spec.name()
+            );
+            std::process::exit(2);
+        }
+    }
+
+    /// Exit with a usage error when `--workload` was given — for binaries
+    /// whose workload axis is intrinsic. Call at the top of `main`.
+    pub fn reject_workload(&self) {
+        if let Some(w) = self.workload {
+            eprintln!("--workload {} is not supported by this binary", w.name());
+            std::process::exit(2);
+        }
+    }
+
     /// Exit with a usage error when an intersection `--join` names a
     /// `--technique` outside the predicate's implementors — the run would
     /// otherwise die on the executor's assert. Call at the top of `main`

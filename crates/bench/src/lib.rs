@@ -39,8 +39,7 @@ pub fn run_workload(
 ) -> RunStats {
     params.validate().expect("invalid workload parameters");
     let mut workload = wspec.build(*params);
-    let cfg = DriverConfig::new(params.ticks, warmup_for(params.ticks)).with_exec(exec);
-    technique.run(&mut *workload, cfg)
+    technique.run(&mut *workload, driver_config(params.ticks, exec))
 }
 
 /// Instantiate both specs fresh (so runs stay independent) and drive the
@@ -55,40 +54,17 @@ pub fn run_workload_spec(
     run_workload(wspec, params, &mut spec.build(params.space_side), exec)
 }
 
-/// Drive `technique` through the join shape named by `jspec` (binaries
-/// pass [`cli::CommonOpts::join_spec`]): the self-join over `wspec` for
-/// [`JoinSpec::SelfJoin`], an R ⋈ S run over a bipartite spec's own
-/// relation workloads built from the shared `params`, or — for
+/// Instantiate the technique fresh and drive it through the join shape
+/// named by `jspec` (binaries pass [`cli::CommonOpts::join_spec`]) — the
+/// technique × workload × join harness entry point: the self-join over
+/// `wspec` for [`JoinSpec::SelfJoin`], an R ⋈ S run over a bipartite
+/// spec's own relation workloads built from the shared `params`, or — for
 /// [`JoinSpec::Intersect`] — an intersection join over the spec's extent
 /// workload under the **intersects** predicate (the technique must
 /// implement it; the CLI layer filters on
 /// [`TechniqueSpec::supports_intersects`]). For the non-self shapes the
 /// workloads come from the join spec and `wspec` is unused; the CLI layer
 /// rejects the combination.
-pub fn run_joined(
-    jspec: JoinSpec,
-    wspec: WorkloadSpec,
-    params: &WorkloadParams,
-    technique: &mut Technique,
-    exec: ExecMode,
-) -> RunStats {
-    if let Some(mut extents) = jspec.build_extents(*params) {
-        params.validate().expect("invalid workload parameters");
-        let cfg = DriverConfig::new(params.ticks, warmup_for(params.ticks)).with_exec(exec);
-        return technique.run_intersect(&mut *extents, cfg);
-    }
-    match jspec.build_pair(*params) {
-        None => run_workload(wspec, params, technique, exec),
-        Some((mut r, mut s)) => {
-            params.validate().expect("invalid workload parameters");
-            let cfg = DriverConfig::new(params.ticks, warmup_for(params.ticks)).with_exec(exec);
-            technique.run_bipartite(&mut *r, &mut *s, cfg)
-        }
-    }
-}
-
-/// Instantiate the technique fresh and drive it through the join shape —
-/// the technique × workload × join harness entry point.
 pub fn run_joined_spec(
     jspec: JoinSpec,
     wspec: WorkloadSpec,
@@ -96,13 +72,18 @@ pub fn run_joined_spec(
     spec: TechniqueSpec,
     exec: ExecMode,
 ) -> RunStats {
-    run_joined(
-        jspec,
-        wspec,
-        params,
-        &mut spec.build(params.space_side),
-        exec,
-    )
+    let mut technique = spec.build(params.space_side);
+    if let Some(mut extents) = jspec.build_extents(*params) {
+        params.validate().expect("invalid workload parameters");
+        return technique.run_intersect(&mut *extents, driver_config(params.ticks, exec));
+    }
+    match jspec.build_pair(*params) {
+        None => run_workload(wspec, params, &mut technique, exec),
+        Some((mut r, mut s)) => {
+            params.validate().expect("invalid workload parameters");
+            technique.run_bipartite(&mut *r, &mut *s, driver_config(params.ticks, exec))
+        }
+    }
 }
 
 /// Build the two relations of an R ⋈ S join at explicit populations and
@@ -129,38 +110,23 @@ pub fn run_asymmetric_cell(
     };
     let mut r = r_spec.build(r_params);
     let mut s = s_spec.build(s_params);
-    let cfg = DriverConfig::new(params.ticks, warmup_for(params.ticks)).with_exec(exec);
     tech.build(params.space_side)
-        .run_bipartite(&mut *r, &mut *s, cfg)
-}
-
-/// [`run_workload`] over the Table 1 uniform workload.
-pub fn run_uniform(params: &WorkloadParams, technique: &mut Technique, exec: ExecMode) -> RunStats {
-    run_workload(WorkloadKind::Uniform.spec(), params, technique, exec)
+        .run_bipartite(&mut *r, &mut *s, driver_config(params.ticks, exec))
 }
 
 /// Instantiate `spec` fresh (so runs stay independent) and drive it
-/// through the uniform workload.
+/// through the Table 1 uniform workload (see [`run_workload`] for the
+/// `exec` semantics).
 pub fn run_uniform_spec(params: &WorkloadParams, spec: TechniqueSpec, exec: ExecMode) -> RunStats {
-    run_uniform(params, &mut spec.build(params.space_side), exec)
-}
-
-/// Drive `technique` through the Gaussian workload (see [`run_uniform`]
-/// for the `exec` semantics).
-pub fn run_gaussian(
-    params: &GaussianParams,
-    technique: &mut Technique,
-    exec: ExecMode,
-) -> RunStats {
-    params.validate().expect("invalid workload parameters");
-    let mut workload = GaussianWorkload::new(*params);
-    let cfg = DriverConfig::new(params.base.ticks, warmup_for(params.base.ticks)).with_exec(exec);
-    technique.run(&mut workload, cfg)
+    run_workload_spec(WorkloadKind::Uniform.spec(), params, spec, exec)
 }
 
 /// Instantiate `spec` fresh and drive it through the Gaussian workload.
 pub fn run_gaussian_spec(params: &GaussianParams, spec: TechniqueSpec, exec: ExecMode) -> RunStats {
-    run_gaussian(params, &mut spec.build(params.base.space_side), exec)
+    let mut technique = spec.build(params.base.space_side);
+    params.validate().expect("invalid workload parameters");
+    let mut workload = GaussianWorkload::new(*params);
+    technique.run(&mut workload, driver_config(params.base.ticks, exec))
 }
 
 /// A [`Technique`] around a Simple Grid with an explicit configuration —
@@ -176,6 +142,12 @@ pub fn grid_custom(cfg: GridConfig, space_side: f32) -> Technique {
 /// harness numbers discard cold-start effects identically.
 pub fn warmup_for(ticks: u32) -> u32 {
     (ticks / 10).clamp(1, 5)
+}
+
+/// The runners' driver configuration: `ticks` measured ticks after
+/// [`warmup_for`]`(ticks)` warmup ticks, the query phase under `exec`.
+fn driver_config(ticks: u32, exec: ExecMode) -> DriverConfig {
+    DriverConfig::new(ticks, warmup_for(ticks)).with_exec(exec)
 }
 
 #[cfg(test)]
@@ -244,7 +216,7 @@ mod tests {
 
     #[test]
     fn harness_runners_honor_the_exec_mode() {
-        // The CLI-level --threads plumbing funnels into run_uniform's exec
+        // The CLI-level --threads plumbing funnels into run_workload's exec
         // argument; the parallel run must agree with the sequential one.
         let params = quick_params();
         let spec = TechniqueKind::Grid(sj_grid::Stage::CpsTuned).spec();
@@ -359,7 +331,8 @@ mod tests {
             bucket_size: 7,
             ..GridConfig::tuned()
         };
-        let r = run_uniform(&params, &mut grid_custom(cfg, params.space_side), SEQ);
+        let mut grid = grid_custom(cfg, params.space_side);
+        let r = run_workload(WorkloadKind::Uniform.spec(), &params, &mut grid, SEQ);
         assert_eq!(r.checksum, reference.checksum);
     }
 }

@@ -347,8 +347,7 @@ impl SpatialIndex for SimpleGrid {
 
     fn build_extents(&mut self, table: &ExtentTable) {
         let [x1s, y1s, x2s, y2s] = [table.x1s(), table.y1s(), table.x2s(), table.y2s()];
-        let (live, all_live) = (table.live_mask(), table.all_live());
-        let rows = || (0..x1s.len()).filter(|&i| all_live || live[i]);
+        let rows = || table.live_ids().map(|id| id as usize);
         let mut ext = std::mem::take(&mut self.ext);
         let cell = |i: usize| self.cell_of(x1s[i], y1s[i]);
         let (mut max_w, mut max_h) = (0.0f32, 0.0f32);

@@ -181,7 +181,7 @@ pub struct Trace<T: Shape = PointTable> {
 /// Order-independent checksum of `set`'s live rows, bit for bit.
 fn final_checksum<T: Shape>(set: &Moving<T>) -> u64 {
     let mut sum = 0u64;
-    for id in (0..set.len()).map(entry_id).filter(|&id| set.is_live(id)) {
+    for id in set.table.live_ids() {
         let r = set.table.extent(id);
         for (x, y) in [(r.x1, r.y1), (r.x2, r.y2)] {
             sum = sum.wrapping_add(mix64(((x.to_bits() as u64) << 32) | y.to_bits() as u64));

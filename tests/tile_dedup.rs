@@ -22,7 +22,7 @@ use spatial_joins::core::driver::fold_pair;
 use spatial_joins::core::par::{
     tiled_batch_join, tiled_index_build, tiled_index_query, TileBatchPool, TileIndexPool, Tiling,
 };
-use spatial_joins::core::table::{entry_id, Shape};
+use spatial_joins::core::table::Shape;
 use spatial_joins::core::tile::{replicate_by_extent, TileGrid, TileReplica, MINI_JOIN_CHUNK};
 use spatial_joins::prelude::*;
 
@@ -38,18 +38,14 @@ fn grid(tiles: usize) -> TileGrid {
     TileGrid::new(&space(), NonZeroUsize::new(tiles).unwrap())
 }
 
-fn live_ids<T: Shape>(t: &T) -> impl Iterator<Item = EntryId> + '_ {
-    (0..t.len()).map(entry_id).filter(|&id| t.is_live(id))
-}
-
 /// Ground truth: every `(querier, match)` pair of the self-join, one
 /// entry each, in sorted order.
 fn sequential_pairs<T: Shape>(t: &T, query_side: f32) -> Vec<(EntryId, EntryId)> {
     let mut out = Vec::new();
-    for a in live_ids(t) {
+    for a in t.live_ids() {
         let region = t.query_region(a, query_side, &space());
         out.extend(
-            live_ids(t)
+            t.live_ids()
                 .filter(|&b| t.extent(b).intersects(&region))
                 .map(|b| (a, b)),
         );
@@ -73,11 +69,11 @@ fn tiled_pairs<T: Shape>(
     let mut replicas: Vec<TileReplica<T>> = Vec::new();
     replicate_by_extent(t, &grid, &mut replicas);
     let mut out = Vec::new();
-    for a in live_ids(t) {
+    for a in t.live_ids() {
         let region = t.query_region(a, query_side, &space());
         for tid in grid.cover(&region) {
             let r = &replicas[tid];
-            for local in live_ids(&r.table) {
+            for local in r.table.live_ids() {
                 if r.table.extent(local).intersects(&region)
                     && (!dedup || r.table.tile_reports(local, &region, &grid, tid))
                 {
