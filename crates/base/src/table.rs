@@ -836,7 +836,8 @@ mod tests {
         );
     }
 
-    /// The handle and tombstone contract on three rows, the middle one
+    /// The handle and tombstone contract both shapes keep, run by each
+    /// shape's own test on three rows, the middle one
     /// removed: `bounds` is the bounding box of the other two, and
     /// `iter_ids` lists the ids of the shape's own `iter`.
     fn table_contract<T: Shape>(rows: [T::Row; 3], bounds: Rect, iter_ids: fn(&T) -> Vec<EntryId>) {
@@ -868,13 +869,17 @@ mod tests {
     }
 
     #[test]
-    fn both_shapes_keep_the_table_contract() {
+    fn remove_tombstones_without_moving_survivors() {
         let p = Point::new;
         table_contract::<PointTable>(
             [p(1.0, 2.0), p(3.0, 4.0), p(5.0, 6.0)],
             Rect::new(1.0, 2.0, 5.0, 6.0),
             |t| t.iter().map(|(id, _)| id).collect(),
         );
+    }
+
+    #[test]
+    fn extent_table_mirrors_the_point_table_contract() {
         let r = Rect::new;
         table_contract::<ExtentTable>(
             [
@@ -885,6 +890,47 @@ mod tests {
             Rect::new(0.0, 0.0, 3.0, 3.0),
             |t| t.iter().map(|(id, _)| id).collect(),
         );
+    }
+
+    #[test]
+    fn pushes_after_removal_never_reuse_handles() {
+        // Removing the only row frees slot 0; the next push still mints 1.
+        fn contract<T: Shape>(row: T::Row) {
+            let mut t = T::default();
+            let a = t.push_row(row);
+            t.remove(a);
+            let b = t.push_row(row);
+            assert_ne!(a, b);
+            assert_eq!(b, 1);
+            assert_eq!(t.live_len(), 1);
+        }
+        contract::<PointTable>(Point::new(1.0, 1.0));
+        contract::<ExtentTable>(Rect::new(1.0, 1.0, 2.0, 2.0));
+    }
+
+    #[test]
+    fn both_tables_satisfy_the_shared_table_trait() {
+        fn contract<T: Table>(t: &mut T, id: EntryId) {
+            assert_eq!(t.len(), 2);
+            assert!(t.all_live());
+            assert!(t.remove(id));
+            assert_eq!(t.live_len(), 1);
+            assert!(!t.all_live());
+            assert!(!t.is_live(id));
+            assert_eq!(t.live_mask().len(), 2);
+            assert!(t.bounds().is_some());
+            t.clear();
+            assert!(t.is_empty());
+            assert_eq!(t.bounds(), None);
+        }
+        let mut p = PointTable::default();
+        p.push(1.0, 2.0);
+        let id = p.push(3.0, 4.0);
+        contract(&mut p, id);
+        let mut e = ExtentTable::default();
+        e.push(Rect::new(0.0, 0.0, 1.0, 1.0));
+        let id = e.push(Rect::new(2.0, 2.0, 3.0, 3.0));
+        contract(&mut e, id);
     }
 
     #[test]
