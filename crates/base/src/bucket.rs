@@ -33,6 +33,9 @@ impl BucketSort {
             self.start[b] += self.start[b - 1];
         }
         let len = self.start[buckets + 1];
+        // Exactly: `resize` alone would double the column the first time a
+        // fill outgrows every earlier one by a few ids.
+        self.ids.reserve_exact(len.saturating_sub(self.ids.len()));
         self.ids.resize(len, 0);
         len
     }
