@@ -46,6 +46,7 @@ use std::num::NonZeroUsize;
 use std::time::{Duration, Instant};
 
 use crate::batch::BatchJoin;
+use crate::bucket::BucketSort;
 use crate::geom::{Point, Rect, Vec2};
 use crate::index::SpatialIndex;
 use crate::par::{self, ExecMode};
@@ -543,6 +544,9 @@ where
 struct IndexExecutor<'a, I: SpatialIndex + Sync + ?Sized, T> {
     index: &'a mut I,
     tiles: par::TileIndexPool<T>,
+    /// The sharded phase's space order of the queriers, kept across ticks
+    /// so steady-state ticks sort into the room earlier ones left.
+    order: BucketSort,
 }
 
 impl<'a, I: SpatialIndex + Sync + ?Sized, T: Shape> IndexExecutor<'a, I, T> {
@@ -550,6 +554,7 @@ impl<'a, I: SpatialIndex + Sync + ?Sized, T: Shape> IndexExecutor<'a, I, T> {
         IndexExecutor {
             index,
             tiles: par::TileIndexPool::default(),
+            order: BucketSort::default(),
         }
     }
 }
@@ -589,6 +594,7 @@ impl<I: SpatialIndex + Sync + ?Sized, T: Shape> TickExecutor<T> for IndexExecuto
                 tick.space,
                 tick.query_side,
                 shards(exec),
+                &mut self.order,
             ),
         }
     }

@@ -15,8 +15,10 @@
 //! shard, so there is no separate sequential query loop:
 //!
 //! - [`shard_index_query`] — the per-query category: the tick's querier
-//!   list is split into `threads` contiguous chunks, each worker probes the
-//!   shared (immutable) index for its chunk;
+//!   list is counting-sorted into space order (by the cell of each query
+//!   region's centre on a 64 × 64 lattice), that order is split into
+//!   `threads` contiguous chunks, and each worker probes the shared
+//!   (immutable) index for its chunk;
 //! - [`shard_batch_join`] — the set-at-a-time category: the tick's query
 //!   set is split into strips, each worker runs a full join over its strip
 //!   on a private fork of the technique ([`BatchJoin::fork`]).
@@ -77,6 +79,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::batch::BatchJoin;
+use crate::bucket::BucketSort;
 use crate::driver::{fold_pair, TileLoad};
 use crate::geom::Rect;
 use crate::index::SpatialIndex;
@@ -403,21 +406,34 @@ fn drain_mini_joins<S: Send>(
     delta
 }
 
-/// The per-query category's parallel query phase: shard `queriers` into
-/// contiguous chunks, probe the shared `index` from each worker, and merge
-/// the per-worker partials. Returns `(pairs, checksum)` — the checksum is
-/// a delta starting from 0, to be `wrapping_add`ed onto the running total
-/// (equivalent to folding every pair into that total directly, because the
-/// fold is a commutative wrapping sum).
+/// The lattice [`shard_index_query`] orders each tick's queriers by:
+/// 64 × 64 cells over the space.
+const PROBE_ORDER_CELLS: NonZeroUsize = NonZeroUsize::new(64 * 64).expect("4,096 is not zero");
+
+/// The per-query category's query phase: put `queriers` in space order,
+/// shard that order into contiguous chunks, probe the shared `index` from
+/// each worker, and merge the per-worker partials. Returns `(pairs,
+/// checksum)` — the checksum is a delta starting from 0, to be
+/// `wrapping_add`ed onto the running total (equivalent to folding every
+/// pair into that total directly, because the fold is a commutative
+/// wrapping sum).
 ///
 /// `data` is the table the index was built over; `centers` is the table
 /// query regions come from. For a self-join they are the same table;
 /// for a bipartite R ⋈ S join (`run_bipartite_join`), `centers` is the
 /// query relation R and `data` the indexed data relation S.
 ///
+/// Space order: `order` counting-sorts the queriers by the cell of their
+/// query region's centre on a fixed 64 × 64 lattice over `space`
+/// ([`TileGrid::tile_of`] clamps any coordinate into it), so consecutive
+/// probes touch nearby index cells and table rows rather than the rows'
+/// random positions. The fold does not depend on the order, and callers
+/// keep `order` across calls, so a steady-state call allocates nothing.
+///
 /// Each worker computes its own query regions, exactly like the sequential
-/// per-query executor: issuing a query, region arithmetic included, is part
-/// of that category's per-query cost.
+/// per-query executor: issuing a query, region arithmetic and ordering
+/// included, is part of that category's per-query cost.
+#[allow(clippy::too_many_arguments)] // the probe geometry plus the reused order buffer
 pub fn shard_index_query<I: SpatialIndex + Sync + ?Sized, T: Shape>(
     index: &I,
     data: &T,
@@ -426,7 +442,18 @@ pub fn shard_index_query<I: SpatialIndex + Sync + ?Sized, T: Shape>(
     space: &Rect,
     query_side: f32,
     threads: NonZeroUsize,
+    order: &mut BucketSort,
 ) -> (u64, u64) {
+    let lattice = TileGrid::new(space, PROBE_ORDER_CELLS);
+    let cell = |q: EntryId| {
+        let r = centers.query_region(q, query_side, space);
+        lattice.tile_of(0.5 * (r.x1 + r.x2), 0.5 * (r.y1 + r.y2))
+    };
+    order.count(lattice.tiles(), queriers.iter().map(|&q| cell(q)));
+    for &q in queriers {
+        order.place(cell(q), q);
+    }
+    let queriers = order.ids();
     let chunk = chunk_size(queriers.len(), threads);
     fork_join(queriers.chunks(chunk), |shard| {
         let mut pairs = 0u64;
@@ -600,7 +627,9 @@ pub fn tiled_index_build<I: SpatialIndex + ?Sized, T: Shape>(
 /// see [`crate::tile`] for the exactness proof; a point always passes).
 /// Emitted rows are translated back to global handles through the replica
 /// map, so the folded `(pairs, checksum)` delta is bit-identical to the
-/// sequential fold regardless of which worker ran which chunk.
+/// sequential fold regardless of which worker ran which chunk. Unlike
+/// [`shard_index_query`], the queriers keep their planned order: each
+/// tile's replica is already local to its queriers (DESIGN.md §8).
 pub fn tiled_index_query<T: Shape>(
     pool: &mut TileIndexPool<T>,
     centers: &T,
@@ -818,6 +847,68 @@ mod tests {
         (pairs, checksum)
     }
 
+    /// The side of one cell of the ordering lattice over `SIDE`.
+    const CELL: f32 = SIDE / 64.0;
+
+    /// Whether one bucket of `order` holds all `n` ids it was last given.
+    fn one_bucket_holds(order: &BucketSort, n: usize) -> bool {
+        (0..PROBE_ORDER_CELLS.get()).any(|b| order.slots(b..=b).len() == n)
+    }
+
+    /// Point inputs the space-order key must survive, as `(case, table,
+    /// queriers, space, query_side)`.
+    fn point_order_cases() -> Vec<(&'static str, PointTable, Vec<EntryId>, Rect, f32)> {
+        let space = Rect::space(SIDE);
+        // Rows on every edge of the lattice, the space's own edges included.
+        let mut edges = random_table(200, 31);
+        let first = edges.len() as EntryId;
+        for i in 0..=64 {
+            let e = i as f32 * CELL;
+            edges.push(e, e);
+            edges.push(e, SIDE - e);
+        }
+        let on_edges = (first..edges.len() as EntryId).collect();
+        // Corner rows, whose regions reach furthest past the space.
+        let mut table = random_table(300, 33);
+        for (x, y) in [(0.0, 0.0), (SIDE, 0.0), (0.0, SIDE), (SIDE, SIDE)] {
+            table.push(x, y);
+        }
+        let all: Vec<EntryId> = (0..table.len() as EntryId).collect();
+        // In a zero-width space every region clips to the origin, whose key
+        // divides 0 by 0; half the rows sit there.
+        let mut origin = PointTable::default();
+        for i in 0..60 {
+            let d = (i % 2) as f32 * i as f32;
+            origin.push(d, 0.5 * d);
+        }
+        vec![
+            ("lattice edges", edges, on_edges, space, 120.0),
+            (
+                "regions past the space",
+                table.clone(),
+                all,
+                space,
+                0.6 * SIDE,
+            ),
+            (
+                "zero-width space",
+                origin,
+                (0..60).collect(),
+                Rect::space(0.0),
+                120.0,
+            ),
+            (
+                "repeated querier",
+                table.clone(),
+                vec![7, 7, 302, 7, 302],
+                space,
+                120.0,
+            ),
+            ("no querier", table.clone(), Vec::new(), space, 120.0),
+            ("one querier", table, vec![301], space, 120.0),
+        ]
+    }
+
     #[test]
     fn sharded_index_query_matches_sequential_for_any_thread_count() {
         let table = random_table(500, 9);
@@ -825,9 +916,40 @@ mod tests {
         let space = Rect::space(SIDE);
         let expect = sequential_reference(&table, &queriers, &space, 120.0);
         let idx = ScanIndex::new();
+        // One order buffer for every call: reuse must not leak state.
+        let mut order = BucketSort::default();
         for n in [1, 2, 3, 7, 16, 1000] {
-            let got = shard_index_query(&idx, &table, &table, &queriers, &space, 120.0, threads(n));
+            let got = shard_index_query(
+                &idx,
+                &table,
+                &table,
+                &queriers,
+                &space,
+                120.0,
+                threads(n),
+                &mut order,
+            );
             assert_eq!(got, expect, "threads = {n}");
+        }
+        for (case, table, queriers, space, side) in point_order_cases() {
+            let expect = sequential_reference(&table, &queriers, &space, side);
+            for n in [1, 2, 3, 7] {
+                let got = shard_index_query(
+                    &idx,
+                    &table,
+                    &table,
+                    &queriers,
+                    &space,
+                    side,
+                    threads(n),
+                    &mut order,
+                );
+                assert_eq!(got, expect, "{case}, threads = {n}");
+            }
+            if case == "zero-width space" {
+                assert!(expect.0 > 0, "the origin rows must meet");
+                assert!(one_bucket_holds(&order, queriers.len()));
+            }
         }
     }
 
@@ -863,7 +985,16 @@ mod tests {
         let space = Rect::space(SIDE);
         let idx = ScanIndex::new();
         assert_eq!(
-            shard_index_query(&idx, &table, &table, &[], &space, 50.0, threads(4)),
+            shard_index_query(
+                &idx,
+                &table,
+                &table,
+                &[],
+                &space,
+                50.0,
+                threads(4),
+                &mut BucketSort::default()
+            ),
             (0, 0)
         );
         assert_eq!(
@@ -1134,10 +1265,91 @@ mod tests {
         assert!(expect.0 > 0, "the fixture must produce intersections");
         let space = Rect::space(SIDE);
         let idx = ScanIndex::new();
+        let mut order = BucketSort::default();
         for n in [1, 2, 3, 7, 64] {
-            let got = shard_index_query(&idx, &table, &table, &queriers, &space, 0.0, threads(n));
+            let got = shard_index_query(
+                &idx,
+                &table,
+                &table,
+                &queriers,
+                &space,
+                0.0,
+                threads(n),
+                &mut order,
+            );
             assert_eq!(got, expect, "threads = {n}");
         }
+        for (case, table, queriers, space) in extent_order_cases() {
+            let expect = sequential_extent_reference(&table, &queriers);
+            for n in [1, 2, 3, 7] {
+                let got = shard_index_query(
+                    &idx,
+                    &table,
+                    &table,
+                    &queriers,
+                    &space,
+                    0.0,
+                    threads(n),
+                    &mut order,
+                );
+                assert_eq!(got, expect, "{case}, threads = {n}");
+            }
+            if case == "zero-width space" {
+                assert!(one_bucket_holds(&order, queriers.len()));
+            }
+        }
+    }
+
+    /// Rectangle inputs the space-order key must survive, as `(case,
+    /// table, queriers, space)`. A rectangle's query region is its own
+    /// extent, unclipped, so its centre can lie anywhere.
+    fn extent_order_cases() -> Vec<(&'static str, ExtentTable, Vec<EntryId>, Rect)> {
+        let space = Rect::space(SIDE);
+        // Centres on every lattice vertex and every lattice edge line.
+        let mut edges = random_extents(200, 37);
+        for i in 0..=64 {
+            let e = i as f32 * CELL;
+            edges.push(Rect::new(e - CELL, e - CELL, e + CELL, e + CELL));
+            edges.push(Rect::new(e, 0.0, e, SIDE));
+            edges.push(Rect::new(0.0, e, SIDE, e));
+        }
+        let edge_rows = (0..edges.len() as EntryId).collect();
+        // Regions past the space on every side, around it, far beyond it,
+        // and with centres at -inf and +inf (their corner sums overflow).
+        let mut past = random_extents(300, 41);
+        for r in [
+            Rect::new(-200.0, -200.0, -100.0, -50.0),
+            Rect::new(900.0, 950.0, 1_300.0, 1_400.0),
+            Rect::new(-100.0, 400.0, 50.0, 600.0),
+            Rect::new(-500.0, -500.0, 1_500.0, 1_500.0),
+            Rect::new(0.5 * SIDE, 0.5 * SIDE, f32::MAX, f32::MAX),
+            Rect::new(f32::MAX, f32::MAX, f32::MAX, f32::MAX),
+            Rect::new(-f32::MAX, -f32::MAX, -f32::MAX, -f32::MAX),
+        ] {
+            past.push(r);
+        }
+        let past_rows = (0..past.len() as EntryId).collect();
+        let table = random_extents(300, 43);
+        vec![
+            ("lattice edges", edges, edge_rows, space),
+            ("regions past the space", past, past_rows, space),
+            // Every centre lies right of and above a zero-width space, so
+            // every key divides a positive offset by 0 into the last cell.
+            (
+                "zero-width space",
+                table.clone(),
+                (0..300).collect(),
+                Rect::space(0.0),
+            ),
+            (
+                "repeated querier",
+                table.clone(),
+                vec![5, 5, 299, 5, 299],
+                space,
+            ),
+            ("no querier", table.clone(), Vec::new(), space),
+            ("one querier", table, vec![150], space),
+        ]
     }
 
     #[test]
@@ -1288,7 +1500,16 @@ mod tests {
         let space = Rect::space(SIDE);
         let idx = ScanIndex::new();
         assert_eq!(
-            shard_index_query(&idx, &table, &table, &[], &space, 0.0, threads(4)),
+            shard_index_query(
+                &idx,
+                &table,
+                &table,
+                &[],
+                &space,
+                0.0,
+                threads(4),
+                &mut BucketSort::default()
+            ),
             (0, 0)
         );
         assert_eq!(

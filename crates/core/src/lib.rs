@@ -80,7 +80,7 @@
 //! `out: &mut Vec<(EntryId, EntryId)>`: `out.push((q, r))` becomes
 //! `emit(q, r)`.
 
-pub use sj_base::{batch, driver, geom, index, par, rng, simd, stats, table, tile, trace};
+pub use sj_base::{batch, bucket, driver, geom, index, par, rng, simd, stats, table, tile, trace};
 
 pub mod technique;
 

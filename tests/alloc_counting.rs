@@ -8,15 +8,19 @@
 //! scratch state and its sink. This binary installs a counting global
 //! allocator (test-binary scoped — integration tests each get their own
 //! binary) and asserts that, after one warm-up pass, a full query batch
-//! over every registry index, and a repeated join of every batch
-//! technique, performs **zero** allocations on the querying thread.
+//! over every registry index, a repeated join of every batch technique,
+//! and a repeated one-shard probe loop over its reused order buffer,
+//! performs **zero** allocations on the querying thread.
 //!
 //! The counter is thread-local, so concurrently running tests in this
 //! binary cannot pollute each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::num::NonZeroUsize;
 
+use spatial_joins::core::bucket::BucketSort;
+use spatial_joins::core::par::shard_index_query;
 use spatial_joins::prelude::*;
 
 struct CountingAlloc;
@@ -282,6 +286,49 @@ fn batch_joins_perform_zero_allocations_for_every_technique() {
     });
     assert_steady_state_allocates_nothing("Naive Nested Loop", || {
         fold_batch(|emit| NaiveBatchJoin.join(&t, &queries, emit))
+    });
+}
+
+/// The index category's probe loop orders each tick's queriers in space
+/// before it probes. One shard runs on the calling thread, so a second
+/// call over the same order buffer must sort into the room the first
+/// left and allocate nothing, for points and for rectangles.
+#[test]
+fn space_ordered_probe_loop_allocates_nothing_over_a_reused_order_buffer() {
+    let space = Rect::space(SIDE);
+    let points = populated_table(3_000, 42);
+    let mut rects = ExtentTable::default();
+    for r in query_batch(3_000, 11) {
+        rects.push(r);
+    }
+    let queriers: Vec<EntryId> = (0..3_000).step_by(2).collect();
+    let mut grid = SimpleGrid::tuned(SIDE);
+    let mut order = BucketSort::default();
+    grid.build(&points);
+    assert_steady_state_allocates_nothing("Space-ordered probes, points", || {
+        shard_index_query(
+            &grid,
+            &points,
+            &points,
+            &queriers,
+            &space,
+            20.0,
+            NonZeroUsize::MIN,
+            &mut order,
+        )
+    });
+    grid.build_extents(&rects);
+    assert_steady_state_allocates_nothing("Space-ordered probes, rectangles", || {
+        shard_index_query(
+            &grid,
+            &rects,
+            &rects,
+            &queriers,
+            &space,
+            0.0,
+            NonZeroUsize::MIN,
+            &mut order,
+        )
     });
 }
 
