@@ -7,7 +7,9 @@
 //! vs full scale) are skipped with a note; `--schema-only` skips only the
 //! wall-clock diff (what CI's bench-smoke job uses, since wall-clock does
 //! not transfer across machines) — a checksum drift between comparable
-//! cells still fails the run.
+//! cells still fails the run. Both modes print how many joins they
+//! checked (`checked N joins …`), so a pin that matched no cell shows as
+//! `checked 0 joins`.
 //!
 //! Exit codes: 0 clean, 1 regression/drift/missing cells, 2 usage or
 //! parse error (including the `null` a writer emits for a non-finite
@@ -79,8 +81,9 @@ fn main() {
             Finding::Incomparable { .. } | Finding::BelowNoiseFloor { .. } => skipped += 1,
         }
     }
+    println!("checked {} joins (checksum and pair count)", report.checked);
     println!(
-        "compared {} cells ({} skipped: different scale or below noise floor, {} new), \
+        "compared {} cells' timings ({} skipped: different scale or below noise floor, {} new), \
          baseline {} mode vs current {} mode{}",
         report.compared,
         skipped,

@@ -217,6 +217,9 @@ pub enum Finding {
 #[derive(Clone, Debug, Default)]
 pub struct Report {
     pub findings: Vec<Finding>,
+    /// Cells whose join checksum and pair count were compared (comparable
+    /// cells, drifted ones included), in both modes.
+    pub checked: usize,
     /// Cells whose timings were actually ratio-tested.
     pub compared: usize,
     /// Cells only in the current run (new coverage; informational).
@@ -272,6 +275,7 @@ pub fn compare(
         }
         // Identical pinned parameters ⇒ the join is deterministic ⇒ the
         // checksum and pair count must match bit for bit.
+        report.checked += 1;
         if base.checksum != cur.checksum || base.pairs != cur.pairs {
             report.findings.push(Finding::ChecksumDrift {
                 id: base.id.clone(),
@@ -421,6 +425,7 @@ mod tests {
         }
         let report = compare(&base, &quick, DEFAULT_THRESHOLD, false);
         assert!(report.passed(), "{:?}", report.findings);
+        assert_eq!(report.checked, 0, "no join is comparable at another scale");
         assert_eq!(report.compared, 0);
         assert!(report
             .findings
@@ -434,6 +439,8 @@ mod tests {
         let slow = load(&synthetic_doc(10.0, 0)).unwrap();
         let report = compare(&base, &slow, DEFAULT_THRESHOLD, true);
         assert!(report.passed(), "{:?}", report.findings);
+        assert_eq!(report.checked, base.cells.len(), "every join was checked");
+        assert_eq!(report.compared, 0, "no timing was");
         let mut shrunk = slow.clone();
         shrunk.cells.clear();
         let report = compare(&base, &shrunk, DEFAULT_THRESHOLD, true);
