@@ -431,8 +431,9 @@ const PROBE_ORDER_CELLS: NonZeroUsize = NonZeroUsize::new(64 * 64).expect("4,096
 /// keep `order` across calls, so a steady-state call allocates nothing.
 ///
 /// Each worker computes its own query regions, exactly like the sequential
-/// per-query executor: issuing a query, region arithmetic and ordering
-/// included, is part of that category's per-query cost.
+/// per-query executor: issuing a query, region arithmetic included, is part
+/// of that category's per-query cost, and so is the ordering, which runs on
+/// the calling thread before the shards start.
 #[allow(clippy::too_many_arguments)] // the probe geometry plus the reused order buffer
 pub fn shard_index_query<I: SpatialIndex + Sync + ?Sized, T: Shape>(
     index: &I,
