@@ -9,8 +9,9 @@ use crate::table::EntryId;
 /// place pass. Bucket `b` is `ids()[slots(b..=b)]`, its ids in the order
 /// they were placed, and consecutive buckets are one slice. The Simple
 /// Grid's extent path keys rows by the cell of their reference corner;
-/// `twolayer` keys replicas by cell and class and writes its coordinate
-/// columns at the slots [`BucketSort::place`] returns.
+/// `twolayer` keys rectangle replicas by cell and class, points by home
+/// cell and query positions by cell, and writes its coordinate columns at
+/// the slots [`BucketSort::place`] returns.
 #[derive(Debug, Clone, Default)]
 pub struct BucketSort {
     /// `start[b + 1]` is bucket `b`'s next free slot while placing, and

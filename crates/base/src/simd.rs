@@ -9,10 +9,11 @@
 //! The kernels and their users:
 //!
 //! - [`filter_range_each`], points in a region, row `i` of the columns
-//!   standing for `ids[i]`: `VecSearchJoin` in `sj-binsearch` and the
-//!   quadtree's leaves;
+//!   standing for `ids[i]`: `VecSearchJoin` in `sj-binsearch`, the
+//!   quadtree's leaves, and `twolayer`'s point cells, one call per query
+//!   in a cell;
 //! - [`filter_overlap_each`], rectangles over contiguous columns the same
-//!   way: `twolayer`'s buckets, one call per query replica;
+//!   way: `twolayer`'s rectangle buckets, one call per query replica;
 //! - [`gather_overlap_each`], rectangles read through a slice of row
 //!   ids: the Simple Grid's extent path, one call per cell row;
 //! - [`gather_range_each`], points read through a slice of `u64` entry
@@ -516,9 +517,9 @@ fn only(hits: __m256, live: __m256i) -> __m256 {
 /// its hit ids go through the packed buffer. The tail of 1–7 rows is one
 /// more block, read by masked loads that touch no row past the end and
 /// with its dead lanes masked off the hits. It runs in this loop rather
-/// than as a call of the scalar width: `twolayer` calls its kernel once
-/// per query replica over buckets of ~64 rows, so every call's fixed cost
-/// shows in `churn`'s queries a second.
+/// than as a call of the scalar width: `twolayer` calls a contiguous
+/// kernel once per query in a cell of ~64 rows, so every call's fixed
+/// cost shows in `churn`'s queries a second.
 ///
 /// # Panics
 /// Panics if a column's length differs from `ids.len()`.

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use sj_core::geom::Rect;
 use sj_core::rng::Xoshiro256;
-use sj_core::simd::{filter_overlap_each, gather_overlap_each, gather_range_each};
+use sj_core::simd::{filter_range_each, gather_overlap_each, gather_range_each};
 use sj_core::table::{entry_id, EntryId};
 use sj_core::trace::Tracer;
 use sj_kdtrie::{encode, sort_by_code};
@@ -124,25 +124,26 @@ fn time_calls(
 }
 
 /// The dispatched kernels at the call shapes of the benchmark's
-/// workloads: a `churn` query replica over a `twolayer` data bucket of
-/// 64 rows at ~12% hits, a `uniform` inline bucket of 12 slots at ~30%,
-/// and a `rects` cell row of 34 ids at ~19%, the last two gathered from
-/// tables of 50,000 rows.
+/// workloads: a `churn` query over a `twolayer` point cell of 64 rows at
+/// ~12% hits, a `uniform` inline bucket of 12 slots at ~30%, and a
+/// `rects` cell row of 34 ids at ~19%, the last two gathered from tables
+/// of 50,000 rows.
 fn bench_simd_kernels(c: &mut Criterion) {
     let mut rng = Xoshiro256::seeded(4);
     let mut group = c.benchmark_group("simd_kernels");
 
-    // A mini-join probes one data bucket with each replica of a query
-    // bucket: 16 calls a bucket, which stays in L1 between them.
-    let buckets = random_rects(&mut rng, ROUNDS * CALLS / 16 * 64);
+    // A mini-join probes one cell's points with each query in the cell:
+    // 16 calls a cell, whose columns stay in L1 between them. Points are
+    // the lower-left corners of random rectangles.
+    let cells = random_rects(&mut rng, ROUNDS * CALLS / 16 * 64);
     let ids: Vec<EntryId> = (0..ROUNDS * CALLS / 16 * 64)
         .map(|_| rng.next_u32())
         .collect();
-    let regions = random_regions(&mut rng, 325.0);
-    time_calls(&mut group, "filter_overlap_each", 64, |k, emit| {
+    let regions = random_regions(&mut rng, 346.0);
+    time_calls(&mut group, "filter_range_each", 64, |k, emit| {
         let rows = k / 16 * 64..(k / 16 + 1) * 64;
-        let cols = buckets.each_ref().map(|c| &c[rows.clone()]);
-        filter_overlap_each(cols, &ids[rows], black_box(&regions[k]), emit);
+        let cols = [&cells[0][rows.clone()], &cells[1][rows.clone()]];
+        filter_range_each(cols, &ids[rows], black_box(&regions[k]), emit);
     });
 
     // Points: the lower-left corners of random rectangles.

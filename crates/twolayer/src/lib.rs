@@ -52,20 +52,26 @@
 //!
 //! ## Both predicates
 //!
-//! The same machinery answers the paper framework's *within-range* point
-//! joins: a point is a degenerate zero-area rectangle (`x1 = x2`,
-//! `y1 = y2`) whose cover is a single cell, so every data point is class
-//! A and only the `*A` mini-joins fire. Closed-rectangle tie semantics
-//! are bit-identical to the scalar point-in-rect test, so the registry's
-//! cross-technique agreement over point workloads holds unchanged.
+//! Points skip the classes, which exist only for data copied into
+//! several cells. [`BatchJoin::join`] counting-sorts the live points by
+//! their one *home cell* ([`TileGrid::tile_of`]) into two columns, `x`
+//! and `y`, and each query's position in the query slice into every cell
+//! of its cover ([`TileGrid::cover`]). Each cell then runs the SIMD range
+//! kernel ([`sj_base::simd::filter_range_each`]) over its points once per
+//! query position in its bucket. A point lies in one cell, and since the
+//! axis mapping is monotone, `cover(q)` holds `tile_of(p)` for every `p`
+//! in `q`: each pair is emitted exactly once. The closed range test is
+//! the zero-area rectangle's overlap test bit for bit (ordered compares,
+//! false on NaN), so point workloads agree with every other technique.
 
+use std::iter;
 use std::num::NonZeroUsize;
 
 use sj_base::batch::BatchJoin;
 use sj_base::bucket::BucketSort;
 use sj_base::geom::Rect;
-use sj_base::simd::filter_overlap_each;
-use sj_base::table::{EntryId, ExtentTable, PointTable};
+use sj_base::simd::{filter_overlap_each, filter_range_each};
+use sj_base::table::{entry_id, EntryId, ExtentTable, PointTable};
 use sj_base::tile::TileGrid;
 
 /// The nine executed `(query class, data class)` mini-joins, as class
@@ -79,68 +85,75 @@ fn pairings() -> impl Iterator<Item = (usize, usize)> {
 }
 
 /// Auto cell sizing: aim for this many data rows per cell (eight AVX2
-/// blocks a kernel call). On `churn` (2-core Xeon VM, medians of 3
-/// rounds on the kernel that emits hits without branching on them), 32
-/// rows ran 8.5% fewer queries a second than 64 for 8.7% more heap, and
-/// 128 rows 3.5% fewer (faster in 1 of 3 rounds) for 5.7% less heap.
-/// When each hit still cost a branch, 32 rows had run ~7% faster and 128
-/// ~9% slower: with less fixed cost per call, small cells no longer win
-/// back their extra rectangle replicas. Correctness is independent of the
-/// choice (any monotone grid yields the same exactly-once output).
+/// blocks a kernel call). On `churn`'s point partition (2-core Xeon VM,
+/// medians of 3 rounds), 32 rows ran 1.3% more queries a second than 64,
+/// within the noise, for 1.9% more heap, and 128 rows 4.3% fewer for 1.1%
+/// less heap. When `churn` still ran the rectangle partition, 32 rows ran
+/// 8.5% fewer and 128 rows 3.5% fewer (~7% more and ~9% fewer while each
+/// hit cost a branch). Correctness is independent of the choice (any
+/// monotone grid yields the same exactly-once output).
 const AUTO_TARGET_PER_CELL: usize = 64;
 /// Auto cell sizing: never more than this many cells per axis (4096 in
 /// all) — beyond it the per-cell bookkeeping outweighs the shrinking
 /// mini-joins.
 const AUTO_MAX_SIDE: usize = 64;
 
-/// One side's replicas in one flat structure-of-arrays buffer set: the
-/// ids counting-sorted by bucket `cell * 4 + class` ([`BucketSort`]),
-/// with the `x1`, `y1`, `x2`, `y2` columns written at the same slots.
-/// The buffers are reused across joins, so a join that needs no more
-/// room than an earlier one allocates nothing, whatever its grid.
-#[derive(Debug, Clone, Default)]
-struct Buckets {
+/// One side's rows in one flat structure-of-arrays buffer set: the ids
+/// counting-sorted into buckets ([`BucketSort`]), with `N` coordinate
+/// columns written at the same slots. Rectangles keep `x1, y1, x2, y2`
+/// by `cell * 4 + class`, points `x, y` by home cell, and query positions
+/// none. The buffers are reused across joins and grow exactly, so a join
+/// that needs no more room than an earlier one allocates nothing,
+/// whatever its grid.
+#[derive(Debug, Clone)]
+struct Buckets<const N: usize> {
     sort: BucketSort,
-    x1: Vec<f32>,
-    y1: Vec<f32>,
-    x2: Vec<f32>,
-    y2: Vec<f32>,
+    cols: [Vec<f32>; N],
 }
 
-impl Buckets {
-    /// Replicate every row of `rows()` into each cell of its cover,
-    /// classified by corner ownership relative to its home cell (the cell
-    /// of its lower-left corner): one pass counts each bucket, a second
-    /// places the replicas.
-    fn fill<I: Iterator<Item = (EntryId, Rect)>>(&mut self, grid: &TileGrid, rows: impl Fn() -> I) {
-        let nx = grid.nx();
-        let buckets_of = |rect: &Rect| {
-            let home = grid.tile_of(rect.x1, rect.y1);
-            let (hx, hy) = (home % nx, home / nx);
-            // The class bits of `pairings`.
-            let class = move |t: usize| (((t / nx > hy) as usize) << 1) | ((t % nx > hx) as usize);
-            grid.cover(rect).map(move |t| t * 4 + class(t))
-        };
-        let keys = rows().flat_map(|(_, rect)| buckets_of(&rect));
-        let len = self.sort.count(grid.tiles() * 4, keys);
-        for col in [&mut self.x1, &mut self.y1, &mut self.x2, &mut self.y2] {
+impl<const N: usize> Default for Buckets<N> {
+    fn default() -> Self {
+        Buckets {
+            sort: BucketSort::default(),
+            cols: std::array::from_fn(|_| Vec::new()),
+        }
+    }
+}
+
+impl<const N: usize> Buckets<N> {
+    /// Put every row of `rows()` into each of its `keys` among `buckets`
+    /// buckets, with its `coords`: one pass counts each bucket, a second
+    /// places the rows.
+    fn fill<R: Copy, I: Iterator<Item = (EntryId, R)>, K: Iterator<Item = usize>>(
+        &mut self,
+        buckets: usize,
+        rows: impl Fn() -> I,
+        keys: impl Fn(R) -> K,
+        coords: impl Fn(R) -> [f32; N],
+    ) {
+        let len = self
+            .sort
+            .count(buckets, rows().flat_map(|(_, row)| keys(row)));
+        for col in &mut self.cols {
+            // Exactly: `resize` alone would double the column the first
+            // time a fill outgrows every earlier one by a few rows.
+            col.reserve_exact(len.saturating_sub(col.len()));
             col.resize(len, 0.0);
         }
-        for (id, rect) in rows() {
-            for b in buckets_of(&rect) {
-                let i = self.sort.place(b, id);
-                self.x1[i] = rect.x1;
-                self.y1[i] = rect.y1;
-                self.x2[i] = rect.x2;
-                self.y2[i] = rect.y2;
+        for (id, row) in rows() {
+            for b in keys(row) {
+                let slot = self.sort.place(b, id);
+                for (col, v) in self.cols.iter_mut().zip(coords(row)) {
+                    col[slot] = v;
+                }
             }
         }
     }
 
-    /// Bucket `b`'s ids and its `[x1, y1, x2, y2]` columns.
-    fn bucket(&self, b: usize) -> (&[EntryId], [&[f32]; 4]) {
+    /// Bucket `b`'s ids and its coordinate columns.
+    fn bucket(&self, b: usize) -> (&[EntryId], [&[f32]; N]) {
         let rows = self.sort.slots(b..=b);
-        let cols = [&self.x1, &self.y1, &self.x2, &self.y2].map(|c| &c[rows.clone()]);
+        let cols = std::array::from_fn(|c| &self.cols[c][rows.clone()]);
         (&self.sort.ids()[rows], cols)
     }
 }
@@ -170,10 +183,14 @@ impl Buckets {
 pub struct TwoLayerJoin {
     /// Fixed cell count, or `None` for the auto rule.
     cells: Option<NonZeroUsize>,
-    /// Query-side (R) replicas.
-    r: Buckets,
-    /// Data-side (S) replicas — points become degenerate rects.
-    s: Buckets,
+    /// Query-side (R) rectangle replicas.
+    r: Buckets<4>,
+    /// Data-side (S) rectangle replicas.
+    s: Buckets<4>,
+    /// The point join's query positions, by cell of their cover.
+    queries: Buckets<0>,
+    /// The point join's live points, by home cell.
+    points: Buckets<2>,
 }
 
 impl TwoLayerJoin {
@@ -200,49 +217,23 @@ impl TwoLayerJoin {
         }
     }
 
-    /// Partition `data()` (`data_rows` rows) and `queries` over a cell
-    /// grid and execute the nine mini-joins per cell. Every intersecting
-    /// `(querier, data row)` pair is emitted exactly once, so no pair
-    /// needs to be kept, checked or deduplicated after `emit`.
-    fn join_rows<I: Iterator<Item = (EntryId, Rect)>>(
-        &mut self,
-        data: impl Fn() -> I,
+    /// The cell grid over the union of the data's `rects` and the query
+    /// regions, sized for `data_rows` data rows; `None` when there is
+    /// nothing to join.
+    fn grid(
+        &self,
+        rects: impl Iterator<Item = Rect>,
         data_rows: usize,
         queries: &[(EntryId, Rect)],
-        emit: &mut dyn FnMut(EntryId, EntryId),
-    ) {
+    ) -> Option<TileGrid> {
         if data_rows == 0 || queries.is_empty() {
-            return;
+            return None;
         }
-        let rects = data().chain(queries.iter().copied()).map(|(_, r)| r);
-        let Some(bounds) = union_bounds(rects) else {
-            return;
-        };
-        let grid = match self.cells {
+        let bounds = union_bounds(rects.chain(queries.iter().map(|&(_, r)| r)))?;
+        Some(match self.cells {
             Some(n) => TileGrid::new(&bounds, n),
             None => auto_grid(&bounds, data_rows),
-        };
-        self.s.fill(&grid, data);
-        self.r.fill(&grid, || queries.iter().copied());
-
-        for cell in 0..grid.tiles() {
-            for (rc, sc) in pairings() {
-                let (ids, cols) = self.s.bucket(cell * 4 + sc);
-                if ids.is_empty() {
-                    continue;
-                }
-                let (qs, [qx1, qy1, qx2, qy2]) = self.r.bucket(cell * 4 + rc);
-                for (i, &q) in qs.iter().enumerate() {
-                    let region = Rect {
-                        x1: qx1[i],
-                        y1: qy1[i],
-                        x2: qx2[i],
-                        y2: qy2[i],
-                    };
-                    filter_overlap_each(cols, ids, &region, &mut |s| emit(q, s));
-                }
-            }
-        }
+        })
     }
 }
 
@@ -280,35 +271,91 @@ impl BatchJoin for TwoLayerJoin {
         "Two-Layer Partitioning"
     }
 
-    /// Within-range point join: data points become degenerate zero-area
-    /// rectangles (always class A in their single home cell), then the
-    /// same nine-combo machinery runs. Tie semantics are identical to
-    /// the scalar point-in-rect test.
+    /// Within-range point join on the point partition (see crate docs):
+    /// the live points by home cell, the query positions by the cells of
+    /// their cover, one range-kernel call per query in a cell.
     fn join(
         &mut self,
         table: &PointTable,
         queries: &[(EntryId, Rect)],
         emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
-        let points = || {
-            table
-                .iter()
-                .map(|(id, p)| (id, Rect::new(p.x, p.y, p.x, p.y)))
+        let points = table.iter().map(|(_, p)| Rect::new(p.x, p.y, p.x, p.y));
+        let Some(grid) = self.grid(points, table.live_len(), queries) else {
+            return;
         };
-        self.join_rows(points, table.live_len(), queries, emit);
+        self.points.fill(
+            grid.tiles(),
+            || table.iter(),
+            |p| iter::once(grid.tile_of(p.x, p.y)),
+            |p| [p.x, p.y],
+        );
+        let positions = || (0..).map(entry_id).zip(queries.iter().map(|&(_, r)| r));
+        self.queries
+            .fill(grid.tiles(), positions, |r| grid.cover(&r), |_| []);
+
+        for cell in 0..grid.tiles() {
+            let (ids, cols) = self.points.bucket(cell);
+            if ids.is_empty() {
+                continue;
+            }
+            for &at in self.queries.bucket(cell).0 {
+                let (q, region) = queries[at as usize];
+                filter_range_each(cols, ids, &region, &mut |s| emit(q, s));
+            }
+        }
     }
 
     fn supports_intersect(&self) -> bool {
         true
     }
 
+    /// Partition `data` and `queries` over a cell grid and execute the
+    /// nine mini-joins per cell. Every intersecting `(querier, data row)`
+    /// pair is emitted exactly once, so no pair needs to be kept, checked
+    /// or deduplicated after `emit`.
     fn join_extents(
         &mut self,
         data: &ExtentTable,
         queries: &[(EntryId, Rect)],
         emit: &mut dyn FnMut(EntryId, EntryId),
     ) {
-        self.join_rows(|| data.iter(), data.live_len(), queries, emit);
+        let Some(grid) = self.grid(data.iter().map(|(_, r)| r), data.live_len(), queries) else {
+            return;
+        };
+        let nx = grid.nx();
+        // Each cell of a rectangle's cover, with the class bits of
+        // `pairings` relative to its home cell.
+        let buckets_of = |rect: Rect| {
+            let home = grid.tile_of(rect.x1, rect.y1);
+            let (hx, hy) = (home % nx, home / nx);
+            let class = move |t: usize| (((t / nx > hy) as usize) << 1) | ((t % nx > hx) as usize);
+            grid.cover(&rect).map(move |t| t * 4 + class(t))
+        };
+        let coords = |r: Rect| [r.x1, r.y1, r.x2, r.y2];
+        let buckets = grid.tiles() * 4;
+        self.s.fill(buckets, || data.iter(), buckets_of, coords);
+        self.r
+            .fill(buckets, || queries.iter().copied(), buckets_of, coords);
+
+        for cell in 0..grid.tiles() {
+            for (rc, sc) in pairings() {
+                let (ids, cols) = self.s.bucket(cell * 4 + sc);
+                if ids.is_empty() {
+                    continue;
+                }
+                let (qs, [qx1, qy1, qx2, qy2]) = self.r.bucket(cell * 4 + rc);
+                for (i, &q) in qs.iter().enumerate() {
+                    let region = Rect {
+                        x1: qx1[i],
+                        y1: qy1[i],
+                        x2: qx2[i],
+                        y2: qy2[i],
+                    };
+                    filter_overlap_each(cols, ids, &region, &mut |s| emit(q, s));
+                }
+            }
+        }
     }
 
     fn fork(&self) -> Box<dyn BatchJoin + Send> {
@@ -396,18 +443,73 @@ mod tests {
         t
     }
 
+    /// Point inputs for the grid sweep, each with its query batch. Random
+    /// points and points on multiples of 125 (the space corners
+    /// included), every 7th row tombstoned, under queries with corners on
+    /// that lattice, every third of zero area; over the random points,
+    /// every third query also reaches 300 past the data's bounds. And all
+    /// points at one position under zero-area queries there, so the
+    /// bounds have zero width.
+    fn point_inputs() -> Vec<(PointTable, Vec<(EntryId, Rect)>)> {
+        let mut rng = Xoshiro256::seeded(37);
+        let mut random = PointTable::default();
+        let mut lattice = PointTable::default();
+        lattice.push(0.0, 0.0);
+        lattice.push(SIDE, SIDE);
+        for _ in 0..300 {
+            random.push(rng.range_f32(0.0, SIDE), rng.range_f32(0.0, SIDE));
+            let (x, y) = (rng.range_usize(9), rng.range_usize(9));
+            lattice.push(125.0 * x as f32, 125.0 * y as f32);
+        }
+        for i in (3..300u32).step_by(7) {
+            random.remove(i);
+            lattice.remove(i);
+        }
+        let mut at = |steps: usize| 125.0 * rng.range_usize(steps) as f32;
+        let on_lattice: Vec<(EntryId, Rect)> = (0..90u32)
+            .map(|i| {
+                let (x, y) = (at(9), at(9));
+                let (w, h) = if i % 3 == 0 {
+                    (0.0, 0.0)
+                } else {
+                    (at(4), at(4))
+                };
+                (i, Rect::new(x, y, (x + w).min(SIDE), (y + h).min(SIDE)))
+            })
+            .collect();
+        let reaching = on_lattice.iter().map(|&(i, r)| {
+            let d = if i % 3 == 2 { 300.0 } else { 0.0 };
+            (i, Rect::new(r.x1 - d, r.y1 - d, r.x2 + d, r.y2 + d))
+        });
+        let mut coincident = PointTable::default();
+        for _ in 0..40 {
+            coincident.push(375.0, 625.0);
+        }
+        coincident.remove(5);
+        let here = (0..6).map(|i| (i, Rect::new(375.0, 625.0, 375.0, 625.0)));
+        vec![
+            (random, reaching.collect()),
+            (lattice, on_lattice),
+            (coincident, here.collect()),
+        ]
+    }
+
     #[test]
     fn exactly_once_holds_across_cell_granularities() {
-        for t in [random_extents(250, 23), lattice_extents()] {
-            let qs = self_join_queries(&t);
-            let expected = brute_force(&t, &qs);
-            assert!(expected.len() > qs.len(), "input too sparse to pin");
+        let grids = || {
             let fixed = [1usize, 2, 3, 7, 16, 64, 311].map(|n| {
                 let join = TwoLayerJoin::with_cells(NonZeroUsize::new(n).unwrap());
                 (format!("{n} cells"), join)
             });
-            let auto = ("auto grid".to_string(), TwoLayerJoin::new());
-            for (grid, mut join) in fixed.into_iter().chain([auto]) {
+            fixed
+                .into_iter()
+                .chain([("auto grid".to_string(), TwoLayerJoin::new())])
+        };
+        for t in [random_extents(250, 23), lattice_extents()] {
+            let qs = self_join_queries(&t);
+            let expected = brute_force(&t, &qs);
+            assert!(expected.len() > qs.len(), "input too sparse to pin");
+            for (grid, mut join) in grids() {
                 let mut raw = Vec::new();
                 join.join_extents(&t, &qs, &mut |q, r| raw.push((q, r)));
                 assert_eq!(raw.len(), expected.len(), "{grid}");
@@ -415,6 +517,47 @@ mod tests {
                 assert_eq!(raw, expected, "{grid}");
             }
         }
+        for (t, qs) in point_inputs() {
+            let mut expected = Vec::new();
+            NaiveBatchJoin.join(&t, &qs, &mut |q, r| expected.push((q, r)));
+            expected.sort_unstable();
+            assert!(expected.len() > qs.len(), "input too sparse to pin");
+            for (grid, mut join) in grids() {
+                let mut raw = Vec::new();
+                join.join(&t, &qs, &mut |q, r| raw.push((q, r)));
+                assert_eq!(raw.len(), expected.len(), "points, {grid}");
+                raw.sort_unstable();
+                assert_eq!(raw, expected, "points, {grid}");
+            }
+        }
+    }
+
+    /// A fill followed by one a few rows larger grows every column to
+    /// exactly the larger fill's length: `resize` alone would double it.
+    #[test]
+    fn a_larger_refill_grows_every_column_exactly() {
+        fn refill<const N: usize>(rows: impl Fn(usize) -> Vec<(EntryId, [f32; N])>) {
+            let mut buckets = Buckets::<N>::default();
+            for n in [100, 103] {
+                let rows = rows(n);
+                buckets.fill(
+                    3,
+                    || rows.iter().copied(),
+                    |r| iter::once(r[0] as usize % 3),
+                    |r| r,
+                );
+                assert!(buckets.cols.iter().all(|c| c.len() == n), "{n} rows");
+            }
+            for col in &buckets.cols {
+                assert_eq!(col.capacity(), 103, "{N} columns");
+            }
+        }
+        refill(|n| (0..).zip((0..n).map(|i| [i as f32, 1.0])).collect());
+        refill(|n| {
+            (0..)
+                .zip((0..n).map(|i| [i as f32, 1.0, 2.0, 3.0]))
+                .collect()
+        });
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! | [`crtree`] | cache-conscious CR-tree with quantized relative MBRs |
 //! | [`kdtrie`] | linearized KD-trie over radix-sorted interleaved codes |
 //! | [`binsearch`] | the Binary Search baseline |
-//! | [`twolayer`] | the two-layer partitioning intersection join (per-cell A/B/C/D classes, no dedup) |
+//! | [`twolayer`] | the two-layer partitioning join (per-cell A/B/C/D classes for rects, home cells for points, no dedup) |
 //! | [`memsim`] | simulated cache hierarchy for the Table 3 profile |
 //!
 //! ## Quickstart: the technique registry

@@ -1,6 +1,7 @@
 //! Property-based cross-crate tests: on arbitrary point sets and
 //! arbitrary query rectangles, every index returns exactly the same
-//! entries as the ground-truth full scan.
+//! entries as the ground-truth full scan, and every batch point join the
+//! same pairs as the naive nested loop, each pair emitted once.
 
 use proptest::prelude::*;
 use spatial_joins::prelude::*;
@@ -85,6 +86,41 @@ fn check_all_masked(points: Vec<(f32, f32)>, q: (f32, f32, f32, f32), remove_mas
     }
 }
 
+/// The batch point joins against the naive nested loop: each join's
+/// sorted pairs equal the naive ones, and its raw emission count is the
+/// pair count, so no pair was emitted twice.
+fn check_batch_joins(points: Vec<(f32, f32)>, remove_mask: u64, regions: &[Rect], cells: usize) {
+    let mut t = table_of(&points);
+    remove_masked(&mut t, remove_mask);
+    let queries: Vec<(EntryId, Rect)> = (0..).zip(regions.iter().copied()).collect();
+    let pairs = |join: &mut dyn BatchJoin| {
+        let mut out = Vec::new();
+        join.join(&t, &queries, &mut |q, r| out.push((q, r)));
+        out.sort_unstable();
+        out
+    };
+    let expected = pairs(&mut NaiveBatchJoin);
+    let cells = std::num::NonZeroUsize::new(cells).expect("cells are drawn from 1..=64");
+    let joins: [Box<dyn BatchJoin>; 3] = [
+        Box::new(TwoLayerJoin::new()),
+        Box::new(TwoLayerJoin::with_cells(cells)),
+        Box::new(PlaneSweepJoin::new()),
+    ];
+    for mut join in joins {
+        let got = pairs(join.as_mut());
+        let name = join.name();
+        assert_eq!(
+            got.len(),
+            expected.len(),
+            "{name} ({cells} cells): raw emissions"
+        );
+        assert_eq!(
+            got, expected,
+            "{name} ({cells} cells) disagrees with the naive join"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -139,5 +175,16 @@ proptest! {
             .map(|(i, &x)| (x, if i % 2 == 0 { 0.0 } else { SIDE }))
             .collect();
         check_all(points, q);
+    }
+
+    #[test]
+    fn every_batch_join_agrees_with_the_naive_join(
+        points in arb_points(),
+        remove_mask in 0u64..=u64::MAX,
+        qs in prop::collection::vec(arb_query(), 0..41),
+        cells in 1usize..=64,
+    ) {
+        let regions: Vec<Rect> = qs.into_iter().map(query_region).collect();
+        check_batch_joins(points, remove_mask, &regions, cells);
     }
 }
