@@ -20,38 +20,84 @@
 //!   slots: the Simple Grid's inline buckets (Figure 3b), one call per
 //!   bucket a query filters.
 //!
-//! Each kernel is a dispatcher and a scalar width. The dispatcher runs a
-//! private AVX2 width, 8 rows at a time, where the CPU has AVX2 (detected
-//! once at runtime; the detection macro caches its answer, so a call pays
-//! one load and a predictable branch). x86 without AVX2 and other
-//! architectures run the scalar width, which the tests also use as the
-//! reference. The AVX2 widths share one lane test per predicate (`Lanes`)
-//! and one block loop per access pattern: unaligned loads from the columns
-//! (`filter_each_avx2`), or gathers through ids checked against the
-//! columns' length (`gather_each_avx2`). All widths are bit-identical by
-//! construction — the lane tests are the ordered-quiet `>=`/`<=` compares
-//! of [`Rect::contains_point`] and [`Rect::intersects`], false on NaN —
-//! and the tests assert it on boundary ties, NaN lanes and every tail
-//! length.
+//! Each kernel is a dispatcher, a scalar width and two SIMD widths. The
+//! dispatcher picks, per call, the AVX-512 width (16 rows a block) where
+//! the CPU has AVX-512F and POPCNT, else the AVX2 width (8 rows) where it
+//! has AVX2, else the scalar width: other architectures run it too, and
+//! the tests use it as the reference. (The detection macro caches its
+//! answer.) The SIMD widths differ only in their lane type (`Avx512`,
+//! `Avx2`: the `Simd` trait); one lane test per predicate (`Lanes`) and
+//! one block loop per access pattern, loads from the columns
+//! (`filter_each`) or gathers through checked ids (`gather_each`), are
+//! written once over it. All widths are bit-identical by construction —
+//! the lane tests are the ordered-quiet compares of
+//! [`Rect::contains_point`] and [`Rect::intersects`], false on NaN — and
+//! the tests assert it on boundary ties, NaN lanes and every tail length.
 //!
 //! Neither block loop branches on which rows hit, since at the
 //! selectivities the joins run (a tenth to a third of the rows) no
-//! predictor could guess it. Each block's hit ids are left-packed into a
-//! small buffer on the stack of the call (`Hits`): one `vpermd` by the
-//! permutation the compare mask selects from a 256-entry table, one
-//! unaligned store of all 8 lanes, and a length advanced by the mask's
-//! popcount. The buffer is emitted, in order, in one loop when it fills
-//! and when the call ends. The tail of 1–7 rows runs as one more block
-//! under a lane mask: the contiguous loop loads it with masked loads, the
-//! gather loop pads it with the tail's first id. An AVX2 width calls the
-//! scalar width only for a block holding a bad id, which then panics, or
-//! for columns longer than gather indices reach.
+//! predictor could guess it. Each block packs its hit ids, in lane order,
+//! to the front of a register, stores all of it into a buffer on the
+//! call's stack (`Hits`), and advances the buffer's length by the hit
+//! count: AVX-512 compresses the ids under the compare's `__mmask16`
+//! (`vpcompressd`) and counts the mask with `popcnt`; AVX2 permutes them
+//! (`vpermd`) by a 256-entry table. The buffer is emitted, in order, when
+//! another block might not fit and when the call ends. The tail of 1–15
+//! rows (1–7 for AVX2) is one more block under a lane mask: masked loads
+//! and gathers read no row past the end, and nothing is padded. A SIMD
+//! width calls the scalar width only for a block holding a bad id, which
+//! then panics, or for columns longer than gather indices reach.
 
 #[cfg(target_arch = "x86_64")]
-use std::arch::x86_64::{__m256, __m256i};
+use std::arch::x86_64::*;
 
 use crate::geom::Rect;
 use crate::table::EntryId;
+
+/// Whether this CPU runs the AVX-512 widths: AVX-512F for the lanes, and
+/// POPCNT for the hit count.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("popcnt")
+}
+
+/// A kernel's two SIMD widths, `$avx2` and `$avx512`: one body, generic in
+/// its lane type `$w`, compiled once with each width's CPU features on, so
+/// that every intrinsic in it, its closures' included, inlines.
+macro_rules! simd_widths {
+    (
+        $(#[$doc:meta])*
+        fn $avx2:ident, $avx512:ident(
+            $w:ident, $cols:ident: $c:ty, $ids:ident: $i:ty, $region:ident, $emit:ident
+        ) $body:block
+    ) => {
+        $(#[$doc])*
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx2")]
+        fn $avx2<F: FnMut(EntryId) + ?Sized>(
+            $cols: $c,
+            $ids: $i,
+            $region: &Rect,
+            $emit: &mut F,
+        ) {
+            let $w = Avx2::new();
+            $body
+        }
+
+        $(#[$doc])*
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = "avx512f,popcnt")]
+        fn $avx512<F: FnMut(EntryId) + ?Sized>(
+            $cols: $c,
+            $ids: $i,
+            $region: &Rect,
+            $emit: &mut F,
+        ) {
+            let $w = Avx512::new();
+            $body
+        }
+    };
+}
 
 /// Call `emit` with `ids[i]`, in order, for every row `i` whose point in
 /// the columns `[x, y]` lies inside `region`: the closed test of
@@ -67,7 +113,10 @@ pub fn filter_range_each<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx512() {
+        // SAFETY: AVX-512F and POPCNT support was just verified on this CPU.
+        return unsafe { filter_range_each_avx512(cols, ids, region, emit) };
+    } else if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified on this CPU.
         return unsafe { filter_range_each_avx2(cols, ids, region, emit) };
     }
@@ -75,7 +124,7 @@ pub fn filter_range_each<F: FnMut(EntryId) + ?Sized>(
 }
 
 /// Portable width of [`filter_range_each`], and the reference of the
-/// AVX2 width.
+/// SIMD widths.
 pub fn filter_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; 2],
     ids: &[EntryId],
@@ -85,17 +134,14 @@ pub fn filter_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
     filter_each_scalar(cols, ids, |[x, y]| region.contains_point(x, y), emit);
 }
 
-/// AVX2 width of [`filter_range_each`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn filter_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
-    cols: [&[f32]; 2],
-    ids: &[EntryId],
-    region: &Rect,
-    emit: &mut F,
-) {
-    let lanes = Lanes::new(region);
-    filter_each_avx2(cols, ids, |v| lanes.contains(v), emit);
+simd_widths! {
+    /// The SIMD widths of [`filter_range_each`].
+    fn filter_range_each_avx2, filter_range_each_avx512(
+        w, cols: [&[f32]; 2], ids: &[EntryId], region, emit
+    ) {
+        let lanes = Lanes::new(w, region);
+        filter_each(w, cols, ids, |v, live| lanes.contains(v, live), emit);
+    }
 }
 
 /// Call `emit` with `ids[i]`, in order, for every row `i` whose rectangle
@@ -112,7 +158,10 @@ pub fn filter_overlap_each<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx512() {
+        // SAFETY: AVX-512F and POPCNT support was just verified on this CPU.
+        return unsafe { filter_overlap_each_avx512(cols, ids, region, emit) };
+    } else if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified on this CPU.
         return unsafe { filter_overlap_each_avx2(cols, ids, region, emit) };
     }
@@ -120,7 +169,7 @@ pub fn filter_overlap_each<F: FnMut(EntryId) + ?Sized>(
 }
 
 /// Portable width of [`filter_overlap_each`], and the reference of the
-/// AVX2 width.
+/// SIMD widths.
 pub fn filter_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; 4],
     ids: &[EntryId],
@@ -130,24 +179,21 @@ pub fn filter_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
     filter_each_scalar(cols, ids, |row| overlaps(region, row), emit);
 }
 
-/// AVX2 width of [`filter_overlap_each`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn filter_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
-    cols: [&[f32]; 4],
-    ids: &[EntryId],
-    region: &Rect,
-    emit: &mut F,
-) {
-    let lanes = Lanes::new(region);
-    filter_each_avx2(cols, ids, |v| lanes.overlaps(v), emit);
+simd_widths! {
+    /// The SIMD widths of [`filter_overlap_each`].
+    fn filter_overlap_each_avx2, filter_overlap_each_avx512(
+        w, cols: [&[f32]; 4], ids: &[EntryId], region, emit
+    ) {
+        let lanes = Lanes::new(w, region);
+        filter_each(w, cols, ids, |v, live| lanes.overlaps(v, live), emit);
+    }
 }
 
 /// Call `emit` with every id in `ids`, in order, whose rectangle in the
 /// columns `[x1, y1, x2, y2]` intersects `region`: the closed test of
-/// [`filter_overlap_each`], read through the ids. The AVX2 width gathers
-/// the coordinates of 8 ids at a time straight from the columns; x86
-/// without AVX2 and other architectures run the scalar width. Ids may
+/// [`filter_overlap_each`], read through the ids. The SIMD widths gather
+/// the coordinates of a block of ids at a time straight from the columns;
+/// x86 without AVX2 and other architectures run the scalar width. Ids may
 /// repeat and come in any order.
 ///
 /// # Panics
@@ -160,7 +206,10 @@ pub fn gather_overlap_each<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx512() {
+        // SAFETY: AVX-512F and POPCNT support was just verified on this CPU.
+        return unsafe { gather_overlap_each_avx512(cols, ids, region, emit) };
+    } else if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified on this CPU.
         return unsafe { gather_overlap_each_avx2(cols, ids, region, emit) };
     }
@@ -184,34 +233,19 @@ pub fn gather_overlap_each_scalar<F: FnMut(EntryId) + ?Sized>(
     }
 }
 
-/// AVX2 width of [`gather_overlap_each`]: each block of 8 ids is checked
-/// against the shortest column's length, then four gathers feed the
-/// overlap lane test.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
-    cols: [&[f32]; 4],
-    ids: &[EntryId],
-    region: &Rect,
-    emit: &mut F,
-) {
-    use std::arch::x86_64::{_mm256_i32gather_ps, _mm256_loadu_si256};
-
-    let rows = cols.iter().map(|c| c.len()).fold(usize::MAX, usize::min);
-    let ptrs = cols.map(<[f32]>::as_ptr);
-    let lanes = Lanes::new(region);
-    // SAFETY: AVX2 is enabled here. `lanes` reads the 32 bytes of one
-    // block of 8 ids. `hits` gathers only lanes below `rows`, which the
-    // block loop checks first, and every column holds `rows` rows.
-    unsafe {
-        gather_each_avx2(
-            rows,
-            ids,
-            |block| Some(_mm256_loadu_si256(block.as_ptr().cast())),
-            |v| lanes.overlaps(ptrs.map(|p| _mm256_i32gather_ps::<4>(p, v))),
-            |ids, emit| gather_overlap_each_scalar(cols, ids, region, emit),
-            emit,
-        )
+simd_widths! {
+    /// The SIMD widths of [`gather_overlap_each`]: four gathers a block feed
+    /// the overlap lane test.
+    fn gather_overlap_each_avx2, gather_overlap_each_avx512(
+        w, cols: [&[f32]; 4], ids: &[EntryId], region, emit
+    ) {
+        let lanes = Lanes::new(w, region);
+        let scalar = |ids: &[EntryId], emit: &mut F| {
+            gather_overlap_each_scalar(cols, ids, region, emit);
+        };
+        let hits = |v, live| lanes.overlaps(v, live);
+        // SAFETY: the closure reads the `n` ids at `p`, as `gather_each` asks.
+        unsafe { gather_each(w, cols, ids, |p, n| Some(w.ids(p, n)), hits, scalar, emit) }
     }
 }
 
@@ -219,9 +253,10 @@ fn gather_overlap_each_avx2<F: FnMut(EntryId) + ?Sized>(
 /// columns `[x, y]` lies inside `region`: the closed test of
 /// [`Rect::contains_point`], read through the slots. A slot is a row id
 /// widened to 8 bytes, the entry slot of the Simple Grid's inline
-/// buckets. The AVX2 width gathers the coordinates of 8 slots at a time
-/// straight from the columns; x86 without AVX2 and other architectures
-/// run the scalar width. Slots may repeat and come in any order.
+/// buckets. The SIMD widths gather the coordinates of a block of slots at
+/// a time straight from the columns; x86 without AVX2 and other
+/// architectures run the scalar width. Slots may repeat and come in any
+/// order.
 ///
 /// # Panics
 /// Panics at the first slot that is out of bounds of a column or above
@@ -233,7 +268,10 @@ pub fn gather_range_each<F: FnMut(EntryId) + ?Sized>(
     emit: &mut F,
 ) {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx512() {
+        // SAFETY: AVX-512F and POPCNT support was just verified on this CPU.
+        return unsafe { gather_range_each_avx512(cols, slots, region, emit) };
+    } else if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified on this CPU.
         return unsafe { gather_range_each_avx2(cols, slots, region, emit) };
     }
@@ -242,7 +280,7 @@ pub fn gather_range_each<F: FnMut(EntryId) + ?Sized>(
 
 /// Portable width of [`gather_range_each`], and the reference of the
 /// others: a bad slot panics (conversion or slice index). Never inlined:
-/// unrolled into the AVX2 width's bad-block path, it doubled that width.
+/// unrolled into a SIMD width's bad-block path, it doubled that width.
 #[inline(never)]
 pub fn gather_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
     cols: [&[f32]; 2],
@@ -262,57 +300,20 @@ pub fn gather_range_each_scalar<F: FnMut(EntryId) + ?Sized>(
     }
 }
 
-/// AVX2 width of [`gather_range_each`]: each block of 8 slots is narrowed
-/// to `u32` lanes and checked against the shorter column's length, then
-/// two gathers feed the point lane test. A block holding a slot above
-/// [`EntryId::MAX`] takes the scalar width, like one past a column.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn gather_range_each_avx2<F: FnMut(EntryId) + ?Sized>(
-    cols: [&[f32]; 2],
-    slots: &[u64],
-    region: &Rect,
-    emit: &mut F,
-) {
-    use std::arch::x86_64::{
-        _mm256_castps_si256, _mm256_castsi256_ps, _mm256_i32gather_ps, _mm256_loadu_si256,
-        _mm256_or_si256, _mm256_permute4x64_epi64, _mm256_set1_epi64x, _mm256_shuffle_ps,
-        _mm256_testz_si256,
-    };
-
-    let rows = cols[0].len().min(cols[1].len());
-    let ptrs = cols.map(<[f32]>::as_ptr);
-    let high_halves = _mm256_set1_epi64x(!0xFFFF_FFFF);
-    let lanes = Lanes::new(region);
-    // SAFETY: AVX2 is enabled here. `lanes` reads the 64 bytes of one
-    // block of 8 slots, as two loads of 4. `hits` gathers only lanes below
-    // `rows`, which the block loop checks first, and both columns hold
-    // `rows` rows.
-    unsafe {
-        gather_each_avx2(
-            rows,
-            slots,
-            |block| {
-                let lo = _mm256_loadu_si256(block.as_ptr().cast());
-                let hi = _mm256_loadu_si256(block[4..].as_ptr().cast());
-                if _mm256_testz_si256(_mm256_or_si256(lo, hi), high_halves) == 0 {
-                    return None;
-                }
-                // The low halves are the even `u32`s: per 128-bit lane the
-                // shuffle takes slots (0, 1, 4, 5) and (2, 3, 6, 7), and the
-                // 64-bit permute puts the pairs back in slot order.
-                let even = _mm256_shuffle_ps::<0b10_00_10_00>(
-                    _mm256_castsi256_ps(lo),
-                    _mm256_castsi256_ps(hi),
-                );
-                Some(_mm256_permute4x64_epi64::<0b11_01_10_00>(
-                    _mm256_castps_si256(even),
-                ))
-            },
-            |v| lanes.contains(ptrs.map(|p| _mm256_i32gather_ps::<4>(p, v))),
-            |slots, emit| gather_range_each_scalar(cols, slots, region, emit),
-            emit,
-        )
+simd_widths! {
+    /// The SIMD widths of [`gather_range_each`]: each block of slots is
+    /// narrowed to `u32` lanes ([`Simd::slots`]), then two gathers feed the
+    /// point lane test.
+    fn gather_range_each_avx2, gather_range_each_avx512(
+        w, cols: [&[f32]; 2], slots: &[u64], region, emit
+    ) {
+        let lanes = Lanes::new(w, region);
+        let scalar = |slots: &[u64], emit: &mut F| {
+            gather_range_each_scalar(cols, slots, region, emit);
+        };
+        let hits = |v, live| lanes.contains(v, live);
+        // SAFETY: the closure reads the `n` slots at `p`, as `gather_each` asks.
+        unsafe { gather_each(w, cols, slots, |p, n| w.slots(p, n), hits, scalar, emit) }
     }
 }
 
@@ -349,78 +350,323 @@ fn filter_each_scalar<const N: usize, F: FnMut(EntryId) + ?Sized>(
     }
 }
 
-/// `region` broadcast to 8 lanes, with the lane tests of the AVX2 widths:
-/// the ordered-quiet compares (`_CMP_GE_OQ`, `_CMP_LE_OQ`: false on NaN)
-/// of [`Rect::contains_point`] and [`Rect::intersects`], so every width
-/// accepts exactly the rows the scalar tests do. Each test returns a
-/// compare mask, all ones in a hit lane.
+/// A SIMD width of the block loops: `LANES` rows a block, held as `f32`
+/// lanes (`F`), `u32` lanes (`I`) and a lane mask (`M`). A value of a
+/// width exists only in code that runs with the width's CPU features on
+/// (its `new` is a `#[target_feature]` fn), so the safe methods need no
+/// other proof. Every method is inlined, so its intrinsics compile with
+/// the features of the width's kernels.
 #[cfg(target_arch = "x86_64")]
-#[derive(Clone, Copy)]
-struct Lanes {
-    x1: __m256,
-    y1: __m256,
-    x2: __m256,
-    y2: __m256,
+trait Simd: Copy {
+    const LANES: usize;
+    type F: Copy;
+    type I: Copy;
+    type M: Copy;
+
+    /// `v` in every lane.
+    fn splat(self, v: f32) -> Self::F;
+    /// The lanes below `n`, for `n <= LANES`.
+    fn below(self, n: usize) -> Self::M;
+    /// The lanes of `live` where `a <= b` for every pair `[a, b]`: the
+    /// ordered-quiet compare (`_CMP_LE_OQ`), false on NaN.
+    fn le_all<const K: usize>(self, live: Self::M, pairs: [[Self::F; 2]; K]) -> Self::M;
+    /// Whether no lane of `v` is above `last`, unsigned.
+    fn at_most(self, v: Self::I, last: u32) -> bool;
+    /// The `n` values at `p` (unaligned) in the lanes below `n`, and 0 in
+    /// the others.
+    ///
+    /// # Safety
+    /// The `n` values at `p` must be readable; so for [`Simd::ids`] and
+    /// [`Simd::slots`].
+    unsafe fn load(self, p: *const f32, n: usize) -> Self::F;
+    /// [`Simd::load`] of `u32` ids.
+    unsafe fn ids(self, p: *const u32, n: usize) -> Self::I;
+    /// The values at `p` that the lanes of `v` index, in the lanes of
+    /// `live`, and 0 in the others.
+    ///
+    /// # Safety
+    /// Each lane of `v` in `live` must index a readable value at `p`.
+    unsafe fn gather(self, p: *const f32, v: Self::I, live: Self::M) -> Self::F;
+    /// Store all lanes of `ids` at `at`, those in `hits` first and in lane
+    /// order, and return how many are in `hits`.
+    ///
+    /// # Safety
+    /// `LANES` `u32`s at `at` must be writable.
+    unsafe fn compress(self, at: *mut u32, ids: Self::I, hits: Self::M) -> usize;
+    /// [`Simd::load`] of `u64` slots, narrowed to their low halves, or
+    /// `None` if a high half is set.
+    unsafe fn slots(self, p: *const u64, n: usize) -> Option<Self::I>;
 }
 
+/// The AVX2 width: 8 lanes, masks as lanes of all ones.
 #[cfg(target_arch = "x86_64")]
-impl Lanes {
+#[derive(Clone, Copy)]
+struct Avx2(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx2 {
     #[target_feature(enable = "avx2")]
     #[inline]
-    fn new(region: &Rect) -> Lanes {
-        use std::arch::x86_64::_mm256_set1_ps;
-        Lanes {
-            x1: _mm256_set1_ps(region.x1),
-            y1: _mm256_set1_ps(region.y1),
-            x2: _mm256_set1_ps(region.x2),
-            y2: _mm256_set1_ps(region.y2),
+    fn new() -> Avx2 {
+        Avx2(())
+    }
+}
+
+/// # Safety
+/// The unsafe methods keep the contracts of [`Simd`], and every method
+/// runs on a CPU with AVX2: `self` exists.
+#[cfg(target_arch = "x86_64")]
+impl Simd for Avx2 {
+    const LANES: usize = 8;
+    type F = __m256;
+    type I = __m256i;
+    type M = __m256;
+
+    #[inline(always)]
+    unsafe fn load(self, p: *const f32, n: usize) -> __m256 {
+        match n {
+            8 => _mm256_loadu_ps(p),
+            _ => _mm256_maskload_ps(p, _mm256_castps_si256(self.below(n))),
         }
     }
 
-    /// The lanes whose point `[x, y]` lies inside the region.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn contains(self, [x, y]: [__m256; 2]) -> __m256 {
-        use std::arch::x86_64::{_mm256_and_ps, _mm256_cmp_ps, _CMP_GE_OQ, _CMP_LE_OQ};
-        let in_x = _mm256_and_ps(
-            _mm256_cmp_ps::<_CMP_GE_OQ>(x, self.x1),
-            _mm256_cmp_ps::<_CMP_LE_OQ>(x, self.x2),
-        );
-        let in_y = _mm256_and_ps(
-            _mm256_cmp_ps::<_CMP_GE_OQ>(y, self.y1),
-            _mm256_cmp_ps::<_CMP_LE_OQ>(y, self.y2),
-        );
-        _mm256_and_ps(in_x, in_y)
+    #[inline(always)]
+    unsafe fn ids(self, p: *const u32, n: usize) -> __m256i {
+        match n {
+            8 => _mm256_loadu_si256(p.cast()),
+            _ => _mm256_maskload_epi32(p.cast(), _mm256_castps_si256(self.below(n))),
+        }
     }
 
-    /// The lanes whose rectangle `[x1, y1, x2, y2]` intersects the region.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn overlaps(self, [x1, y1, x2, y2]: [__m256; 4]) -> __m256 {
-        use std::arch::x86_64::{_mm256_and_ps, _mm256_cmp_ps, _CMP_GE_OQ, _CMP_LE_OQ};
-        let in_x = _mm256_and_ps(
-            _mm256_cmp_ps::<_CMP_LE_OQ>(x1, self.x2),
-            _mm256_cmp_ps::<_CMP_GE_OQ>(x2, self.x1),
-        );
-        let in_y = _mm256_and_ps(
-            _mm256_cmp_ps::<_CMP_LE_OQ>(y1, self.y2),
-            _mm256_cmp_ps::<_CMP_GE_OQ>(y2, self.y1),
-        );
-        _mm256_and_ps(in_x, in_y)
+    #[inline(always)]
+    unsafe fn gather(self, p: *const f32, v: __m256i, live: __m256) -> __m256 {
+        _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), p.cast(), v, live)
+    }
+
+    #[inline(always)]
+    unsafe fn compress(self, at: *mut u32, ids: __m256i, hits: __m256) -> usize {
+        let mask = _mm256_movemask_ps(hits) as u8;
+        let order = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(LEFT_PACK[mask as usize] as i64));
+        _mm256_storeu_si256(at.cast(), _mm256_permutevar8x32_epi32(ids, order));
+        mask.count_ones() as usize
+    }
+
+    /// # Safety
+    /// As [`Simd::slots`].
+    #[inline(always)]
+    unsafe fn slots(self, p: *const u64, n: usize) -> Option<__m256i> {
+        // Two loads of 4 slots, under the halves of the live lanes widened
+        // to 64 bits.
+        let [lo, hi] = match n {
+            8 => [
+                _mm256_loadu_si256(p.cast()),
+                _mm256_loadu_si256(p.add(4).cast()),
+            ],
+            _ => {
+                let live = _mm256_castps_si256(self.below(n));
+                let half = |p: *const u64, live| {
+                    _mm256_maskload_epi64(p.cast(), _mm256_cvtepi32_epi64(live))
+                };
+                let hi = _mm256_extracti128_si256::<1>(live);
+                [
+                    half(p, _mm256_castsi256_si128(live)),
+                    half(p.wrapping_add(4), hi),
+                ]
+            }
+        };
+        let high_halves = _mm256_set1_epi64x(!0xFFFF_FFFF);
+        if _mm256_testz_si256(_mm256_or_si256(lo, hi), high_halves) == 0 {
+            return None;
+        }
+        // The low halves are the even `u32`s: per 128-bit lane the shuffle
+        // takes slots (0, 1, 4, 5) and (2, 3, 6, 7), and the 64-bit permute
+        // puts the pairs back in slot order.
+        let even =
+            _mm256_shuffle_ps::<0b10_00_10_00>(_mm256_castsi256_ps(lo), _mm256_castsi256_ps(hi));
+        Some(_mm256_permute4x64_epi64::<0b11_01_10_00>(
+            _mm256_castps_si256(even),
+        ))
+    }
+
+    #[inline(always)]
+    fn splat(self, v: f32) -> __m256 {
+        // SAFETY: `self` exists, so AVX2 is on.
+        unsafe { _mm256_set1_ps(v) }
+    }
+
+    #[inline(always)]
+    fn below(self, n: usize) -> __m256 {
+        // SAFETY: `self` exists, so AVX2 is on.
+        unsafe {
+            let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_castsi256_ps(_mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lanes))
+        }
+    }
+
+    #[inline(always)]
+    fn le_all<const K: usize>(self, live: __m256, pairs: [[__m256; 2]; K]) -> __m256 {
+        let mut hits = live;
+        for [a, b] in &pairs {
+            // SAFETY: `self` exists, so AVX2 is on.
+            hits = unsafe { _mm256_and_ps(hits, _mm256_cmp_ps::<_CMP_LE_OQ>(*a, *b)) };
+        }
+        hits
+    }
+
+    #[inline(always)]
+    fn at_most(self, v: __m256i, last: u32) -> bool {
+        // SAFETY: `self` exists, so AVX2 is on.
+        unsafe {
+            let last = _mm256_set1_epi32(last as i32);
+            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, last), last)) == -1
+        }
     }
 }
 
-/// Slots of the hit buffer of an AVX2 call: it is emitted once more than
-/// `HIT_SLOTS - 8` ids are in it, so the 8-lane store of a block always
+/// The AVX-512 width: 16 lanes, masks in mask registers.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct Avx512(());
+
+#[cfg(target_arch = "x86_64")]
+impl Avx512 {
+    #[target_feature(enable = "avx512f,popcnt")]
+    #[inline]
+    fn new() -> Avx512 {
+        Avx512(())
+    }
+}
+
+/// # Safety
+/// The unsafe methods keep the contracts of [`Simd`], and every method
+/// runs on a CPU with AVX-512F and POPCNT: `self` exists.
+#[cfg(target_arch = "x86_64")]
+impl Simd for Avx512 {
+    const LANES: usize = 16;
+    type F = __m512;
+    type I = __m512i;
+    type M = __mmask16;
+
+    #[inline(always)]
+    unsafe fn load(self, p: *const f32, n: usize) -> __m512 {
+        _mm512_maskz_loadu_ps(self.below(n), p)
+    }
+
+    #[inline(always)]
+    unsafe fn ids(self, p: *const u32, n: usize) -> __m512i {
+        _mm512_maskz_loadu_epi32(self.below(n), p.cast())
+    }
+
+    #[inline(always)]
+    unsafe fn gather(self, p: *const f32, v: __m512i, live: __mmask16) -> __m512 {
+        _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), live, v, p.cast())
+    }
+
+    #[inline(always)]
+    unsafe fn compress(self, at: *mut u32, ids: __m512i, hits: __mmask16) -> usize {
+        _mm512_storeu_si512(at.cast(), _mm512_maskz_compress_epi32(hits, ids));
+        hits.count_ones() as usize
+    }
+
+    /// # Safety
+    /// As [`Simd::slots`].
+    #[inline(always)]
+    unsafe fn slots(self, p: *const u64, n: usize) -> Option<__m512i> {
+        // Two loads of 8 slots, each under its half of the live lanes.
+        let live = self.below(n);
+        let lo = _mm512_maskz_loadu_epi64(live as u8, p.cast());
+        let hi = _mm512_maskz_loadu_epi64((live >> 8) as u8, p.wrapping_add(8).cast());
+        let high_halves = _mm512_set1_epi64(!0xFFFF_FFFF);
+        if _mm512_test_epi64_mask(_mm512_or_si512(lo, hi), high_halves) != 0 {
+            return None;
+        }
+        // The low halves are the even `u32`s of `lo`, then of `hi`.
+        let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
+        Some(_mm512_permutex2var_epi32(lo, even, hi))
+    }
+
+    #[inline(always)]
+    fn splat(self, v: f32) -> __m512 {
+        // SAFETY: `self` exists, so AVX-512F is on.
+        unsafe { _mm512_set1_ps(v) }
+    }
+
+    #[inline(always)]
+    fn below(self, n: usize) -> __mmask16 {
+        (1u32 << n).wrapping_sub(1) as __mmask16
+    }
+
+    #[inline(always)]
+    fn le_all<const K: usize>(self, live: __mmask16, pairs: [[__m512; 2]; K]) -> __mmask16 {
+        let mut hits = live;
+        for [a, b] in &pairs {
+            // SAFETY: `self` exists, so AVX-512F is on.
+            hits = unsafe { _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(hits, *a, *b) };
+        }
+        hits
+    }
+
+    #[inline(always)]
+    fn at_most(self, v: __m512i, last: u32) -> bool {
+        // SAFETY: `self` exists, so AVX-512F is on.
+        unsafe { _mm512_cmple_epu32_mask(v, _mm512_set1_epi32(last as i32)) == __mmask16::MAX }
+    }
+}
+
+/// `region` broadcast to the lanes of a SIMD width, with the lane tests of
+/// the SIMD widths: the compares of [`Rect::contains_point`] and
+/// [`Rect::intersects`], each spelled `a <= b` ([`Simd::le_all`]), so every
+/// width accepts exactly the rows the scalar tests do. Each test returns
+/// the lanes of `live` that hit.
+#[cfg(target_arch = "x86_64")]
+struct Lanes<W: Simd> {
+    w: W,
+    x1: W::F,
+    y1: W::F,
+    x2: W::F,
+    y2: W::F,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl<W: Simd> Lanes<W> {
+    #[inline(always)]
+    fn new(w: W, region: &Rect) -> Lanes<W> {
+        Lanes {
+            w,
+            x1: w.splat(region.x1),
+            y1: w.splat(region.y1),
+            x2: w.splat(region.x2),
+            y2: w.splat(region.y2),
+        }
+    }
+
+    /// The lanes of `live` whose point `[x, y]` lies inside the region.
+    #[inline(always)]
+    fn contains(&self, [x, y]: [W::F; 2], live: W::M) -> W::M {
+        let pairs = [[self.x1, x], [x, self.x2], [self.y1, y], [y, self.y2]];
+        self.w.le_all(live, pairs)
+    }
+
+    /// The lanes of `live` whose rectangle `[x1, y1, x2, y2]` intersects
+    /// the region.
+    #[inline(always)]
+    fn overlaps(&self, [x1, y1, x2, y2]: [W::F; 4], live: W::M) -> W::M {
+        let pairs = [[self.x1, x2], [x1, self.x2], [self.y1, y2], [y1, self.y2]];
+        self.w.le_all(live, pairs)
+    }
+}
+
+/// Slots of the hit buffer of a SIMD call: it is emitted once more than
+/// `HIT_SLOTS - LANES` ids are in it, so the store of a whole block always
 /// fits.
 #[cfg(target_arch = "x86_64")]
 const HIT_SLOTS: usize = 64;
 
-/// The left-pack permutations, by 8-bit hit mask: byte `k` of entry
-/// `mask` is the lane of the `k`-th bit set in `mask`, so `vpermd` by the
-/// entry's bytes moves a block's hit lanes, in lane order, to its front.
-/// A `static`, not a `const`: a `const` array indexed at run time is
-/// copied to the stack at every use in unoptimized builds.
+/// The left-pack permutations of the AVX2 width, by 8-bit hit mask: byte
+/// `k` of entry `mask` is the lane of the `k`-th bit set in `mask`, so
+/// `vpermd` by the entry's bytes moves a block's hit lanes, in lane order,
+/// to its front. A `static`, not a `const`: a `const` array indexed at run
+/// time is copied to the stack at every use in unoptimized builds.
 #[cfg(target_arch = "x86_64")]
 static LEFT_PACK: [u64; 256] = {
     let mut table = [0; 256];
@@ -439,43 +685,38 @@ static LEFT_PACK: [u64; 256] = {
     table
 };
 
-/// The hit buffer of one call of an AVX2 width, over slots on its stack.
-/// Each block stores all 8 of its id lanes at `len`, permuted so that the
-/// hit lanes come first, and advances `len` by the number of hits, so
-/// nothing branches on which lanes hit. The buffer is emitted in one loop
-/// when another block might not fit, before a block or tail takes the
-/// scalar width, and when the call ends, so ids leave in input order.
-/// (The slots are borrowed, not owned, so that `len` lives in a register:
-/// the compiler cannot tell a store at a variable offset into the struct
-/// from a store to its `len`.)
+/// The hit buffer of one call of a SIMD width, over slots on its stack.
+/// Each block stores all its id lanes at `len`, packed so that the hit
+/// lanes come first ([`Simd::compress`]), and advances `len` by the number
+/// of hits, so nothing branches on which lanes hit. The buffer is emitted
+/// in one loop when another block might not fit, before a block takes the
+/// scalar width, and when the call ends, so ids leave in input order. (The
+/// slots are borrowed, not owned, so that `len` lives in a register: the
+/// compiler cannot tell a store at a variable offset into the struct from
+/// a store to its `len`.)
 #[cfg(target_arch = "x86_64")]
 struct Hits<'a> {
     slots: &'a mut [EntryId; HIT_SLOTS],
-    /// At most `HIT_SLOTS - 8` between pushes, so a block's store fits.
+    /// At most `HIT_SLOTS - LANES` between pushes, so a block's store fits.
     len: usize,
 }
 
 #[cfg(target_arch = "x86_64")]
 impl Hits<'_> {
-    /// Append the lanes of `ids` set in the compare mask `hits`, in lane
-    /// order, and emit the buffer if another block might not fit.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    fn push<F: FnMut(EntryId) + ?Sized>(&mut self, ids: __m256i, hits: __m256, emit: &mut F) {
-        use std::arch::x86_64::{
-            _mm256_cvtepu8_epi32, _mm256_movemask_ps, _mm256_permutevar8x32_epi32,
-            _mm256_storeu_si256, _mm_cvtsi64_si128,
-        };
-        let mask = _mm256_movemask_ps(hits) as u8;
-        let order = _mm256_cvtepu8_epi32(_mm_cvtsi64_si128(LEFT_PACK[mask as usize] as i64));
-        // SAFETY: the store is unaligned, and slots `len..len + 8` lie in
-        // `slots`: `len <= HIT_SLOTS - 8`, which the flush below restores.
-        unsafe {
-            let at = self.slots.as_mut_ptr().add(self.len);
-            _mm256_storeu_si256(at.cast(), _mm256_permutevar8x32_epi32(ids, order));
-        }
-        self.len += mask.count_ones() as usize;
-        if self.len > HIT_SLOTS - 8 {
+    /// Append the lanes of `ids` in `hits`, in lane order, and emit the
+    /// buffer if another block might not fit.
+    #[inline(always)]
+    fn push<W: Simd, F: FnMut(EntryId) + ?Sized>(
+        &mut self,
+        w: W,
+        ids: W::I,
+        hits: W::M,
+        emit: &mut F,
+    ) {
+        // SAFETY: slots `len..len + LANES` lie in `slots`: `len <=
+        // HIT_SLOTS - LANES`, which the flush below restores.
+        self.len += unsafe { w.compress(self.slots.as_mut_ptr().add(self.len), ids, hits) };
+        if self.len > HIT_SLOTS - W::LANES {
             self.flush(emit);
         }
     }
@@ -489,153 +730,109 @@ impl Hits<'_> {
     }
 }
 
-/// The lanes below `n`, all ones: the live lanes of a tail of `n` rows.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn lanes_below(n: usize) -> __m256i {
-    use std::arch::x86_64::{_mm256_cmpgt_epi32, _mm256_set1_epi32, _mm256_setr_epi32};
-    debug_assert!(n < 8, "a tail holds at most 7 rows");
-    _mm256_cmpgt_epi32(
-        _mm256_set1_epi32(n as i32),
-        _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
-    )
-}
-
-/// The compare mask `hits` with only the lanes in `live` kept.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn only(hits: __m256, live: __m256i) -> __m256 {
-    use std::arch::x86_64::{_mm256_and_ps, _mm256_castsi256_ps};
-    _mm256_and_ps(hits, _mm256_castsi256_ps(live))
-}
-
-/// The block loop of the contiguous AVX2 widths, over row `i` of `cols`
-/// standing for `ids[i]`. Each block of 8 rows is loaded from every
-/// column for `hits`, which returns the lane test as a compare mask, and
-/// its hit ids go through the packed buffer. The tail of 1–7 rows is one
-/// more block, read by masked loads that touch no row past the end and
-/// with its dead lanes masked off the hits. It runs in this loop rather
-/// than as a call of the scalar width: `twolayer` calls a contiguous
-/// kernel once per query in a cell of ~64 rows, so every call's fixed
-/// cost shows in `churn`'s queries a second.
+/// The block loop of the contiguous SIMD widths, over row `i` of `cols`
+/// standing for `ids[i]`. Each block of `LANES` rows, and the tail of
+/// fewer, is loaded from every column under the mask of its rows (masked
+/// loads touch no row past the end) for `hits`, which returns the lanes of
+/// its live lanes that hit, and its hit ids go through the packed buffer.
+/// The tail runs in this loop rather than as a call of the scalar width:
+/// `twolayer` calls a contiguous kernel once per query in a cell of ~64
+/// rows, so every call's fixed cost shows in `churn`'s queries a second.
+/// (One loop body for full blocks and the tail: as a closure called for
+/// each, the compiler kept it out of line, where it compiles without the
+/// width's features.)
 ///
 /// # Panics
 /// Panics if a column's length differs from `ids.len()`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-fn filter_each_avx2<const N: usize, F: FnMut(EntryId) + ?Sized>(
+#[inline(always)]
+fn filter_each<W: Simd, const N: usize, F: FnMut(EntryId) + ?Sized>(
+    w: W,
     cols: [&[f32]; N],
     ids: &[EntryId],
-    hits: impl Fn([__m256; N]) -> __m256,
+    hits: impl Fn([W::F; N], W::M) -> W::M,
     emit: &mut F,
 ) {
-    use std::arch::x86_64::{
-        _mm256_loadu_ps, _mm256_loadu_si256, _mm256_maskload_epi32, _mm256_maskload_ps,
-    };
-
     assert_rows(&cols, ids);
     let mut out = Hits {
         slots: &mut [0; HIT_SLOTS],
         len: 0,
     };
-    let (blocks, tail) = ids.as_chunks::<8>();
-    for (b, block) in blocks.iter().enumerate() {
-        let i = b * 8;
-        // SAFETY: the loads are unaligned, `block` is 8 ids, and rows
-        // `i..i + 8` lie in every column: each holds `ids.len() >= i + 8`
-        // rows.
-        let (v, block) = unsafe {
-            let v = cols.map(|c| _mm256_loadu_ps(c.as_ptr().add(i)));
-            (v, _mm256_loadu_si256(block.as_ptr().cast()))
-        };
-        out.push(block, hits(v), emit);
-    }
-    if !tail.is_empty() {
-        let (i, live) = (ids.len() - tail.len(), lanes_below(tail.len()));
-        // SAFETY: the masked loads read only the `tail.len()` lanes of
-        // `live`, rows `i..ids.len()`, which lie in `tail` and in every
-        // column (each holds `ids.len()` rows); the other lanes read as 0.
-        let (v, tail) = unsafe {
-            let v = cols.map(|c| _mm256_maskload_ps(c.as_ptr().add(i), live));
-            (v, _mm256_maskload_epi32(tail.as_ptr().cast(), live))
-        };
-        out.push(tail, only(hits(v), live), emit);
+    let mut i = 0;
+    while i < ids.len() {
+        let n = W::LANES.min(ids.len() - i);
+        let mut v = [w.splat(0.0); N];
+        for (v, c) in v.iter_mut().zip(&cols) {
+            // SAFETY: the load reads rows `i..i + n`, which lie in every
+            // column: each holds `ids.len()` rows.
+            *v = unsafe { w.load(c.as_ptr().add(i), n) };
+        }
+        // SAFETY: ids `i..i + n` lie in `ids`.
+        let block = unsafe { w.ids(ids.as_ptr().add(i), n) };
+        out.push(w, block, hits(v, w.below(n)), emit);
+        i += n;
     }
     out.flush(emit);
 }
 
-/// The block loop of the AVX2 gather widths, over ids of type `S`
-/// (`EntryId`s, or the grid's `u64` bucket slots) naming rows of columns
-/// that each hold at least `rows` rows. `lanes` reads a block of 8 ids as
-/// `u32` lanes, or returns `None` if one does not fit in 32 bits. A block
-/// whose lanes all lie below `rows` (one unsigned max and compare) goes
-/// to `hits`, which gathers the lanes' coordinates and returns the lane
-/// test as a compare mask, and its hit ids go through the packed buffer.
-/// The tail of 1–7 ids is one more block, padded with its first id and
-/// with the padding masked off the hits. A block or tail holding a bad id
-/// flushes the buffer and takes `scalar`, the scalar width, which panics
-/// at the first bad id after emitting the hits before it; so do columns
-/// longer than `i32::MAX` rows (gather indices are signed 32-bit).
+/// The block loop of the SIMD gather widths, over ids of type `S`
+/// (`EntryId`s, or the grid's `u64` bucket slots) naming rows of `cols`.
+/// Each block of `LANES` ids, and the tail of fewer, is read by `read` as
+/// `u32` lanes under the mask of its ids (dead lanes read 0), or `None` if
+/// an id does not fit. A block whose lanes all lie below the shortest
+/// column's length (one unsigned compare) gathers its live lanes'
+/// coordinates for `hits`, which returns the lanes that hit, and its hit
+/// ids go through the packed buffer. A block holding a bad id flushes the
+/// buffer and takes `scalar`, the scalar width, which panics at the first
+/// bad id after emitting the hits before it; so do columns longer than
+/// `i32::MAX` rows (gather indices are signed 32-bit).
 ///
 /// # Safety
-/// `lanes` must read no more than its block, and `hits` must read only the
-/// rows its lanes name, given lanes below `rows`.
+/// `read(p, n)` must read no more than the `n` ids at `p`.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn gather_each_avx2<S, F>(
-    rows: usize,
+#[inline(always)]
+unsafe fn gather_each<W: Simd, S, const N: usize, F: FnMut(EntryId) + ?Sized>(
+    w: W,
+    cols: [&[f32]; N],
     ids: &[S],
-    lanes: impl Fn(&[S; 8]) -> Option<__m256i>,
-    hits: impl Fn(__m256i) -> __m256,
+    read: impl Fn(*const S, usize) -> Option<W::I>,
+    hits: impl Fn([W::F; N], W::M) -> W::M,
     scalar: impl Fn(&[S], &mut F),
     emit: &mut F,
-) where
-    S: Copy,
-    F: FnMut(EntryId) + ?Sized,
-{
-    use std::arch::x86_64::{
-        _mm256_cmpeq_epi32, _mm256_max_epu32, _mm256_movemask_epi8, _mm256_set1_epi32,
-    };
-
+) {
+    let rows = cols.iter().map(|c| c.len()).fold(usize::MAX, usize::min);
     // No rows (`rows - 1` wraps), or more than gather indices reach.
     let Ok(last) = i32::try_from(rows.wrapping_sub(1)) else {
         return scalar(ids, emit);
-    };
-    let max_id = _mm256_set1_epi32(last);
-    // The block's lanes, if each is at most `last = rows − 1 ≤ i32::MAX`:
-    // a non-negative gather index below `rows`.
-    let checked = |block: &[S; 8]| {
-        lanes(block).filter(|&v| {
-            _mm256_movemask_epi8(_mm256_cmpeq_epi32(_mm256_max_epu32(v, max_id), max_id)) == -1
-        })
     };
     let mut out = Hits {
         slots: &mut [0; HIT_SLOTS],
         len: 0,
     };
-    let (blocks, tail) = ids.as_chunks::<8>();
-    for block in blocks {
-        let Some(v) = checked(block) else {
-            out.flush(emit);
-            scalar(block, emit);
-            continue;
-        };
-        out.push(v, hits(v), emit);
-    }
-    if !tail.is_empty() {
-        // Eight selects rather than a copy of `tail.len()` ids, which
-        // compiles to a call of `memcpy`.
-        let id = |k: usize| tail[if k < tail.len() { k } else { 0 }];
-        let padded = [id(0), id(1), id(2), id(3), id(4), id(5), id(6), id(7)];
-        let Some(v) = checked(&padded) else {
-            out.flush(emit);
-            return scalar(tail, emit);
-        };
-        out.push(v, only(hits(v), lanes_below(tail.len())), emit);
+    let mut i = 0;
+    while i < ids.len() {
+        let n = W::LANES.min(ids.len() - i);
+        let live = w.below(n);
+        // SAFETY: ids `i..i + n` lie in `ids`.
+        let v = unsafe { read(ids.as_ptr().add(i), n) };
+        // Lanes at most `last = rows − 1 ≤ i32::MAX` are gather indices
+        // below `rows`.
+        match v {
+            Some(v) if w.at_most(v, last as u32) => {
+                let mut v_cols = [w.splat(0.0); N];
+                for (v_col, c) in v_cols.iter_mut().zip(&cols) {
+                    // SAFETY: every lane indexes a row below `rows`, which
+                    // every column holds.
+                    *v_col = unsafe { w.gather(c.as_ptr(), v, live) };
+                }
+                out.push(w, v, hits(v_cols, live), emit);
+            }
+            _ => {
+                out.flush(emit);
+                scalar(&ids[i..i + n], emit);
+            }
+        }
+        i += n;
     }
     out.flush(emit);
 }
@@ -694,9 +891,9 @@ mod tests {
     type Width<const N: usize, S> = fn([&[f32]; N], &[S], &Rect, &mut dyn FnMut(EntryId));
 
     /// The widths of a kernel this CPU runs, by name: the dispatcher, the
-    /// scalar width and, with AVX2, the AVX2 width.
+    /// scalar width, and each SIMD width whose features it has.
     macro_rules! widths {
-        ($kernel:ident, $scalar:ident, $avx2:ident) => {{
+        ($kernel:ident, $scalar:ident, $avx2:ident, $avx512:ident) => {{
             let mut widths: Vec<(&'static str, Width<_, _>)> = vec![
                 ("dispatched", |c, ids, r, e| $kernel(c, ids, r, e)),
                 ("scalar", |c, ids, r, e| $scalar(c, ids, r, e)),
@@ -705,6 +902,11 @@ mod tests {
             if std::arch::is_x86_feature_detected!("avx2") {
                 // SAFETY: detection checked above.
                 widths.push(("avx2", |c, ids, r, e| unsafe { $avx2(c, ids, r, e) }));
+            }
+            #[cfg(target_arch = "x86_64")]
+            if has_avx512() {
+                // SAFETY: detection checked above.
+                widths.push(("avx512", |c, ids, r, e| unsafe { $avx512(c, ids, r, e) }));
             }
             widths
         }};
@@ -731,10 +933,11 @@ mod tests {
     }
 
     /// Every width of a contiguous kernel against `hit`, its predicate on
-    /// one row, over the first `len` rows of `cols` for every length 0–17
-    /// and all of them: no block, one and two blocks, many, and every
-    /// tail. Row `i` stands for the id `7 + 3i`, so a width that emits
-    /// positions fails. Returns the number of hits the widths had to find.
+    /// one row, over the first `len` rows of `cols` for every length 0–33
+    /// and all of them: no block, one and two blocks of either SIMD width,
+    /// many, and every tail after zero, one and two blocks. Row `i` stands
+    /// for the id `7 + 3i`, so a width that emits positions fails. Returns
+    /// the number of hits the widths had to find.
     fn check_contiguous<const N: usize>(
         widths: &[(&'static str, Width<N, EntryId>)],
         cols: [&[f32]; N],
@@ -744,7 +947,7 @@ mod tests {
         let rows = cols[0].len();
         let ids: Vec<EntryId> = (0..rows).map(|i| entry_id(7 + 3 * i)).collect();
         let mut hits = 0;
-        for len in (0..=17).chain([rows]) {
+        for len in (0..=33).chain([rows]) {
             let cols = cols.map(|c| &c[..len]);
             let want: Vec<EntryId> = (0..len)
                 .filter(|&i| hit(cols.map(|c| c[i])))
@@ -764,7 +967,8 @@ mod tests {
         widths!(
             filter_range_each,
             filter_range_each_scalar,
-            filter_range_each_avx2
+            filter_range_each_avx2,
+            filter_range_each_avx512
         )
     }
 
@@ -773,7 +977,8 @@ mod tests {
         widths!(
             filter_overlap_each,
             filter_overlap_each_scalar,
-            filter_overlap_each_avx2
+            filter_overlap_each_avx2,
+            filter_overlap_each_avx512
         )
     }
 
@@ -793,8 +998,13 @@ mod tests {
     /// random columns with NaN lanes (see [`check_contiguous`]), in a
     /// region inside the columns and in one holding the origin, where a
     /// tail lane past the end (read as 0) would hit were it not masked off.
+    /// Prints the widths this CPU ran, e.g. `simd widths: scalar avx2
+    /// avx512`, so that a log shows which SIMD widths a host tested.
     #[test]
     fn every_width_is_bit_identical_on_random_columns() {
+        let widths = range_each_widths();
+        let names: Vec<&str> = widths.iter().map(|w| w.0).skip(1).collect();
+        println!("simd widths: {}", names.join(" "));
         let (mut xs, mut ys) = random_cols(1_013, 1);
         xs[3] = f32::NAN;
         ys[10] = f32::NAN;
@@ -804,7 +1014,7 @@ mod tests {
             (Rect::new(-1.0, -1.0, 600.0, 700.0), 350),
         ] {
             let hit = |[x, y]: [f32; 2]| region.contains_point(x, y);
-            let hits = check_contiguous(&range_each_widths(), [&xs, &ys], &region, hit);
+            let hits = check_contiguous(&widths, [&xs, &ys], &region, hit);
             assert!(hits > floor, "too few hits in {region:?}: {hits}");
         }
     }
@@ -867,7 +1077,8 @@ mod tests {
 
     /// A column one row shorter or longer than the ids, in every width of
     /// both contiguous kernels. With 8 ids and 9-row columns the AVX2 width
-    /// has one whole block and no tail, so only the length check panics.
+    /// has one whole block and no tail, and the AVX-512 width one tail, so
+    /// only the length check panics.
     #[test]
     #[should_panic(expected = "equal length")]
     fn mismatched_columns_panic() {
@@ -1060,20 +1271,22 @@ mod tests {
         let widths = widths!(
             gather_overlap_each,
             gather_overlap_each_scalar,
-            gather_overlap_each_avx2
+            gather_overlap_each_avx2,
+            gather_overlap_each_avx512
         );
         let cols = [&cols.0[..], &cols.1, &cols.2, &cols.3];
         run_widths(&widths, cols, ids, region)
     }
 
-    /// Id slices over `n` rows of every length 0–17, and of 1,013 (126
-    /// blocks and a tail of 5, past several hit buffers on a region that
-    /// holds most rows): ascending, and drawn at random (unsorted, with
-    /// repeats).
+    /// Id slices over `n` rows of every length 0–33 (each tail of either
+    /// SIMD width after zero, one and two blocks), and of 1,013 (63 blocks
+    /// of 16 or 126 of 8 and a tail of 5, past several hit buffers on a
+    /// region that holds most rows): ascending, and drawn at random
+    /// (unsorted, with repeats).
     fn id_slices(n: usize, seed: u64) -> Vec<Vec<EntryId>> {
         let mut rng = Xoshiro256::seeded(seed);
         let mut slices = Vec::new();
-        for len in (0..=17).chain([1_013]) {
+        for len in (0..=33).chain([1_013]) {
             slices.push((0..len).map(|i| entry_id(i % n)).collect());
             slices.push((0..len).map(|_| entry_id(rng.range_usize(n))).collect());
         }
@@ -1113,10 +1326,22 @@ mod tests {
     fn gather_overlap_panics_on_an_id_out_of_bounds_in_every_width() {
         let cols = random_rect_cols(12, 5);
         let region = Rect::new(0.0, 0.0, 1000.0, 1000.0);
-        // The bad id inside the first block, inside a later block, and in
-        // the tail, also after more than one hit buffer (every row hits);
-        // each width emits the hits before it, then panics.
-        for (len, at) in [(8, 5), (17, 13), (11, 9), (1, 0), (200, 150), (203, 201)] {
+        // The bad id inside the first block, inside a later block (of 16
+        // too), and in the tail, also behind one or two full blocks of 16
+        // and after more than one hit buffer (every row hits); each width
+        // emits the hits before it, then panics.
+        let places = [
+            (8, 5),
+            (17, 13),
+            (11, 9),
+            (1, 0),
+            (40, 20),
+            (31, 29),
+            (33, 32),
+            (200, 150),
+            (203, 201),
+        ];
+        for (len, at) in places {
             let mut ids: Vec<EntryId> = (0..len).map(|i| entry_id(i % 12)).collect();
             ids[at] = 12;
             let want = intersecting_ids(&cols, &ids[..at], &region);
@@ -1159,7 +1384,8 @@ mod tests {
         let widths = widths!(
             gather_range_each,
             gather_range_each_scalar,
-            gather_range_each_avx2
+            gather_range_each_avx2,
+            gather_range_each_avx512
         );
         run_widths(&widths, [xs, ys], slots, region)
     }
@@ -1200,16 +1426,21 @@ mod tests {
         let region = Rect::new(0.0, 0.0, 1000.0, 1000.0);
         // A slot one past the rows, slots whose low half names a real row
         // but whose high half is set, and the largest slot; each in the
-        // first and second load of a block, in a later block, and in the
-        // tail, also after more than one hit buffer (every row hits).
-        // Every width emits the hits before it, then panics.
+        // first and second load of a block of 8 or 16, in a later block (of
+        // 16 too), and in the tail, also in either load of a tail behind a
+        // full block of 16 and after more than one hit buffer (every row
+        // hits). Every width emits the hits before it, then panics.
         let bad = [12, 1 << 32, (1 << 32) + 3, u64::MAX];
         let places = [
             (16, 2),
+            (16, 10),
             (8, 5),
             (17, 13),
             (11, 9),
             (1, 0),
+            (40, 27),
+            (21, 19),
+            (31, 29),
             (200, 150),
             (203, 201),
         ];

@@ -226,7 +226,7 @@ proptest! {
         rects in prop::collection::vec(arb_tie_rect(), 0..70),
         region in arb_tie_rect(),
     ) {
-        // Column lengths straddle the 8-lane AVX2 block boundaries; rows
+        // Column lengths straddle the 8- and 16-lane block boundaries; rows
         // tie with the region edges constantly and many are degenerate,
         // and row `i` stands for the id `40 + 3i`. The dispatched kernel,
         // the scalar kernel, and Rect::intersects must agree bit for bit —

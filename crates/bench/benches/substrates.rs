@@ -6,7 +6,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use sj_core::geom::Rect;
 use sj_core::rng::Xoshiro256;
-use sj_core::simd::{filter_range_each, gather_overlap_each, gather_range_each};
+use sj_core::simd::{
+    filter_overlap_each, filter_range_each, gather_overlap_each, gather_range_each,
+};
 use sj_core::table::{entry_id, EntryId};
 use sj_core::trace::Tracer;
 use sj_kdtrie::{encode, sort_by_code};
@@ -125,9 +127,10 @@ fn time_calls(
 
 /// The dispatched kernels at the call shapes of the benchmark's
 /// workloads: a `churn` query over a `twolayer` point cell of 64 rows at
-/// ~12% hits, a `uniform` inline bucket of 12 slots at ~30%, and a
-/// `rects` cell row of 34 ids at ~19%, the last two gathered from tables
-/// of 50,000 rows.
+/// ~12% hits, a `twolayer` rectangle query replica over a class bucket of
+/// 64 rows, a `uniform` inline bucket of 12 slots at ~30%, and a `rects`
+/// cell row of 34 ids at ~19%, the last two gathered from tables of
+/// 50,000 rows.
 fn bench_simd_kernels(c: &mut Criterion) {
     let mut rng = Xoshiro256::seeded(4);
     let mut group = c.benchmark_group("simd_kernels");
@@ -144,6 +147,40 @@ fn bench_simd_kernels(c: &mut Criterion) {
         let rows = k / 16 * 64..(k / 16 + 1) * 64;
         let cols = [&cells[0][rows.clone()], &cells[1][rows.clone()]];
         filter_range_each(cols, &ids[rows], black_box(&regions[k]), emit);
+    });
+
+    // A query replica probes one class bucket of a `twolayer` rectangle
+    // cell, 16 replicas a cell: 64 rectangles whose lower-left corners lie
+    // in the cell (36 units a side, about the cell of 64 rows among
+    // 50,000) and a query whose corner does too, sides as in
+    // `random_rects`.
+    let mut buckets: [Vec<f32>; 4] = Default::default();
+    let mut regions = Vec::new();
+    for _ in 0..ROUNDS * CALLS / 16 {
+        let (ox, oy) = (rng.range_f32(0.0, 964.0), rng.range_f32(0.0, 964.0));
+        let rect = |rng: &mut Xoshiro256| {
+            let (x, y) = (ox + rng.range_f32(0.0, 36.0), oy + rng.range_f32(0.0, 36.0));
+            [
+                x,
+                y,
+                x + rng.range_f32(0.0, 40.0),
+                y + rng.range_f32(0.0, 40.0),
+            ]
+        };
+        for _ in 0..64 {
+            for (col, v) in buckets.iter_mut().zip(rect(&mut rng)) {
+                col.push(v);
+            }
+        }
+        for _ in 0..16 {
+            let [x1, y1, x2, y2] = rect(&mut rng);
+            regions.push(Rect::new(x1, y1, x2, y2));
+        }
+    }
+    time_calls(&mut group, "filter_overlap_each", 64, |k, emit| {
+        let rows = k / 16 * 64..(k / 16 + 1) * 64;
+        let cols = buckets.each_ref().map(|c| &c[rows.clone()]);
+        filter_overlap_each(cols, &ids[rows], black_box(&regions[k]), emit);
     });
 
     // Points: the lower-left corners of random rectangles.

@@ -11,7 +11,7 @@
 //! cell boundary are moved with an O(1) delete (backfill from the head
 //! bucket) plus an O(1) insert. Freed buckets go to the arena's free list,
 //! so steady state allocates nothing. Queries are the grid's own: Algorithm
-//! 2 with wholesale reports of covered cells, and the AVX2 gather kernel
+//! 2 with wholesale reports of covered cells, and the SIMD gather kernel
 //! over the other cells' buckets.
 //!
 //! The `ablation` bench compares this against rebuild-per-tick across

@@ -10,7 +10,7 @@
 //! At bs = 4 this is 8 + 16/4 = 12 bytes per point, vs. 32 before.
 //!
 //! An entry takes `W` slots. `InlineStore` (`W = 1`) is Figure 3b: a query
-//! filters a bucket's entry slots with one call of the AVX2 gather kernel
+//! filters a bucket's entry slots with one call of the SIMD gather kernel
 //! [`gather_range_each`], which reads the coordinates straight from the
 //! base table through the slots; the layout and the traced access stream
 //! are the paper's. `InlineStore<2>` copies each point next to its entry

@@ -84,11 +84,13 @@ fn pairings() -> impl Iterator<Item = (usize, usize)> {
     (0..16).map(|p| (p / 4, p % 4)).filter(|&(r, s)| r & s == 0)
 }
 
-/// Auto cell sizing: aim for this many data rows per cell (eight AVX2
-/// blocks a kernel call). On `churn`'s point partition (2-core Xeon VM,
-/// medians of 3 rounds), 32 rows ran 1.3% more queries a second than 64,
-/// within the noise, for 1.9% more heap, and 128 rows 4.3% fewer for 1.1%
-/// less heap. When `churn` still ran the rectangle partition, 32 rows ran
+/// Auto cell sizing: aim for this many data rows per cell (four AVX-512
+/// blocks a kernel call, or eight AVX2 blocks). On `churn`'s point
+/// partition with the AVX-512 kernels (2-core Xeon VM, medians of 3
+/// rotating rounds), 32 rows ran 6.5% fewer queries a second than 64 for
+/// 1.9% more heap, and 128 rows 0.8% fewer, within the noise, for 1.1%
+/// less heap; with the AVX2 kernels, 32 rows ran 1.3% more and 128 rows
+/// 4.3% fewer. When `churn` still ran the rectangle partition, 32 rows ran
 /// 8.5% fewer and 128 rows 3.5% fewer (~7% more and ~9% fewer while each
 /// hit cost a branch). Correctness is independent of the choice (any
 /// monotone grid yields the same exactly-once output).

@@ -1,8 +1,8 @@
 //! Property-based equivalence of the SIMD kernels' widths.
 //!
 //! Each kernel in [`spatial_joins::core::simd`] dispatches at runtime to
-//! its AVX2 width where the CPU has AVX2, and to its scalar width
-//! elsewhere. Their contract is *bit-identical* output: the ids the `Rect`
+//! its AVX-512 width where the CPU has AVX-512F, its AVX2 width where it
+//! has AVX2, and to its scalar width elsewhere. Their contract is *bit-identical* output: the ids the `Rect`
 //! predicate accepts, in order, for any column contents — including the
 //! boundary ties where `>=`-vs-`>` mistakes hide. Coordinates are drawn
 //! from a small lattice around the query edges so a large fraction of
@@ -29,7 +29,7 @@ fn arb_edge_coord() -> impl Strategy<Value = f32> {
 }
 
 fn arb_cols() -> impl Strategy<Value = Vec<(f32, f32)>> {
-    // Lengths straddle the 8-lane AVX2 block boundaries.
+    // Lengths straddle the 8- and 16-lane block boundaries.
     prop::collection::vec((arb_edge_coord(), arb_edge_coord()), 0..70)
 }
 
@@ -224,9 +224,9 @@ fn gather_overlap_panics_on_an_id_equal_to_the_column_length() {
     gather_overlap_each([&cols; 4], &ids, &region, &mut |_| {});
 }
 
-/// The dispatched width (AVX2 where the CPU has it) against the scalar
-/// width on a dense tie lattice, for every prefix of an unsorted id list
-/// that names every row twice.
+/// The dispatched width (a SIMD width where the CPU has one) against the
+/// scalar width on a dense tie lattice, for every prefix of an unsorted id
+/// list that names every row twice.
 #[test]
 fn dispatched_gather_overlap_agrees_with_scalar_on_a_dense_tie_lattice() {
     // Every row with corners in {edge, just outside, interior, NaN}.
@@ -255,7 +255,7 @@ fn dispatched_gather_overlap_agrees_with_scalar_on_a_dense_tie_lattice() {
     assert!(hits > 0, "the lattice holds no hit");
 }
 
-/// The dispatched width (AVX2 where the CPU has it) of
+/// The dispatched width (a SIMD width where the CPU has one) of
 /// [`filter_range_each`] against the scalar width on a dense tie lattice,
 /// for every prefix of three copies of every combination of {edge,
 /// just-outside, interior} per axis.
